@@ -114,8 +114,7 @@ bench-report:
 		$(GO) run ./cmd/benchjson -report $$files > BENCHMARKS.md
 	@echo "bench-report: wrote BENCHMARKS.md"
 
+# figures reproduces every registered figure and table in-process (add
+# `-csv <dir>` to the command for the data as CSV).
 figures:
-	$(GO) run ./cmd/blitzsim -fig all
-	$(GO) run ./cmd/socsim -fig all
-	$(GO) run ./cmd/silicon -fig all
-	$(GO) run ./cmd/scaling -fig 21
+	$(GO) run ./cmd/blitzctl run -fig all

@@ -146,7 +146,7 @@ func BenchmarkFig13_PowerCurves(b *testing.B) {
 func BenchmarkFig16_PowerTraces3x3(b *testing.B) {
 	var rows []experiments.SoCRow
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig16(bctx, 1, nil)
+		rows = experiments.Fig16(bctx, 1)
 	}
 	for _, r := range rows {
 		if r.BudgetMW == 120 {

@@ -1,9 +1,20 @@
 // Command blitzctl is the blitzd client: it builds or forwards a
 // blitzcoin.Request, POSTs it to the daemon, and prints the response
 // envelope JSON (which embeds the result and the cached/coalesced serving
-// annotations).
+// annotations). Its run subcommand reproduces the paper's figures
+// in-process, without a daemon.
 //
-// Usage:
+// Figures, in-process:
+//
+//	blitzctl run -fig <name>|all [-seed 1] [-trials N] [-csv dir]
+//
+// run prints "# <Title>" and the lines blitzd would serve for the figure
+// (all: every figure, blank-line separated); -csv also writes the
+// figure's data as CSV files into dir. It exits 2 on an unknown -fig,
+// 130 on SIGINT after printing the partial rows, and 1 when a CSV file
+// cannot be created, written or closed.
+//
+// Daemon client usage:
 //
 //	blitzctl -addr 127.0.0.1:8425 -figure 7 [-trials 50] [-seed 1]
 //	blitzctl -exchange [-dim 8] [-trials 10] [-seed 1]
@@ -60,6 +71,15 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "run" {
+		// SIGINT/SIGTERM cancel the sweeps: no new trials are dispatched,
+		// running ones finish, and the partial rows print with a warning.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		code := runFigures(ctx, os.Args[2:], os.Stdout, os.Stderr)
+		stop()
+		os.Exit(code)
+	}
+
 	addr := flag.String("addr", "127.0.0.1:8425", "blitzd address (host:port)")
 	reqFile := flag.String("req", "", "POST a request from this JSON file (- for stdin)")
 	figure := flag.String("figure", "", "reproduce a figure by registry name")

@@ -14,7 +14,7 @@ func TestSimulateExchangeWithFaults(t *testing.T) {
 			Faults: &FaultOptions{
 				Seed:      2,
 				DropRate:  0.01,
-				KillTiles: []TileFaultAt{{Tile: 7, AtCycle: 1000}},
+				KillTiles: []TileFault{{Tile: 7, AtCycle: 1000}},
 			},
 			Seed: 1,
 		})
@@ -60,7 +60,7 @@ func TestRunSoCWithFaults(t *testing.T) {
 		Faults: &FaultOptions{
 			Seed:      3,
 			DropRate:  0.005,
-			KillTiles: []TileFaultAt{{Tile: 1, AtCycle: 60_000}},
+			KillTiles: []TileFault{{Tile: 1, AtCycle: 60_000}},
 		},
 		Seed: 7,
 	})

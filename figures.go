@@ -13,15 +13,15 @@ import (
 
 // FigureOptions selects one of the paper's figures or tables by registry
 // name and overrides its sweep parameters. Every field except Name is
-// optional; zero values take the figure's own defaults (the same defaults
-// the CLIs use), so a bare {"name": "7"} reproduces the published plot.
+// optional; zero values take the figure's own defaults, so a bare
+// {"name": "7"} reproduces the published plot.
 type FigureOptions struct {
 	// Name is the registry key: "1", "3", "4", "6", "7", "8", "13", "16",
 	// "17", "18", "19", "20", "21", "ap-rp", "contention", "degraded",
 	// "faults", "nopm", "table1". FigureNames lists them.
 	Name string `json:"name"`
 	// Trials overrides the Monte Carlo trials per point where the figure
-	// sweeps (default: figure-specific, matching the CLIs).
+	// sweeps (default: figure-specific).
 	Trials int `json:"trials,omitempty"`
 	// Seed is the base random seed. Default 1.
 	Seed uint64 `json:"seed,omitempty"`
@@ -47,11 +47,12 @@ type FigureOptions struct {
 }
 
 // figureSpec is one registry entry: the heading, the per-figure defaults,
-// and the runner that renders the deterministic report lines.
+// and the runner that renders the deterministic report lines and hands
+// the same rows to out as CSV tables.
 type figureSpec struct {
 	title    string
 	defaults func(*FigureOptions)
-	run      func(ctx context.Context, o FigureOptions) []string
+	run      func(ctx context.Context, o FigureOptions, out *figureCSV) []string
 	// shard, when non-nil, decomposes the figure's Monte-Carlo work into
 	// independent trial units for distributed execution; figures without it
 	// run as one indivisible shard.
@@ -68,6 +69,26 @@ type figureShard struct {
 	units func(o FigureOptions) int
 	trial func(o FigureOptions, g int) json.RawMessage
 	merge func(o FigureOptions, trials []json.RawMessage) ([]string, error)
+}
+
+// figureCSV is a runner's CSV output. sink opens one writer per file name;
+// a nil sink or a nil writer skips the file. err keeps the first failure,
+// after which nothing more is written.
+type figureCSV struct {
+	sink func(name string) io.Writer
+	err  error
+}
+
+// write renders one file through render.
+func (c *figureCSV) write(name string, render func(io.Writer) error) {
+	if c.sink == nil || c.err != nil {
+		return
+	}
+	if w := c.sink(name); w != nil {
+		if err := render(w); err != nil {
+			c.err = fmt.Errorf("blitzcoin: CSV %s: %w", name, err)
+		}
+	}
 }
 
 // mustJSON marshals a plain trial value; these are floats and flat structs,
@@ -91,8 +112,8 @@ func stringRows[T fmt.Stringer](rows []T) []string {
 
 var paperDims = []int{4, 8, 12, 16, 20}
 
-// figureRegistry maps registry names to their specs. Runners mirror the
-// CLI output byte for byte, so a served figure equals the printed one.
+// figureRegistry maps registry names to their specs. blitzctl run prints
+// the same runners' lines, so a served figure equals the printed one.
 var figureRegistry = map[string]figureSpec{
 	"1": {
 		title: "Fig. 1 — response time vs activity-change interval Tw/N",
@@ -104,13 +125,15 @@ var figureRegistry = map[string]figureSpec{
 				o.TwsMs = []float64{1, 5, 20}
 			}
 		},
-		run: func(_ context.Context, o FigureOptions) []string {
+		run: func(_ context.Context, o FigureOptions, out *figureCSV) []string {
 			ns := make([]float64, len(o.Ns))
 			for i, n := range o.Ns {
 				ns[i] = float64(n)
 			}
+			rows := experiments.Fig01(ns, o.TwsMs)
+			out.write("fig01_scalability.csv", experiments.Fig01CSV(rows).Write)
 			lines := []string{"scheme   N     T(N) us    Tw(ms)  Tw/N us  supported"}
-			for _, r := range experiments.Fig01(ns, o.TwsMs) {
+			for _, r := range rows {
 				lines = append(lines, fmt.Sprintf("%-6s %5.0f %9.2f %8.0f %9.2f  %v",
 					r.Scheme, r.N, r.ResponseUs, r.TwMs, r.IntervalUs, r.Supported))
 			}
@@ -120,22 +143,30 @@ var figureRegistry = map[string]figureSpec{
 	"3": {
 		title:    "Fig. 3 — 1-way vs 4-way: packets and cycles to convergence (Err < 1.5)",
 		defaults: func(o *FigureOptions) { figDimsTrials(o, 100) },
-		run: func(ctx context.Context, o FigureOptions) []string {
-			return stringRows(experiments.Fig03(ctx, o.Dims, o.Trials, o.Seed))
+		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
+			rows := experiments.Fig03(ctx, o.Dims, o.Trials, o.Seed)
+			out.write("fig03_exchange_modes.csv",
+				experiments.ConvergenceCSV(rows, "mode", "cycles_mean", "cycles_p95", "packets_mean").Write)
+			return stringRows(rows)
 		},
 	},
 	"4": {
 		title:    "Fig. 4 — BlitzCoin vs TokenSmart convergence time",
 		defaults: func(o *FigureOptions) { figDimsTrials(o, 100) },
-		run: func(ctx context.Context, o FigureOptions) []string {
-			return stringRows(experiments.Fig04(ctx, o.Dims, o.Trials, o.Seed))
+		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
+			rows := experiments.Fig04(ctx, o.Dims, o.Trials, o.Seed)
+			out.write("fig04_bc_vs_tokensmart.csv", experiments.Fig04CSV(rows).Write)
+			return stringRows(rows)
 		},
 	},
 	"6": {
 		title:    "Fig. 6 — conventional vs dynamic-timing 1-way exchange (Err < 1.0)",
 		defaults: func(o *FigureOptions) { figDimsTrials(o, 100) },
-		run: func(ctx context.Context, o FigureOptions) []string {
-			return stringRows(experiments.Fig06(ctx, o.Dims, o.Trials, o.Seed))
+		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
+			rows := experiments.Fig06(ctx, o.Dims, o.Trials, o.Seed)
+			out.write("fig06_dynamic_timing.csv",
+				experiments.ConvergenceCSV(rows, "variant", "cycles_mean", "packets_mean").Write)
+			return stringRows(rows)
 		},
 	},
 	"7": {
@@ -148,8 +179,10 @@ var figureRegistry = map[string]figureSpec{
 				o.Trials = 1000
 			}
 		},
-		run: func(ctx context.Context, o FigureOptions) []string {
-			return fig07Lines(experiments.Fig07(ctx, o.Ns, o.Trials, o.Seed))
+		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
+			rows := experiments.Fig07(ctx, o.Ns, o.Trials, o.Seed)
+			out.write("fig07_residual_error.csv", experiments.Fig07CSV(rows).Write)
+			return fig07Lines(rows)
 		},
 		shard: &figureShard{
 			units: func(o FigureOptions) int {
@@ -179,16 +212,21 @@ var figureRegistry = map[string]figureSpec{
 				o.AccelTypes = []int{1, 2, 4, 8}
 			}
 		},
-		run: func(ctx context.Context, o FigureOptions) []string {
-			return stringRows(experiments.Fig08(ctx, o.Dims, o.AccelTypes, o.Trials, o.Seed))
+		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
+			rows := experiments.Fig08(ctx, o.Dims, o.AccelTypes, o.Trials, o.Seed)
+			out.write("fig08_heterogeneity.csv",
+				experiments.ConvergenceCSV(rows, "acc_types", "cycles_mean", "start_error").Write)
+			return stringRows(rows)
 		},
 	},
 	"13": {
 		title:    "Fig. 13 — accelerator power/frequency characterization",
 		defaults: func(o *FigureOptions) {},
-		run: func(_ context.Context, o FigureOptions) []string {
+		run: func(_ context.Context, o FigureOptions, out *figureCSV) []string {
+			points := experiments.Fig13()
+			out.write("fig13_power_curves.csv", experiments.Fig13CSV(points).Write)
 			lines := []string{"accel   V      F(MHz)   P(mW)"}
-			for _, p := range experiments.Fig13() {
+			for _, p := range points {
 				lines = append(lines, fmt.Sprintf("%-7s %.2f %8.1f %8.2f", p.Accel, p.V, p.FMHz, p.PmW))
 			}
 			return lines
@@ -197,40 +235,55 @@ var figureRegistry = map[string]figureSpec{
 	"16": {
 		title:    "Fig. 16 — 3x3 power traces (WL-Par @120mW, WL-Dep @60mW)",
 		defaults: func(o *FigureOptions) {},
-		run: func(ctx context.Context, o FigureOptions) []string {
-			noCSV := func(string) io.Writer { return nil }
-			return stringRows(experiments.Fig16(ctx, o.Seed, noCSV))
+		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
+			rows := experiments.Fig16(ctx, o.Seed)
+			out.write("fig16_soc3x3.csv", experiments.SoCCSV(rows).Write)
+			for _, r := range rows {
+				out.write(fmt.Sprintf("fig16_%s_%.0fmW_%s.csv", r.Scheme, r.BudgetMW, r.Workload),
+					r.Res.Recorder.WriteCSV)
+			}
+			return stringRows(rows)
 		},
 	},
 	"17": {
 		title:    "Fig. 17 — 3x3 SoC: execution and response time, BC vs BC-C vs C-RR",
 		defaults: func(o *FigureOptions) {},
-		run: func(ctx context.Context, o FigureOptions) []string {
-			return stringRows(experiments.Fig17(ctx, o.Seed))
+		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
+			rows := experiments.Fig17(ctx, o.Seed)
+			out.write("fig17_soc3x3.csv", experiments.SoCCSV(rows).Write)
+			return stringRows(rows)
 		},
 	},
 	"18": {
 		title:    "Fig. 18 — 4x4 SoC: execution and response time, BC vs BC-C vs C-RR",
 		defaults: func(o *FigureOptions) {},
-		run: func(ctx context.Context, o FigureOptions) []string {
-			return stringRows(experiments.Fig18(ctx, o.Seed))
+		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
+			rows := experiments.Fig18(ctx, o.Seed)
+			out.write("fig18_soc4x4.csv", experiments.SoCCSV(rows).Write)
+			return stringRows(rows)
 		},
 	},
 	"19": {
 		title:    "Fig. 19 — silicon proxy: utilization and throughput vs static allocation",
 		defaults: func(o *FigureOptions) { figBudget(o) },
-		run: func(ctx context.Context, o FigureOptions) []string {
-			lines := stringRows(experiments.Fig19(ctx, o.BudgetMW, o.Seed))
-			lines = append(lines, "# Fig. 19 (bottom left) — coin allocation before/after convergence")
-			return append(lines, stringRows(experiments.Fig19Coins(o.BudgetMW, o.Seed))...)
+		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
+			rows := experiments.Fig19(ctx, o.BudgetMW, o.Seed)
+			coins := experiments.Fig19Coins(o.BudgetMW, o.Seed)
+			out.write("fig19_silicon.csv", experiments.SiliconCSV(rows).Write)
+			out.write("fig19_coin_allocation.csv", experiments.CoinSnapshotCSV(coins).Write)
+			lines := append(stringRows(rows), "# Fig. 19 (bottom left) — coin allocation before/after convergence")
+			return append(lines, stringRows(coins)...)
 		},
 	},
 	"20": {
 		title:    "Fig. 20 — response to activity transitions, 7-accelerator workload",
 		defaults: func(o *FigureOptions) { figBudget(o) },
-		run: func(ctx context.Context, o FigureOptions) []string {
-			lines := stringRows(experiments.Fig20(ctx, o.BudgetMW, o.Seed))
+		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
+			rows := experiments.Fig20(ctx, o.BudgetMW, o.Seed)
 			rec, resp := experiments.Fig20Trace(o.BudgetMW, o.Seed)
+			out.write("fig20_response.csv", experiments.Fig20CSV(rows).Write)
+			out.write("fig20_coin_trace.csv", rec.WriteCSV)
+			lines := stringRows(rows)
 			lines = append(lines, fmt.Sprintf("# coin counts across the end-of-NVDLA transition (response %.2f us)",
 				float64(resp)/800))
 			for _, name := range rec.Names() {
@@ -246,8 +299,10 @@ var figureRegistry = map[string]figureSpec{
 				o.TwsMs = []float64{0.2, 1, 7, 10}
 			}
 		},
-		run: func(ctx context.Context, o FigureOptions) []string {
+		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
 			models := experiments.FitScalingModels(ctx, o.Seed)
+			rows := experiments.Fig21(models, o.TwsMs)
+			out.write("fig21_scaling.csv", experiments.Fig21CSV(models, rows).Write)
 			names := make([]string, 0, len(models))
 			for n := range models {
 				names = append(names, n)
@@ -258,7 +313,7 @@ var figureRegistry = map[string]figureSpec{
 				m := models[n]
 				lines = append(lines, fmt.Sprintf("%-5s %-11s tau=%.3f us", m.Name, m.Law, m.Tau))
 			}
-			for _, r := range experiments.Fig21(models, o.TwsMs) {
+			for _, r := range rows {
 				lines = append(lines, fmt.Sprintf("%-5s Tw=%5.1fms Nmax=%8.0f overhead@N=100,Tw=10ms=%5.1f%%",
 					r.Scheme, r.TwMs, r.NMax, r.OverheadPct))
 			}
@@ -272,8 +327,10 @@ var figureRegistry = map[string]figureSpec{
 				o.BudgetsMW = []float64{60, 80, 100, 120}
 			}
 		},
-		run: func(ctx context.Context, o FigureOptions) []string {
-			return stringRows(experiments.APvsRP(ctx, o.BudgetsMW, o.Seed))
+		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
+			rows := experiments.APvsRP(ctx, o.BudgetsMW, o.Seed)
+			out.write("ap_vs_rp.csv", experiments.APvsRPCSV(rows).Write)
+			return stringRows(rows)
 		},
 	},
 	"contention": {
@@ -289,15 +346,19 @@ var figureRegistry = map[string]figureSpec{
 				o.Trials = 10
 			}
 		},
-		run: func(ctx context.Context, o FigureOptions) []string {
-			return stringRows(experiments.ContentionStudy(ctx, o.Dim, o.BgRates, o.Trials, o.Seed))
+		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
+			rows := experiments.ContentionStudy(ctx, o.Dim, o.BgRates, o.Trials, o.Seed)
+			out.write("contention.csv", experiments.ContentionCSV(rows).Write)
+			return stringRows(rows)
 		},
 	},
 	"degraded": {
 		title:    "Extension — degraded mode: 3x3 BC with 0..3 tiles killed mid-workload",
 		defaults: func(o *FigureOptions) {},
-		run: func(ctx context.Context, o FigureOptions) []string {
-			return stringRows(experiments.DegradedSoC(ctx, o.Seed))
+		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
+			rows := experiments.DegradedSoC(ctx, o.Seed)
+			out.write("degraded_soc.csv", experiments.DegradedCSV(rows).Write)
+			return stringRows(rows)
 		},
 	},
 	"faults": {
@@ -313,8 +374,10 @@ var figureRegistry = map[string]figureSpec{
 				o.Trials = 10
 			}
 		},
-		run: func(ctx context.Context, o FigureOptions) []string {
-			return stringRows(experiments.FaultStudy(ctx, o.Dims, o.DropRates, o.Trials, o.Seed))
+		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
+			rows := experiments.FaultStudy(ctx, o.Dims, o.DropRates, o.Trials, o.Seed)
+			out.write("fault_study.csv", experiments.FaultCSV(rows).Write)
+			return stringRows(rows)
 		},
 		shard: &figureShard{
 			units: func(o FigureOptions) int {
@@ -339,15 +402,19 @@ var figureRegistry = map[string]figureSpec{
 	"nopm": {
 		title:    "Sec. VI-C — PM overhead: BlitzCoin vs the No-PM baseline tile",
 		defaults: func(o *FigureOptions) {},
-		run: func(_ context.Context, o FigureOptions) []string {
-			return []string{experiments.NoPMOverhead(o.Seed).String()}
+		run: func(_ context.Context, o FigureOptions, out *figureCSV) []string {
+			row := experiments.NoPMOverhead(o.Seed)
+			out.write("nopm_overhead.csv", experiments.NoPMCSV(row).Write)
+			return []string{row.String()}
 		},
 	},
 	"table1": {
 		title:    "Table I — implemented state-of-the-art designs (response measured at N=13)",
 		defaults: func(o *FigureOptions) {},
-		run: func(ctx context.Context, o FigureOptions) []string {
-			return stringRows(experiments.Table1(ctx, o.Seed))
+		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
+			rows := experiments.Table1(ctx, o.Seed)
+			out.write("table1_comparison.csv", experiments.Table1CSV(rows).Write)
+			return stringRows(rows)
 		},
 	},
 }
@@ -465,20 +532,32 @@ func (o FigureOptions) Validate() error {
 }
 
 // RunFigure reproduces a registered figure and returns its report lines,
-// byte-identical to the corresponding CLI output at any parallelism. The
-// context cancels the figure's sweeps between runs; RunFigure itself does
-// not fail on cancellation — callers that must not serve partial figures
-// (Execute, the daemon) check ctx.Err() afterwards.
+// byte-identical at any parallelism. The context cancels the figure's
+// sweeps between runs; RunFigure itself does not fail on cancellation —
+// callers that must not serve partial figures (Execute, the daemon) check
+// ctx.Err() afterwards.
 func RunFigure(ctx context.Context, o FigureOptions) (FigureResult, error) {
+	return RunFigureCSV(ctx, o, nil)
+}
+
+// RunFigureCSV is RunFigure that also writes the figure's data as CSV
+// tables rendered from the same rows as the report lines. For each file
+// it asks csv for a writer by name ("fig03_exchange_modes.csv", ...); a
+// nil writer skips that file. The caller owns the writers and closes
+// them. A failed CSV write stops further writes and is returned, naming
+// the file, together with the complete result.
+func RunFigureCSV(ctx context.Context, o FigureOptions, csv func(name string) io.Writer) (FigureResult, error) {
 	o = o.Normalized()
 	if err := o.Validate(); err != nil {
 		return FigureResult{}, err
 	}
 	spec := figureRegistry[o.Name]
+	out := &figureCSV{sink: csv}
+	lines := spec.run(ctx, o, out)
 	return FigureResult{
 		Meta:  newMeta(o.Seed, canonicalHash(string(KindFigure), o)),
 		Name:  o.Name,
 		Title: spec.title,
-		Lines: spec.run(ctx, o),
-	}, nil
+		Lines: lines,
+	}, out.err
 }

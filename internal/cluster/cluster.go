@@ -13,8 +13,7 @@
 // unreachable past the eviction window), and a transport failure during
 // dispatch demotes the worker immediately so the shard's retry lands
 // elsewhere. Workers register statically (the coordinator's -workers
-// list) or dynamically (POST /v1/cluster/join, kept fresh by JoinLoop);
-// an Autoscaler can add workers under backlog and drain idle ones.
+// list) or dynamically (POST /v1/cluster/join, kept fresh by JoinLoop).
 package cluster
 
 import (
@@ -169,8 +168,7 @@ func (c *Coordinator) latencyQuantiles() (p50, p99 float64) {
 }
 
 // Readiness reports the coordinator's scheduling state for /readyz: the
-// cluster is ready when at least one live, non-draining worker can take
-// shards.
+// cluster is ready when at least one live worker can take shards.
 func (c *Coordinator) Readiness() server.ClusterReadiness {
 	snap := c.registry.snapshot()
 	cr := server.ClusterReadiness{
@@ -179,11 +177,8 @@ func (c *Coordinator) Readiness() server.ClusterReadiness {
 		WorkerInflight: make(map[string]int, len(snap)),
 	}
 	for _, ws := range snap {
-		if ws.Alive && !ws.Draining {
+		if ws.Alive {
 			cr.AliveWorkers++
-		}
-		if ws.Draining {
-			cr.DrainingWorkers++
 		}
 		cr.WorkerInflight[ws.URL] = ws.Inflight
 	}

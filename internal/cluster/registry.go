@@ -22,15 +22,9 @@ type worker struct {
 	// unreachable past the eviction window.
 	static bool
 	alive  bool
-	// draining workers accept no new shards; once their inflight count
-	// reaches zero the autoscaler's drain hook decommissions them.
-	draining bool
 	// lastSeen is the last successful probe or join; eviction measures
 	// from here.
 	lastSeen time.Time
-	// idleSince is when inflight last dropped to zero; the autoscaler
-	// drains joined workers idle past its window.
-	idleSince time.Time
 	// inflight counts shards currently dispatched to this worker; bounded
 	// by ClusterOptions.MaxInflight (backpressure).
 	inflight int
@@ -45,7 +39,7 @@ type worker struct {
 // registry is the coordinator's worker table. All acquisition is
 // non-blocking: the sweep scheduler polls for slots on its wake loop
 // instead of parking on a condition variable, which keeps elastic
-// membership (join, eviction, drain) from ever wedging a dispatcher.
+// membership (join, eviction) from ever wedging a dispatcher.
 type registry struct {
 	mu      sync.Mutex
 	workers map[string]*worker
@@ -57,13 +51,13 @@ func newRegistry(static []string) *registry {
 	for _, u := range static {
 		// Optimistically alive: the first dispatch may beat the first
 		// heartbeat, and a transport error demotes the worker anyway.
-		r.workers[u] = &worker{url: u, static: true, alive: true, lastSeen: now, idleSince: now}
+		r.workers[u] = &worker{url: u, static: true, alive: true, lastSeen: now}
 	}
 	return r
 }
 
-// tryAcquire reserves an in-flight slot on the least-loaded live,
-// non-draining worker whose URL is not in exclude, without blocking.
+// tryAcquire reserves an in-flight slot on the least-loaded live worker
+// whose URL is not in exclude, without blocking.
 // It returns the worker URL and ok=true on success; anyAlive reports
 // whether any live worker exists at all (excluded or saturated ones
 // included), so the caller can distinguish "try again shortly" from
@@ -77,7 +71,7 @@ func (r *registry) tryAcquire(maxInflight int, exclude map[string]bool) (url str
 			continue
 		}
 		anyAlive = true
-		if w.draining || w.inflight >= maxInflight || exclude[w.url] {
+		if w.inflight >= maxInflight || exclude[w.url] {
 			continue
 		}
 		if best == nil || w.inflight < best.inflight || (w.inflight == best.inflight && w.url < best.url) {
@@ -96,9 +90,6 @@ func (r *registry) release(url string) {
 	r.mu.Lock()
 	if w := r.workers[url]; w != nil && w.inflight > 0 {
 		w.inflight--
-		if w.inflight == 0 {
-			w.idleSince = time.Now()
-		}
 	}
 	r.mu.Unlock()
 }
@@ -114,64 +105,18 @@ func (r *registry) markDead(url string) {
 	r.mu.Unlock()
 }
 
-// markAlive records a successful probe or join. Joining clears any drain
-// mark: a worker that re-registers wants traffic again.
+// markAlive records a successful probe or join; static applies only to a
+// worker not yet registered.
 func (r *registry) markAlive(url string, static bool) {
 	r.mu.Lock()
 	w := r.workers[url]
 	if w == nil {
-		now := time.Now()
-		w = &worker{url: url, static: static, idleSince: now}
+		w = &worker{url: url, static: static}
 		r.workers[url] = w
 	}
 	w.alive = true
 	w.lastSeen = time.Now()
 	r.mu.Unlock()
-}
-
-// rejoin is markAlive for explicit joins: it additionally clears the
-// draining mark so a re-registered worker takes traffic again.
-func (r *registry) rejoin(url string) {
-	r.mu.Lock()
-	w := r.workers[url]
-	if w == nil {
-		now := time.Now()
-		w = &worker{url: url, idleSince: now}
-		r.workers[url] = w
-	}
-	w.alive = true
-	w.draining = false
-	w.lastSeen = time.Now()
-	r.mu.Unlock()
-}
-
-// beginDrain marks a worker as draining: it keeps its in-flight shards
-// but is skipped by acquisition. Reports whether the worker exists.
-func (r *registry) beginDrain(url string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w := r.workers[url]
-	if w == nil {
-		return false
-	}
-	w.draining = true
-	return true
-}
-
-// finishDrain removes a draining worker once nothing is in flight on it.
-// Reports whether the worker was removed (false while shards remain).
-func (r *registry) finishDrain(url string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w := r.workers[url]
-	if w == nil {
-		return true
-	}
-	if !w.draining || w.inflight > 0 {
-		return false
-	}
-	delete(r.workers, url)
-	return true
 }
 
 // addSteal credits url with picking up a shard another worker failed.
@@ -233,13 +178,13 @@ func (r *registry) urls() []string {
 	return out
 }
 
-// aliveCount reports the number of live, non-draining workers.
+// aliveCount reports the number of live workers.
 func (r *registry) aliveCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := 0
 	for _, w := range r.workers {
-		if w.alive && !w.draining {
+		if w.alive {
 			n++
 		}
 	}
@@ -251,13 +196,9 @@ type WorkerStatus struct {
 	URL      string `json:"url"`
 	Static   bool   `json:"static"`
 	Alive    bool   `json:"alive"`
-	Draining bool   `json:"draining"`
 	Inflight int    `json:"inflight"`
 	// LastSeenMillisAgo is the age of the last successful probe or join.
 	LastSeenMillisAgo int64 `json:"last_seen_millis_ago"`
-	// IdleMillis is how long the worker has had nothing in flight
-	// (0 while busy); the autoscaler drains joined workers idle too long.
-	IdleMillis int64 `json:"idle_millis"`
 	// Scheduling counters: shards stolen from failed peers, and
 	// speculative-copy outcomes.
 	Steals            uint64 `json:"steals"`
@@ -270,18 +211,12 @@ func (r *registry) snapshot() []WorkerStatus {
 	r.mu.Lock()
 	out := make([]WorkerStatus, 0, len(r.workers))
 	for _, w := range r.workers {
-		idle := int64(0)
-		if w.inflight == 0 {
-			idle = now.Sub(w.idleSince).Milliseconds()
-		}
 		out = append(out, WorkerStatus{
 			URL:               w.url,
 			Static:            w.static,
 			Alive:             w.alive,
-			Draining:          w.draining,
 			Inflight:          w.inflight,
 			LastSeenMillisAgo: now.Sub(w.lastSeen).Milliseconds(),
-			IdleMillis:        idle,
 			Steals:            w.steals,
 			SpeculativeWins:   w.specWins,
 			SpeculativeLosses: w.specLosses,
@@ -311,7 +246,7 @@ func (c *Coordinator) HandleJoin(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "body must be {\"url\": \"http://host:port\"}"})
 		return
 	}
-	c.registry.rejoin(body.URL)
+	c.registry.markAlive(body.URL, false)
 	c.log.Info("cluster join", "worker", body.URL)
 	writeJSON(w, http.StatusOK, map[string]string{"status": "joined", "url": body.URL})
 }

@@ -179,9 +179,9 @@ func (s *sched) dispatchLocked() {
 		if !ok {
 			if !anyAlive {
 				// No live worker at all. Don't block forever, but don't
-				// fail on a blip either: give the heartbeat (or a join, or
-				// an autoscaler spawn) a grace window to produce a worker
-				// before declaring the sweep dead.
+				// fail on a blip either: give the heartbeat (or a join) a
+				// grace window to produce a worker before declaring the
+				// sweep dead.
 				if s.noLiveSince.IsZero() {
 					s.noLiveSince = now
 				} else if now.Sub(s.noLiveSince) >= s.noLiveGrace() {

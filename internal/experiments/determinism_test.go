@@ -9,8 +9,8 @@ import (
 	"blitzcoin/internal/sweep"
 )
 
-// renderRows flattens an experiment's output to the exact text a CLI would
-// print, so "identical rows" means byte-identical user-visible output.
+// renderRows flattens an experiment's output to the exact text a figure
+// prints, so "identical rows" means byte-identical user-visible output.
 func renderRows[T fmt.Stringer](rows []T) string {
 	var b strings.Builder
 	for _, r := range rows {

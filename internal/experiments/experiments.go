@@ -1,6 +1,6 @@
 // Package experiments orchestrates the paper's evaluation: one entry point
-// per table or figure, each returning structured rows that the CLI tools
-// print and the benchmarks regenerate. EXPERIMENTS.md records the measured
+// per table or figure, each returning structured rows that the figure
+// registry prints and writes as CSV and the benchmarks regenerate. EXPERIMENTS.md records the measured
 // outputs next to the paper's numbers.
 package experiments
 

@@ -3,11 +3,12 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"io"
+	"fmt"
 	"strings"
 	"testing"
 
 	"blitzcoin/internal/mesh"
+	"blitzcoin/internal/scaling"
 )
 
 // Small-parameter integration runs of every experiment, asserting the
@@ -138,21 +139,48 @@ func TestFig13CoversAllAccelerators(t *testing.T) {
 }
 
 func TestFig16WritesTraces(t *testing.T) {
-	bufs := map[string]*bytes.Buffer{}
-	rows := Fig16(tctx, 1, func(name string) io.Writer {
-		b := &bytes.Buffer{}
-		bufs[name] = b
-		return b
-	})
+	rows := Fig16(tctx, 1)
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6 (3 schemes x 2 scenarios)", len(rows))
 	}
-	if len(bufs) != 6 {
-		t.Fatalf("trace files = %d", len(bufs))
-	}
-	for name, b := range bufs {
+	runs := map[string]bool{}
+	for _, r := range rows {
+		var b bytes.Buffer
+		if err := r.Res.Recorder.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
 		if !strings.HasPrefix(b.String(), "cycle,") {
-			t.Fatalf("%s: malformed CSV", name)
+			t.Fatalf("%s %s: malformed CSV", r.Scheme, r.Workload)
+		}
+		runs[fmt.Sprintf("%s/%.0f/%s", r.Scheme, r.BudgetMW, r.Workload)] = true
+	}
+	if len(runs) != 6 {
+		t.Fatalf("distinct traced runs = %d", len(runs))
+	}
+}
+
+// TestCSVTables pins the two renderers that reshape their rows: the
+// column selection of ConvergenceCSV and the per-scheme pivot of Fig21CSV.
+func TestCSVTables(t *testing.T) {
+	var b bytes.Buffer
+	conv := []ConvergenceRow{{Label: "1-way", D: 4, N: 16, MeanCycles: 1234.5, MeanStartErr: 0.25}}
+	if err := ConvergenceCSV(conv, "variant", "cycles_mean", "start_error").Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := "variant,d,N,cycles_mean,start_error\n1-way,4,16,1234.5,0.25\n"; b.String() != want {
+		t.Fatalf("convergence CSV = %q, want %q", b.String(), want)
+	}
+
+	models := scaling.PaperModels()
+	tab := Fig21CSV(models, Fig21(models, []float64{0.2, 10}))
+	if got, want := strings.Join(tab.Header, ","), "scheme,law,tau_us,nmax_0p2ms,nmax_10ms,"+
+		"overhead_pct_n100_10ms,overhead_pct_n10_10ms,overhead_pct_n400_10ms,overhead_pct_n1000_10ms"; got != want {
+		t.Fatalf("fig21 header = %s, want %s", got, want)
+	}
+	for _, rec := range tab.Records {
+		m := models[rec[0]]
+		if len(rec) != len(tab.Header) || rec[3] != ftoa(m.NMax(200)) || rec[4] != ftoa(m.NMax(10_000)) {
+			t.Fatalf("fig21 record %v", rec)
 		}
 	}
 }
@@ -311,7 +339,7 @@ func TestNoPMOverheadSmall(t *testing.T) {
 }
 
 func TestContentionGracefulDegradation(t *testing.T) {
-	// Rates below NoC saturation; the CLI also sweeps the saturated
+	// Rates below NoC saturation; the figure also sweeps the saturated
 	// regime, where convergence slows by orders of magnitude but still
 	// completes.
 	rows := ContentionStudy(tctx, 8, []int{0, 30, 100}, 3, 1)

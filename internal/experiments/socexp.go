@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"blitzcoin/internal/controller"
 	"blitzcoin/internal/mesh"
@@ -159,9 +158,9 @@ func APvsRP(ctx context.Context, budgets []float64, seed uint64) []APvsRPRow {
 }
 
 // Fig16 runs the power-trace experiments of the 3x3 SoC (WL-Par at 120 mW,
-// WL-Dep at 60 mW) for BC, BC-C, and C-RR, writing one CSV per run to w if
-// non-nil and returning the rows.
-func Fig16(ctx context.Context, seed uint64, csv func(name string) io.Writer) []SoCRow {
+// WL-Dep at 60 mW) for BC, BC-C, and C-RR. Each row's Res.Recorder holds
+// the run's per-tile power traces.
+func Fig16(ctx context.Context, seed uint64) []SoCRow {
 	schemes := []soc.Scheme{soc.SchemeBC, soc.SchemeBCC, soc.SchemeCRR}
 	runs := []struct {
 		budget float64
@@ -170,27 +169,14 @@ func Fig16(ctx context.Context, seed uint64, csv func(name string) io.Writer) []
 		{120, repeat3(workload.AutonomousVehicleParallel())},
 		{60, repeat3(workload.AutonomousVehicleDependent())},
 	}
-	// Fan the (run, scheme) grid out in one sweep; the CSV side effects then
-	// replay serially in grid order so the files are written exactly as the
-	// nested loops wrote them.
-	rows := sweep.Map(ctx, len(runs)*len(schemes), 0, func(i int) SoCRow {
+	// Fan the (run, scheme) grid out in one sweep; rows keep grid order.
+	return sweep.Map(ctx, len(runs)*len(schemes), 0, func(i int) SoCRow {
 		rn, s := runs[i/len(schemes)], schemes[i%len(schemes)]
 		cfg := soc.SoC3x3(rn.budget, s, seed)
 		res := soc.New(cfg).Run(rn.g)
 		return SoCRow{SoC: cfg.Name, Scheme: res.Scheme,
 			BudgetMW: rn.budget, Workload: rn.g.Name, Res: res}
 	})
-	if csv != nil {
-		for _, row := range rows {
-			name := fmt.Sprintf("fig16_%s_%.0fmW_%s.csv", row.Scheme, row.BudgetMW, row.Workload)
-			if w := csv(name); w != nil {
-				if err := row.Res.Recorder.WriteCSV(w); err != nil {
-					panic(err)
-				}
-			}
-		}
-	}
-	return rows
 }
 
 // SiliconRow is one silicon-proxy measurement (Fig. 19).

@@ -21,7 +21,7 @@ func TestDeterminismScope(t *testing.T) {
 		"blitzcoin/internal/experiments": true,
 		"blitzcoin/internal/server":      false,
 		"blitzcoin/cmd/blitzd":           false,
-		"blitzcoin/cmd/blitzsim":         false,
+		"blitzcoin/cmd/blitzctl":         false,
 		"blitzcoin/internal/lint":        false,
 	} {
 		if got := SimScope(path); got != want {

@@ -56,11 +56,13 @@ func (g *flightGroup) lease(key string) (*flight, bool) {
 // leaseShard is lease for cancellable shard computations: the returned
 // flight carries a context derived from base that abandon cancels once
 // the last waiter departs. Every caller must call abandon exactly once if
-// it stops waiting before the flight completes.
+// it stops waiting before the flight completes. A flight every waiter has
+// left is being cancelled, so a new request leads a fresh flight instead
+// of inheriting that cancellation.
 func (g *flightGroup) leaseShard(key string, base context.Context) (*flight, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if f, ok := g.m[key]; ok {
+	if f, ok := g.m[key]; ok && f.waiters > 0 {
 		f.waiters++
 		return f, false
 	}
@@ -101,11 +103,14 @@ func (g *flightGroup) active(hash string) bool {
 }
 
 // complete publishes the leader's outcome and retires the flight: later
-// requests for the key start fresh (and will hit the cache instead).
+// requests for the key start fresh (and will hit the cache instead). An
+// abandoned flight may already have been replaced; the replacement stays.
 func (g *flightGroup) complete(key string, f *flight, b []byte, err error) {
 	f.bytes, f.err = b, err
 	g.mu.Lock()
-	delete(g.m, key)
+	if g.m[key] == f {
+		delete(g.m, key)
+	}
 	g.mu.Unlock()
 	if f.cancel != nil {
 		f.cancel()

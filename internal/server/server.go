@@ -44,15 +44,14 @@ type ClusterBackend interface {
 }
 
 // ClusterReadiness is the coordinator section of the /readyz body: queue
-// depth and per-worker inflight so an autoscaler can add workers under
-// backlog and drain idle ones.
+// depth and per-worker inflight so an external autoscaler can add workers
+// under backlog.
 type ClusterReadiness struct {
-	Ready           bool           `json:"ready"`
-	AliveWorkers    int            `json:"alive_workers"`
-	DrainingWorkers int            `json:"draining_workers"`
-	QueueDepth      int64          `json:"queue_depth"`
-	RunningShards   int64          `json:"running_shards"`
-	WorkerInflight  map[string]int `json:"worker_inflight,omitempty"`
+	Ready          bool           `json:"ready"`
+	AliveWorkers   int            `json:"alive_workers"`
+	QueueDepth     int64          `json:"queue_depth"`
+	RunningShards  int64          `json:"running_shards"`
+	WorkerInflight map[string]int `json:"worker_inflight,omitempty"`
 }
 
 // readyBody is the body of GET /readyz. Distinct from /healthz: liveness
@@ -331,8 +330,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Inflight reports the requests currently inside the handler (used by
-// tests to synchronize with coalescing).
+// Inflight reports the requests currently inside the handler.
 func (s *Server) Inflight() int64 { return s.metrics.inflightNow() }
 
 // handleSweep is the daemon's one workhorse endpoint.

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 )
@@ -120,42 +119,6 @@ func TestBusConcurrentPublishSubscribe(t *testing.T) {
 	wg.Wait()
 	if n := b.Subscribers(); n != 0 {
 		t.Fatalf("%d subscribers left registered", n)
-	}
-}
-
-// TestCSVExporterMatchesRecorder: replaying a recorder through the CSV
-// subscriber emits byte-identical CSV to the deprecated direct path, and
-// out-of-order ingest (parallel-trial interleaving) converges to the same
-// bytes.
-func TestCSVExporterMatchesRecorder(t *testing.T) {
-	r := NewRecorder()
-	r.Series("p0").Record(0, 1.5)
-	r.Series("p1").Record(10, 2)
-	r.Series("p0").Record(20, 0.5)
-
-	var direct bytes.Buffer
-	if err := r.WriteCSV(&direct); err != nil {
-		t.Fatal(err)
-	}
-
-	events := r.Events()
-	// Reverse ingest order: the exporter must sort per series.
-	ex := NewCSVExporter()
-	// Seed first-seen series order to match the recorder's creation order
-	// (the header is order-sensitive by design).
-	for _, name := range r.Names() {
-		ex.Consume(Event{Type: EventSeriesPoint, Series: name,
-			Cycle: r.byName[name].Points[0].Cycle, Value: r.byName[name].Points[0].Value})
-	}
-	for i := len(events) - 1; i >= 0; i-- {
-		ex.Consume(events[i])
-	}
-	var viaBus bytes.Buffer
-	if err := ex.WriteCSV(&viaBus); err != nil {
-		t.Fatal(err)
-	}
-	if direct.String() != viaBus.String() {
-		t.Fatalf("CSV drift:\ndirect:\n%s\nvia bus:\n%s", direct.String(), viaBus.String())
 	}
 }
 

@@ -3,58 +3,14 @@ package trace
 import (
 	"encoding/csv"
 	"io"
-	"sort"
 	"strconv"
 )
 
-// CSVExporter is the CSV face of the bus API: a subscriber that
-// accumulates series-point events and renders them in the artifact's
-// exported-waveform format ("cycle,<series...>" rows at every change
-// point). Feeding it a Recorder's Events replay produces bytes identical
-// to the pre-bus Recorder.WriteCSV, which is what keeps existing figure
-// drivers' CSVs stable.
-type CSVExporter struct {
-	byName map[string][]Point
-	order  []string
-}
-
-// NewCSVExporter returns an empty exporter.
-func NewCSVExporter() *CSVExporter {
-	return &CSVExporter{byName: make(map[string][]Point)}
-}
-
-// Consume ingests one event; everything but series points is ignored.
-// Unlike Series.Record it tolerates out-of-order cycles — live events
-// from parallel trials interleave — by sorting at write time.
-func (e *CSVExporter) Consume(ev Event) {
-	if ev.Type != EventSeriesPoint || ev.Series == "" {
-		return
-	}
-	if _, ok := e.byName[ev.Series]; !ok {
-		e.order = append(e.order, ev.Series)
-	}
-	e.byName[ev.Series] = append(e.byName[ev.Series], Point{Cycle: ev.Cycle, Value: ev.Value})
-}
-
-// WriteCSV renders the accumulated points. Per series, points are stably
-// sorted by cycle and same-cycle duplicates collapse to the last arrival
-// — the same semantics Series.Record applies on ingest.
-func (e *CSVExporter) WriteCSV(w io.Writer) error {
-	r := NewRecorder()
-	for _, name := range e.order {
-		pts := append([]Point(nil), e.byName[name]...)
-		sort.SliceStable(pts, func(i, j int) bool { return pts[i].Cycle < pts[j].Cycle })
-		s := r.Series(name)
-		for _, p := range pts {
-			s.Record(p.Cycle, p.Value)
-		}
-	}
-	return r.writeCSV(w)
-}
-
-// writeCSV emits "cycle,<series...>" rows at every change point, matching
-// the artifact's exported-waveform format.
-func (r *Recorder) writeCSV(w io.Writer) error {
+// WriteCSV emits "cycle,<series...>" rows at every change point, matching
+// the artifact's exported-waveform format. Every series the recorder
+// created has a column, including one that never recorded a point (it
+// reads 0 throughout).
+func (r *Recorder) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	header := append([]string{"cycle"}, r.Names()...)
 	if err := cw.Write(header); err != nil {
@@ -72,18 +28,4 @@ func (r *Recorder) writeCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// Events replays the recorder's accumulated points as bus events (series
-// by creation order, points by cycle), so a post-hoc consumer — the CSV
-// exporter, a late stream subscriber — sees exactly what live publishing
-// would have delivered.
-func (r *Recorder) Events() []Event {
-	var out []Event
-	for _, name := range r.order {
-		for _, p := range r.byName[name].Points {
-			out = append(out, Event{Type: EventSeriesPoint, Series: name, Cycle: p.Cycle, Value: p.Value})
-		}
-	}
-	return out
 }

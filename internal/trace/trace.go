@@ -1,9 +1,9 @@
 // Package trace records time series from the SoC simulations — per-tile
 // power, tile frequencies, coin counts, activity — and publishes them as
-// typed events on a subscribable Bus. A CSVExporter subscriber renders the
-// paper artifact's exported-waveform CSV (Xcelium waveforms exported to
-// CSV and plotted, e.g. Fig. 16, 19, 20); the blitzd daemon streams the
-// same events live over SSE.
+// typed events on a subscribable Bus. Recorder.WriteCSV renders the paper
+// artifact's exported-waveform CSV (Xcelium waveforms exported to CSV and
+// plotted, e.g. Fig. 16, 19, 20); the blitzd daemon streams the same
+// events live over SSE.
 package trace
 
 import (

@@ -104,6 +104,8 @@ func TestWriteCSV(t *testing.T) {
 	r := NewRecorder()
 	r.Series("p0").Record(0, 1.5)
 	r.Series("p1").Record(10, 2)
+	// A series created but never recorded keeps its column, reading 0.
+	r.Series("idle")
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
@@ -112,10 +114,10 @@ func TestWriteCSV(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("csv lines = %d: %q", len(lines), buf.String())
 	}
-	if lines[0] != "cycle,p0,p1" {
+	if lines[0] != "cycle,p0,p1,idle" {
 		t.Fatalf("header = %q", lines[0])
 	}
-	if lines[1] != "0,1.5,0" || lines[2] != "10,1.5,2" {
+	if lines[1] != "0,1.5,0,0" || lines[2] != "10,1.5,2,0" {
 		t.Fatalf("rows = %v", lines[1:])
 	}
 }

@@ -24,8 +24,11 @@ const (
 	// the speculation/steal knobs on ClusterOptions. 6 marks the live
 	// telemetry surface: ResultMeta gained the LedgerSeq/LedgerRoot
 	// provenance fields, so serialized results — and the canonical result
-	// SHA the ledger records — differ from engine 5's.)
-	EngineVersion = "6"
+	// SHA the ledger records — differ from engine 5's. 7 marks the figure
+	// CSV surface: RunFigureCSV joined the exported API and the deprecated
+	// TileFaultAt/LinkFaultAt/SlowFaultAt aliases left it; rows are
+	// unchanged.)
+	EngineVersion = "7"
 )
 
 // RequestKind discriminates the payload of a Request.

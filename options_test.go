@@ -298,13 +298,3 @@ func TestRunFigureMatchesExperimentRows(t *testing.T) {
 		t.Fatal("figure lines not deterministic")
 	}
 }
-
-func TestDeprecatedFaultAliases(t *testing.T) {
-	// The alias types are interchangeable with the canonical ones.
-	var tf TileFault = TileFaultAt{Tile: 1, AtCycle: 10}
-	var lf LinkFault = LinkFaultAt{A: 0, B: 1, AtCycle: 10}
-	var sf SlowFault = SlowFaultAt{Tile: 2, AtCycle: 10, Factor: 2}
-	if tf.Tile != 1 || lf.B != 1 || sf.Factor != 2 {
-		t.Fatal("alias field mapping broken")
-	}
-}

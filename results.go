@@ -164,7 +164,7 @@ func (r SoCResult) WritePowerTraceCSV(w io.Writer) error {
 }
 
 // FigureResult is a reproduced figure or table: the deterministic report
-// lines the corresponding CLI prints, served through the unified API.
+// lines `blitzctl run` prints, served through the unified API.
 type FigureResult struct {
 	// Meta carries the seed and options hash of the reproduction.
 	Meta ResultMeta `json:"meta"`
@@ -172,8 +172,7 @@ type FigureResult struct {
 	// human heading.
 	Name  string `json:"name"`
 	Title string `json:"title"`
-	// Lines are the report rows, byte-identical to the CLI output at any
-	// parallelism.
+	// Lines are the report rows, byte-identical at any parallelism.
 	Lines []string `json:"lines"`
 }
 
