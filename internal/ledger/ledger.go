@@ -28,10 +28,19 @@ type Entry struct {
 	ResultSHA string `json:"result_sha"`
 }
 
-// leafData is the entry's canonical leaf encoding. Newlines are safe
-// separators: keys and hashes are hex, engine versions never contain one.
-func (e Entry) leafData() []byte {
-	return []byte(e.Key + "\n" + e.Engine + "\n" + e.ResultSHA)
+// leafData appends the entry's canonical leaf encoding to b. Newlines are
+// safe separators: keys and hashes are hex, engine versions never contain
+// one.
+func (e Entry) leafData(b []byte) []byte {
+	b = append(append(b, e.Key...), '\n')
+	b = append(append(b, e.Engine...), '\n')
+	return append(b, e.ResultSHA...)
+}
+
+// leaf returns the entry's Merkle leaf hash.
+func (e Entry) leaf() [hashSize]byte {
+	var buf [leafBuf]byte
+	return leafHash(e.leafData(buf[:0]))
 }
 
 // record is one JSONL line of the ledger file: an entry or a seal.
@@ -42,7 +51,9 @@ type record struct {
 
 // seal checkpoints the tree: the head over the first Size leaves. Replay
 // on Open recomputes and compares every seal, so any in-place edit of a
-// sealed entry (or of a seal itself) is detected as tampering.
+// sealed entry (or of a seal itself) is detected as tampering. A seal may
+// cover fewer entries than precede it; its head is still a fold of the
+// subtrees the replayed prefix has completed.
 type seal struct {
 	Size uint64 `json:"size"`
 	Root string `json:"root"`
@@ -51,10 +62,12 @@ type seal struct {
 // Ledger is the append-only results ledger. Open one per daemon; all
 // methods are safe for concurrent use.
 type Ledger struct {
-	mu     sync.Mutex
-	f      *os.File // nil for an in-memory ledger
-	batch  int
-	leaves [][hashSize]byte
+	mu    sync.Mutex
+	f     *os.File // nil for an in-memory ledger
+	batch int
+	tree  tree
+	// head is the tree head over every leaf (zero while the tree is empty).
+	head [hashSize]byte
 	// entries is dense by leaf index (entries[i].Seq == i+1).
 	entries []Entry
 	// latest maps key+"\x00"+engine to the newest leaf index for it.
@@ -87,7 +100,9 @@ func Open(path string, batch int) (*Ledger, error) {
 	return l, nil
 }
 
-// replay rebuilds the tree from the file and verifies every seal.
+// replay rebuilds the tree from the file and verifies every seal. Entries
+// only push their leaf; heads are folded at seals and once at the end, so
+// replay is linear in the file.
 func (l *Ledger) replay(f *os.File) error {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -105,33 +120,40 @@ func (l *Ledger) replay(f *os.File) error {
 		switch {
 		case rec.Entry != nil:
 			e := *rec.Entry
-			if e.Seq != uint64(len(l.leaves))+1 {
+			if e.Seq != uint64(l.tree.size())+1 {
 				return fmt.Errorf("ledger: line %d: entry seq %d, want %d (truncated or reordered file)",
-					line, e.Seq, len(l.leaves)+1)
+					line, e.Seq, l.tree.size()+1)
 			}
 			l.append(e)
 		case rec.Seal != nil:
 			s := *rec.Seal
-			if s.Size == 0 || s.Size > uint64(len(l.leaves)) {
-				return fmt.Errorf("ledger: line %d: seal over %d entries, have %d", line, s.Size, len(l.leaves))
+			if s.Size == 0 || s.Size > uint64(l.tree.size()) {
+				return fmt.Errorf("ledger: line %d: seal over %d entries, have %d", line, s.Size, l.tree.size())
 			}
-			root := merkleRoot(l.leaves[:s.Size])
+			root := l.tree.root(0, int(s.Size))
 			if got := hex.EncodeToString(root[:]); got != s.Root {
 				return fmt.Errorf("ledger: line %d: seal root mismatch over %d entries — ledger tampered or corrupt (have %s, sealed %s)",
 					line, s.Size, got, s.Root)
 			}
-			l.unsealed = len(l.leaves) - int(s.Size)
+			l.unsealed = l.tree.size() - int(s.Size)
 		default:
 			return fmt.Errorf("ledger: line %d: record is neither entry nor seal", line)
 		}
 	}
-	return sc.Err()
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	if n := l.tree.size(); n > 0 {
+		l.head = l.tree.root(0, n)
+	}
+	return nil
 }
 
-// append adds the entry to the in-memory tree (no file I/O).
+// append adds the entry to the in-memory tree (no file I/O) without
+// refolding the head.
 func (l *Ledger) append(e Entry) {
-	idx := len(l.leaves)
-	l.leaves = append(l.leaves, leafHash(e.leafData()))
+	idx := l.tree.size()
+	l.tree.push(e.leaf())
 	l.entries = append(l.entries, e)
 	l.latest[e.Key+"\x00"+e.Engine] = idx
 	l.unsealed++
@@ -159,26 +181,25 @@ func (l *Ledger) Append(key, engine, resultSHA string) (seq uint64, root string,
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if idx, ok := l.latest[key+"\x00"+engine]; ok && l.entries[idx].ResultSHA == resultSHA {
-		head := merkleRoot(l.leaves)
-		return l.entries[idx].Seq, hex.EncodeToString(head[:]), nil
+		return l.entries[idx].Seq, hex.EncodeToString(l.head[:]), nil
 	}
-	e := Entry{Seq: uint64(len(l.leaves)) + 1, Key: key, Engine: engine, ResultSHA: resultSHA}
+	e := Entry{Seq: uint64(l.tree.size()) + 1, Key: key, Engine: engine, ResultSHA: resultSHA}
 	if err := l.writeRecord(record{Entry: &e}); err != nil {
 		return 0, "", err
 	}
 	l.append(e)
-	head := merkleRoot(l.leaves)
+	l.head = l.tree.root(0, l.tree.size())
 	if l.unsealed >= l.batch {
-		if err := l.sealLocked(head); err != nil {
+		if err := l.sealLocked(); err != nil {
 			return 0, "", err
 		}
 	}
-	return e.Seq, hex.EncodeToString(head[:]), nil
+	return e.Seq, hex.EncodeToString(l.head[:]), nil
 }
 
 // sealLocked writes a seal over the current tree and syncs the file.
-func (l *Ledger) sealLocked(head [hashSize]byte) error {
-	s := seal{Size: uint64(len(l.leaves)), Root: hex.EncodeToString(head[:])}
+func (l *Ledger) sealLocked() error {
+	s := seal{Size: uint64(l.tree.size()), Root: hex.EncodeToString(l.head[:])}
 	if err := l.writeRecord(record{Seal: &s}); err != nil {
 		return err
 	}
@@ -193,18 +214,18 @@ func (l *Ledger) sealLocked(head [hashSize]byte) error {
 func (l *Ledger) Size() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return uint64(len(l.leaves))
+	return uint64(l.tree.size())
 }
 
 // Root returns the current tree size and head (empty root at size 0).
 func (l *Ledger) Root() (size uint64, root string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.leaves) == 0 {
+	n := l.tree.size()
+	if n == 0 {
 		return 0, ""
 	}
-	head := merkleRoot(l.leaves)
-	return uint64(len(l.leaves)), hex.EncodeToString(head[:])
+	return uint64(n), hex.EncodeToString(l.head[:])
 }
 
 // Proof returns an inclusion proof for the newest entry recorded under
@@ -217,8 +238,8 @@ func (l *Ledger) Proof(key, engine string) (Proof, error) {
 		return Proof{}, fmt.Errorf("ledger: no entry for options %s under engine %s", shortKey(key), engine)
 	}
 	e := l.entries[idx]
-	head := merkleRoot(l.leaves)
-	path := inclusionPath(l.leaves, idx)
+	n := l.tree.size()
+	path := l.tree.path(idx, n)
 	hexPath := make([]string, len(path))
 	for i, p := range path {
 		hexPath[i] = hex.EncodeToString(p[:])
@@ -228,8 +249,8 @@ func (l *Ledger) Proof(key, engine string) (Proof, error) {
 		Engine:    e.Engine,
 		ResultSHA: e.ResultSHA,
 		Seq:       e.Seq,
-		TreeSize:  uint64(len(l.leaves)),
-		Root:      hex.EncodeToString(head[:]),
+		TreeSize:  uint64(n),
+		Root:      hex.EncodeToString(l.head[:]),
 		Path:      hexPath,
 	}, nil
 }
@@ -238,8 +259,8 @@ func (l *Ledger) Proof(key, engine string) (Proof, error) {
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.unsealed > 0 && len(l.leaves) > 0 {
-		if err := l.sealLocked(merkleRoot(l.leaves)); err != nil {
+	if l.unsealed > 0 && l.tree.size() > 0 {
+		if err := l.sealLocked(); err != nil {
 			return err
 		}
 	}
@@ -273,7 +294,7 @@ func (p Proof) Verify() error {
 	if p.Seq == 0 {
 		return fmt.Errorf("ledger: proof has no sequence")
 	}
-	leaf := leafHash(Entry{Key: p.Key, Engine: p.Engine, ResultSHA: p.ResultSHA}.leafData())
+	leaf := Entry{Key: p.Key, Engine: p.Engine, ResultSHA: p.ResultSHA}.leaf()
 	root, err := hexHash(p.Root)
 	if err != nil {
 		return fmt.Errorf("ledger: bad proof root: %w", err)

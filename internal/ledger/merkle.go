@@ -10,6 +10,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 )
 
 // hashSize is sha256.Size, named for the wire checks.
@@ -22,25 +23,23 @@ const (
 	nodePrefix = 0x01
 )
 
+// leafBuf is the stack buffer for one leaf's input: a ledger entry (two
+// hex digests and an engine version) fits; longer data spills to the heap.
+const leafBuf = 256
+
 // leafHash hashes one entry's canonical encoding as a tree leaf.
 func leafHash(data []byte) [hashSize]byte {
-	h := sha256.New()
-	h.Write([]byte{leafPrefix})
-	h.Write(data)
-	var out [hashSize]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	var buf [leafBuf]byte
+	return sha256.Sum256(append(append(buf[:0], leafPrefix), data...))
 }
 
 // nodeHash hashes two child roots into their parent.
 func nodeHash(l, r [hashSize]byte) [hashSize]byte {
-	h := sha256.New()
-	h.Write([]byte{nodePrefix})
-	h.Write(l[:])
-	h.Write(r[:])
-	var out [hashSize]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	var buf [1 + 2*hashSize]byte
+	buf[0] = nodePrefix
+	copy(buf[1:], l[:])
+	copy(buf[1+hashSize:], r[:])
+	return sha256.Sum256(buf[:])
 }
 
 // splitPoint returns the largest power of two strictly less than n
@@ -53,28 +52,85 @@ func splitPoint(n int) int {
 	return k
 }
 
-// merkleRoot computes the tree head over leaf hashes (MTH). The caller
-// guarantees len(leaves) >= 1.
-func merkleRoot(leaves [][hashSize]byte) [hashSize]byte {
-	if len(leaves) == 1 {
-		return leaves[0]
-	}
-	k := splitPoint(len(leaves))
-	return nodeHash(merkleRoot(leaves[:k]), merkleRoot(leaves[k:]))
+// tree is an append-only RFC 6962 Merkle tree that keeps the root of
+// every complete perfect subtree, by level: levels[0] holds the leaf
+// hashes, and levels[h][i] is the root over leaves [i·2^h, (i+1)·2^h).
+// A tree of n leaves stores fewer than 2n hashes.
+type tree struct {
+	levels [][][hashSize]byte
 }
 
-// inclusionPath returns the audit path for leaf m (0-based) in the tree
-// over leaves — the sibling hashes bottom-up that VerifyInclusion folds
-// back into the root.
-func inclusionPath(leaves [][hashSize]byte, m int) [][hashSize]byte {
-	if len(leaves) <= 1 {
-		return nil
+// size reports the number of leaves.
+func (t *tree) size() int {
+	if len(t.levels) == 0 {
+		return 0
 	}
-	k := splitPoint(len(leaves))
-	if m < k {
-		return append(inclusionPath(leaves[:k], m), merkleRoot(leaves[k:]))
+	return len(t.levels[0])
+}
+
+// push appends a leaf hash and the subtree roots it completes: one node
+// hash per append, amortized.
+func (t *tree) push(leaf [hashSize]byte) {
+	h := leaf
+	for lvl := 0; ; lvl++ {
+		if lvl == len(t.levels) {
+			t.levels = append(t.levels, nil)
+		}
+		t.levels[lvl] = append(t.levels[lvl], h)
+		n := len(t.levels[lvl])
+		if n%2 == 1 {
+			return
+		}
+		h = nodeHash(t.levels[lvl][n-2], h)
 	}
-	return append(inclusionPath(leaves[k:], m-k), merkleRoot(leaves[:k]))
+}
+
+// root returns the tree head (MTH) over the n >= 1 leaves starting at lo.
+// The range splits into perfect subtrees by the binary form of n, largest
+// first, and RFC 6962 nests their roots rightmost-innermost, so the fold
+// runs from the lowest set bit up: at most log₂ n stored roots and that
+// many node hashes. lo must be a multiple of the smallest power of two
+// >= n — true of 0 and of every range inclusion paths visit — and
+// lo+n <= t.size().
+func (t *tree) root(lo, n int) [hashSize]byte {
+	var r [hashSize]byte
+	folded := false
+	for h := 0; n>>h != 0; h++ {
+		if n>>h&1 == 0 {
+			continue
+		}
+		// This subtree starts after the larger ones, the bits above h.
+		above := n >> (h + 1) << (h + 1)
+		s := t.levels[h][(lo+above)>>h]
+		if folded {
+			r = nodeHash(s, r)
+		} else {
+			r, folded = s, true
+		}
+	}
+	return r
+}
+
+// path returns the audit path for leaf m (0-based) in the tree over the
+// first n leaves — the sibling hashes bottom-up that VerifyInclusion
+// folds back into the root. It walks RFC 6962's PATH recursion top-down:
+// each sibling is a stored perfect subtree or a root() fold, so the path
+// costs O(log² n) hashes.
+func (t *tree) path(m, n int) [][hashSize]byte {
+	var p [][hashSize]byte
+	lo := 0
+	for n > 1 {
+		k := splitPoint(n)
+		if m < k {
+			p = append(p, t.root(lo+k, n-k))
+			n = k
+		} else {
+			p = append(p, t.root(lo, k))
+			lo, m, n = lo+k, m-k, n-k
+		}
+	}
+	slices.Reverse(p)
+	return p
 }
 
 // VerifyInclusion checks an RFC 6962 inclusion proof: that leaf sits at

@@ -57,7 +57,8 @@ type metrics struct {
 	inflight  int64
 	// streamEvents/streamDropped count SSE events forwarded to and dropped
 	// behind /v1/stream subscribers; ledgerAppends times ledger appends
-	// (canonical SHA + Merkle re-root + fsync'd seal).
+	// (canonical SHA, the append, the seal fsync every batch, and the
+	// provenance restamp).
 	streamEvents  uint64
 	streamDropped uint64
 	ledgerAppends histogram
@@ -259,7 +260,7 @@ func (m *metrics) write(w io.Writer, c *cache, p *pool, bus *trace.Bus, led *led
 		entriesNow = led.Size()
 	}
 	fmt.Fprintf(w, "blitzd_ledger_entries %d\n", entriesNow)
-	fmt.Fprintln(w, "# HELP blitzd_ledger_append_seconds Ledger append latency (hash, re-root, seal).")
+	fmt.Fprintln(w, "# HELP blitzd_ledger_append_seconds Ledger append latency (canonical SHA, append, seal fsync, restamp).")
 	fmt.Fprintln(w, "# TYPE blitzd_ledger_append_seconds histogram")
 	var cumLedger uint64
 	for i, ub := range durationBuckets {
