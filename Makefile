@@ -92,10 +92,11 @@ tenant-smoke:
 	sh scripts/tenant_smoke.sh
 
 # bench snapshots the whole benchmark suite (3 samples each) — the root
-# package's figure and engine benchmarks plus the ledger layer's — into
-# BENCH_<sha>.json; commit the file to extend the perf trajectory.
+# package's figure and engine benchmarks plus the ledger, serving-layer
+# (scrape, memory hit) and metrics-primitive ones — into BENCH_<sha>.json;
+# commit the file to extend the perf trajectory.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ -count=3 -benchtime=1x . ./internal/ledger \
+	$(GO) test -bench=. -benchmem -run=^$$ -count=3 -benchtime=1x . ./internal/ledger ./internal/server ./internal/metrics \
 		| $(GO) run ./cmd/benchjson -sha $(SHORTSHA) -goversion "$$($(GO) env GOVERSION)" -out BENCH_$(SHORTSHA).json
 
 # benchcheck fails if either hot path — the 400-tile emulator exchange or

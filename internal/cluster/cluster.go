@@ -24,7 +24,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,6 +31,7 @@ import (
 	"time"
 
 	"blitzcoin"
+	"blitzcoin/internal/metrics"
 	"blitzcoin/internal/server"
 	"blitzcoin/internal/trace"
 )
@@ -54,9 +54,10 @@ type Config struct {
 	Bus *trace.Bus
 }
 
-// latencyWindow bounds the ring of recent completed-shard latencies the
-// /metrics quantiles are computed over.
-const latencyWindow = 1024
+// shardLatencyBuckets are the upper bounds (seconds) of the
+// completed-shard latency histogram: millisecond test shards through
+// shards near the default ten-minute dispatch timeout.
+var shardLatencyBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 300, 600}
 
 // Coordinator dispatches distributed sweeps. Its Run method has the
 // server.RunFunc shape, so a coordinator blitzd is an ordinary blitzd
@@ -81,11 +82,9 @@ type Coordinator struct {
 	queueDepth    atomic.Int64
 	runningShards atomic.Int64
 
-	// latencies is a ring of recent completed-shard service times
-	// (seconds) across sweeps, for the /metrics p50/p99 gauges.
-	latMu     sync.Mutex
-	latencies []float64
-	latNext   int
+	// shardLatency holds completed-shard service times (seconds) across
+	// sweeps, for /metrics and the /v1/cluster/status p50/p99.
+	shardLatency *metrics.Histogram
 
 	// baseCtx is the coordinator's lifetime: health probes derive their
 	// per-round timeouts from it, so Close interrupts an in-flight probe
@@ -118,14 +117,15 @@ func New(cfg Config) (*Coordinator, error) {
 	// background loops), so this is the one place the package mints one.
 	ctx, cancel := context.WithCancel(context.Background()) //blitzlint:allow C002 coordinator lifetime root: constructed at process startup, cancelled by Close
 	c := &Coordinator{
-		opts:       opts,
-		log:        cfg.Logger,
-		client:     cfg.Client,
-		registry:   newRegistry(opts.Workers),
-		bus:        cfg.Bus,
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		stop:       make(chan struct{}),
+		opts:         opts,
+		log:          cfg.Logger,
+		client:       cfg.Client,
+		registry:     newRegistry(opts.Workers),
+		bus:          cfg.Bus,
+		shardLatency: metrics.NewHistogram(shardLatencyBuckets...),
+		baseCtx:      ctx,
+		baseCancel:   cancel,
+		stop:         make(chan struct{}),
 	}
 	c.done.Add(1)
 	go c.heartbeatLoop()
@@ -140,31 +140,6 @@ func (c *Coordinator) Close() {
 		c.baseCancel()
 	})
 	c.done.Wait()
-}
-
-// recordShardLatency feeds the cross-sweep latency ring.
-func (c *Coordinator) recordShardLatency(seconds float64) {
-	c.latMu.Lock()
-	if len(c.latencies) < latencyWindow {
-		c.latencies = append(c.latencies, seconds)
-	} else {
-		c.latencies[c.latNext] = seconds
-		c.latNext = (c.latNext + 1) % latencyWindow
-	}
-	c.latMu.Unlock()
-}
-
-// latencyQuantiles returns the p50 and p99 of recent completed-shard
-// latencies in seconds (zeros before any shard completes).
-func (c *Coordinator) latencyQuantiles() (p50, p99 float64) {
-	c.latMu.Lock()
-	sorted := append([]float64(nil), c.latencies...)
-	c.latMu.Unlock()
-	if len(sorted) == 0 {
-		return 0, 0
-	}
-	sort.Float64s(sorted)
-	return percentile(sorted, 0.50), percentile(sorted, 0.99)
 }
 
 // Readiness reports the coordinator's scheduling state for /readyz: the

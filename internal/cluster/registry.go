@@ -2,14 +2,13 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
 
 	"blitzcoin"
+	"blitzcoin/internal/metrics"
 )
 
 // worker is one registry entry: a blitzd worker the coordinator may
@@ -264,9 +263,10 @@ type StatusBody struct {
 	SpeculativeWins     uint64         `json:"speculative_wins"`
 	DuplicatesDiscarded uint64         `json:"duplicates_discarded"`
 	SweepsMerged        uint64         `json:"sweeps_merged"`
-	// ShardLatencyP50Millis / P99Millis summarize recent completed-shard
-	// service latencies (the window the speculation threshold is
-	// derived from); 0 until any shard completes.
+	// ShardLatencyP50Millis / P99Millis estimate the completed-shard
+	// service latency quantiles from the blitzd_cluster_shard_latency_seconds
+	// histogram (interpolated within a bucket); 0 until any shard
+	// completes.
 	ShardLatencyP50Millis float64 `json:"shard_latency_p50_millis"`
 	ShardLatencyP99Millis float64 `json:"shard_latency_p99_millis"`
 }
@@ -277,7 +277,6 @@ func (c *Coordinator) HandleStatus(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "GET only"})
 		return
 	}
-	p50, p99 := c.latencyQuantiles()
 	writeJSON(w, http.StatusOK, StatusBody{
 		EngineVersion:         blitzcoin.EngineVersion,
 		Workers:               c.registry.snapshot(),
@@ -290,59 +289,45 @@ func (c *Coordinator) HandleStatus(w http.ResponseWriter, r *http.Request) {
 		SpeculativeWins:       c.specWins.Load(),
 		DuplicatesDiscarded:   c.dupDiscarded.Load(),
 		SweepsMerged:          c.merged.Load(),
-		ShardLatencyP50Millis: p50 * 1000,
-		ShardLatencyP99Millis: p99 * 1000,
+		ShardLatencyP50Millis: c.shardLatency.Quantile(0.50) * 1000,
+		ShardLatencyP99Millis: c.shardLatency.Quantile(0.99) * 1000,
 	})
 }
 
 // WriteMetrics appends the cluster section of /metrics: shard counters,
-// scheduler gauges, latency quantiles, and per-worker series.
-func (c *Coordinator) WriteMetrics(w io.Writer) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("blitzd_cluster_shards_dispatched_total", "Shard dispatches sent to workers (including retries and speculative copies).", c.dispatched.Load())
-	counter("blitzd_cluster_shards_retried_total", "Shard dispatches retried after a worker failure.", c.retried.Load())
-	counter("blitzd_cluster_shards_failed_total", "Shards that exhausted every dispatch attempt.", c.failed.Load())
-	counter("blitzd_cluster_shards_speculated_total", "Speculative straggler copies launched.", c.speculated.Load())
-	counter("blitzd_cluster_speculative_wins_total", "Speculative copies that finished before the original.", c.specWins.Load())
-	counter("blitzd_cluster_duplicates_discarded_total", "Late or duplicate shard completions discarded idempotently.", c.dupDiscarded.Load())
-	counter("blitzd_cluster_sweeps_merged_total", "Distributed sweeps merged successfully.", c.merged.Load())
-	fmt.Fprintln(w, "# HELP blitzd_cluster_queue_depth Shards waiting for a worker slot.")
-	fmt.Fprintln(w, "# TYPE blitzd_cluster_queue_depth gauge")
-	fmt.Fprintf(w, "blitzd_cluster_queue_depth %d\n", c.queueDepth.Load())
-	fmt.Fprintln(w, "# HELP blitzd_cluster_running_shards Shard copies currently executing on workers.")
-	fmt.Fprintln(w, "# TYPE blitzd_cluster_running_shards gauge")
-	fmt.Fprintf(w, "blitzd_cluster_running_shards %d\n", c.runningShards.Load())
-	p50, p99 := c.latencyQuantiles()
-	fmt.Fprintln(w, "# HELP blitzd_cluster_shard_latency_seconds Recent completed-shard service latency quantiles.")
-	fmt.Fprintln(w, "# TYPE blitzd_cluster_shard_latency_seconds gauge")
-	fmt.Fprintf(w, "blitzd_cluster_shard_latency_seconds{quantile=\"0.5\"} %g\n", p50)
-	fmt.Fprintf(w, "blitzd_cluster_shard_latency_seconds{quantile=\"0.99\"} %g\n", p99)
-	fmt.Fprintln(w, "# HELP blitzd_cluster_worker_up Worker liveness (1 alive, 0 dead) by worker URL.")
-	fmt.Fprintln(w, "# TYPE blitzd_cluster_worker_up gauge")
+// scheduler gauges, the shard latency histogram, and per-worker series.
+func (c *Coordinator) WriteMetrics(w *metrics.Writer) {
+	w.Counter("blitzd_cluster_shards_dispatched_total", "Shard dispatches sent to workers (including retries and speculative copies).", c.dispatched.Load())
+	w.Counter("blitzd_cluster_shards_retried_total", "Shard dispatches retried after a worker failure.", c.retried.Load())
+	w.Counter("blitzd_cluster_shards_failed_total", "Shards that exhausted every dispatch attempt.", c.failed.Load())
+	w.Counter("blitzd_cluster_shards_speculated_total", "Speculative straggler copies launched.", c.speculated.Load())
+	w.Counter("blitzd_cluster_speculative_wins_total", "Speculative copies that finished before the original.", c.specWins.Load())
+	w.Counter("blitzd_cluster_duplicates_discarded_total", "Late or duplicate shard completions discarded idempotently.", c.dupDiscarded.Load())
+	w.Counter("blitzd_cluster_sweeps_merged_total", "Distributed sweeps merged successfully.", c.merged.Load())
+	w.Gauge("blitzd_cluster_queue_depth", "Shards waiting for a worker slot.", c.queueDepth.Load())
+	w.Gauge("blitzd_cluster_running_shards", "Shard copies currently executing on workers.", c.runningShards.Load())
+	w.Family("blitzd_cluster_shard_latency_seconds", "histogram", "Completed-shard service latency.")
+	w.Histogram("blitzd_cluster_shard_latency_seconds", c.shardLatency)
 	snap := c.registry.snapshot()
+	w.Family("blitzd_cluster_worker_up", "gauge", "Worker liveness (1 alive, 0 dead) by worker URL.")
 	for _, ws := range snap {
-		up := 0
+		var up uint64
 		if ws.Alive {
 			up = 1
 		}
-		fmt.Fprintf(w, "blitzd_cluster_worker_up{worker=%q} %d\n", ws.URL, up)
+		w.Uint("blitzd_cluster_worker_up", up, "worker", ws.URL)
 	}
-	fmt.Fprintln(w, "# HELP blitzd_cluster_worker_steals_total Shards a worker picked up after another worker's failed attempt.")
-	fmt.Fprintln(w, "# TYPE blitzd_cluster_worker_steals_total counter")
+	w.Family("blitzd_cluster_worker_steals_total", "counter", "Shards a worker picked up after another worker's failed attempt.")
 	for _, ws := range snap {
-		fmt.Fprintf(w, "blitzd_cluster_worker_steals_total{worker=%q} %d\n", ws.URL, ws.Steals)
+		w.Uint("blitzd_cluster_worker_steals_total", ws.Steals, "worker", ws.URL)
 	}
-	fmt.Fprintln(w, "# HELP blitzd_cluster_worker_spec_wins_total Speculative copies a worker won.")
-	fmt.Fprintln(w, "# TYPE blitzd_cluster_worker_spec_wins_total counter")
+	w.Family("blitzd_cluster_worker_spec_wins_total", "counter", "Speculative copies a worker won.")
 	for _, ws := range snap {
-		fmt.Fprintf(w, "blitzd_cluster_worker_spec_wins_total{worker=%q} %d\n", ws.URL, ws.SpeculativeWins)
+		w.Uint("blitzd_cluster_worker_spec_wins_total", ws.SpeculativeWins, "worker", ws.URL)
 	}
-	fmt.Fprintln(w, "# HELP blitzd_cluster_worker_spec_losses_total Copies on a worker beaten by the other copy of a speculated shard.")
-	fmt.Fprintln(w, "# TYPE blitzd_cluster_worker_spec_losses_total counter")
+	w.Family("blitzd_cluster_worker_spec_losses_total", "counter", "Copies on a worker beaten by the other copy of a speculated shard.")
 	for _, ws := range snap {
-		fmt.Fprintf(w, "blitzd_cluster_worker_spec_losses_total{worker=%q} %d\n", ws.URL, ws.SpeculativeLosses)
+		w.Uint("blitzd_cluster_worker_spec_losses_total", ws.SpeculativeLosses, "worker", ws.URL)
 	}
 }
 

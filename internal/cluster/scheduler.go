@@ -328,7 +328,7 @@ func (s *sched) complete(st *shardState, id int, url string, shard *blitzcoin.Sh
 		s.results[st.idx] = shard
 		s.remaining--
 		s.latencies = append(s.latencies, elapsed.Seconds())
-		s.c.recordShardLatency(elapsed.Seconds())
+		s.c.shardLatency.Observe(elapsed.Seconds())
 		s.st.ShardDone(st.sr.lo, st.sr.hi, url, elapsed.Seconds(), true)
 		if st.speculated {
 			if speculative {

@@ -63,6 +63,15 @@ func (c *cache) get(key string) ([]byte, bool) {
 	return el.Value.(*cacheEntry).bytes, true
 }
 
+// has reports whether key is cached without counting a hit or a miss or
+// promoting the entry: a probe, not a read of the result.
+func (c *cache) has(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.items[key]
+	return ok
+}
+
 // put stores the bytes under key and evicts from the LRU tail until both
 // bounds hold again. Re-putting an existing key refreshes it.
 func (c *cache) put(key, kind string, b []byte) {

@@ -47,12 +47,6 @@ func (p *pool) release() {
 	p.adm.Release()
 }
 
-// queuedNow is the total number of computations waiting for a slot.
-func (p *pool) queuedNow() int64 { return p.adm.QueueTotal() }
-
-// queueDepths is the per-class waiter count for the admission gauges.
-func (p *pool) queueDepths() [tenant.NumClasses]int { return p.adm.Depths() }
-
 // track registers a computation goroutine for drain.
 func (p *pool) track() func() {
 	p.wg.Add(1)

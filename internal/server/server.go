@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -15,6 +14,7 @@ import (
 
 	"blitzcoin"
 	"blitzcoin/internal/ledger"
+	"blitzcoin/internal/metrics"
 	"blitzcoin/internal/store"
 	"blitzcoin/internal/tenant"
 	"blitzcoin/internal/trace"
@@ -39,8 +39,8 @@ type ClusterBackend interface {
 	HandleStatus(w http.ResponseWriter, r *http.Request)
 	// Readiness reports scheduling state for the /readyz endpoint.
 	Readiness() ClusterReadiness
-	// WriteMetrics appends the cluster's Prometheus text section.
-	WriteMetrics(w io.Writer)
+	// WriteMetrics appends the cluster's families to a /metrics scrape.
+	WriteMetrics(w *metrics.Writer)
 }
 
 // ClusterReadiness is the coordinator section of the /readyz body: queue
@@ -122,7 +122,7 @@ type Server struct {
 	cache   *cache
 	flights *flightGroup
 	pool    *pool
-	metrics *metrics
+	metrics *serverMetrics
 	cluster ClusterBackend
 	bus     *trace.Bus
 	ledger  *ledger.Ledger
@@ -201,12 +201,16 @@ func New(cfg Config) *Server {
 	// server's lifetime, cancelled only by Shutdown.
 	ctx, cancel := context.WithCancel(context.Background()) //blitzlint:allow C002 server lifetime root: computations are detached from requests by design and cancelled by Shutdown
 	return &Server{
-		log:        cfg.Logger,
-		run:        cfg.Run,
-		cache:      newCache(cfg.CacheEntries, cfg.CacheBytes),
-		flights:    newFlightGroup(),
-		pool:       newPool(cfg.Workers, cfg.QueueDepth),
-		metrics:    newMetrics(),
+		log:     cfg.Logger,
+		run:     cfg.Run,
+		cache:   newCache(cfg.CacheEntries, cfg.CacheBytes),
+		flights: newFlightGroup(),
+		pool:    newPool(cfg.Workers, cfg.QueueDepth),
+		metrics: &serverMetrics{
+			ledgerAppend: metrics.NewHistogram(ledgerBuckets...),
+			requests:     make(map[[2]string]uint64),
+			durations:    make(map[string]*metrics.Histogram),
+		},
 		cluster:    cfg.Cluster,
 		bus:        cfg.Bus,
 		ledger:     cfg.Ledger,
@@ -219,12 +223,14 @@ func New(cfg Config) *Server {
 	}
 }
 
-// instrument wraps a handler with the per-endpoint duration histogram.
+// instrument wraps a handler with its endpoint's duration histogram,
+// looked up once here rather than on every request.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	durations := s.metrics.durationHistogram(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		h(w, r)
-		s.metrics.observeDuration(endpoint, time.Since(start).Seconds())
+		durations.Observe(time.Since(start).Seconds())
 	}
 }
 
@@ -266,10 +272,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/readyz", s.instrument("readyz", s.handleReady))
 	mux.HandleFunc("/metrics", s.instrument("metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		s.metrics.write(w, s.cache, s.pool, s.bus, s.ledger, s.store, s.tenants)
-		if s.cluster != nil {
-			s.cluster.WriteMetrics(w)
-		}
+		_ = s.writeMetrics(w) // a failed write means the scraper hung up
 	}))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -288,7 +291,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		Status:        "ready",
 		EngineVersion: blitzcoin.EngineVersion,
 		Draining:      s.draining.Load(),
-		QueuedSweeps:  s.pool.queuedNow(),
+		QueuedSweeps:  s.pool.adm.QueueTotal(),
 		BusySweeps:    s.pool.busy.Load(),
 	}
 	ready := !body.Draining
@@ -331,7 +334,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // Inflight reports the requests currently inside the handler.
-func (s *Server) Inflight() int64 { return s.metrics.inflightNow() }
+func (s *Server) Inflight() int64 { return s.metrics.inflight.Load() }
 
 // handleSweep is the daemon's one workhorse endpoint.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -339,8 +342,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{"POST a blitzcoin.Request"})
 		return
 	}
-	s.metrics.enter()
-	defer s.metrics.exit()
+	s.metrics.inflight.Add(1)
+	defer s.metrics.inflight.Add(-1)
 	start := time.Now()
 
 	var req blitzcoin.Request
@@ -407,7 +410,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			s.flights.complete(hash, f, b, err)
 		}()
 	} else {
-		s.metrics.addCoalesced()
+		s.metrics.coalesced.Add(1)
 	}
 
 	select {
@@ -461,8 +464,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{"POST a blitzcoin.ShardRequest"})
 		return
 	}
-	s.metrics.enter()
-	defer s.metrics.exit()
+	s.metrics.inflight.Add(1)
+	defer s.metrics.inflight.Add(-1)
 	start := time.Now()
 
 	var sr blitzcoin.ShardRequest
@@ -534,7 +537,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			s.flights.complete(key, f, b, err)
 		}()
 	} else {
-		s.metrics.addCoalesced()
+		s.metrics.coalesced.Add(1)
 	}
 
 	select {
@@ -623,7 +626,7 @@ func (s *Server) compute(ctx context.Context, hash string, norm blitzcoin.Reques
 		return nil, fmt.Errorf("encoding result: %w", err)
 	}
 	b = s.stampLedger(hash, b)
-	s.metrics.addSweepRows(resultRows(res))
+	s.metrics.sweepRows.Add(uint64(resultRows(res)))
 	s.cache.put(hash, string(norm.Kind), b)
 	s.storePut(hash, string(norm.Kind), b)
 	return b, nil
@@ -671,7 +674,7 @@ func (s *Server) stampLedger(hash string, b []byte) []byte {
 	if err != nil {
 		return b
 	}
-	s.metrics.observeLedgerAppend(time.Since(start).Seconds())
+	s.metrics.ledgerAppend.Observe(time.Since(start).Seconds())
 	return stamped
 }
 

@@ -107,9 +107,7 @@ func TestCoalescingSharesOneComputation(t *testing.T) {
 
 // coalescedSoFar reads how many requests have joined another's flight.
 func coalescedSoFar(srv *Server) uint64 {
-	srv.metrics.mu.Lock()
-	defer srv.metrics.mu.Unlock()
-	return srv.metrics.coalesced
+	return srv.metrics.coalesced.Load()
 }
 
 func TestCacheHitIsByteIdentical(t *testing.T) {

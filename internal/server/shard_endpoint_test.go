@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"blitzcoin"
+	"blitzcoin/internal/metrics"
 )
 
 func postShard(t *testing.T, ts *httptest.Server, body string) (*http.Response, ShardResponse) {
@@ -210,8 +211,8 @@ func (fakeCluster) HandleStatus(w http.ResponseWriter, r *http.Request) { w.Writ
 func (fakeCluster) Readiness() ClusterReadiness {
 	return ClusterReadiness{Ready: true, AliveWorkers: 1}
 }
-func (fakeCluster) WriteMetrics(w io.Writer) {
-	io.WriteString(w, "blitzd_cluster_fake_metric 1\n") //nolint:errcheck
+func (fakeCluster) WriteMetrics(w *metrics.Writer) {
+	w.Gauge("blitzd_cluster_fake_metric", "A fixed cluster-section sample.", 1)
 }
 
 func TestClusterBackendMounting(t *testing.T) {

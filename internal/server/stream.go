@@ -99,14 +99,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	sub := s.bus.Subscribe(hash, s.streamBuf)
 	defer func() {
 		sub.Close()
-		s.metrics.addStreamDropped(sub.Dropped())
+		s.metrics.streamDropped.Add(sub.Dropped())
 	}()
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	if _, ok := s.cache.get(hash); ok {
+	if s.cache.has(hash) {
 		if err := writeSSE(w, streamEvent{Type: "sweep-done", Key: hash, OK: true, Cached: true}); err != nil {
 			return // client gone before the synthetic done; nothing to flush
 		}
@@ -124,7 +124,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return
 			}
-			s.metrics.addStreamEvents(1)
+			s.metrics.streamEvents.Add(1)
 			if err := writeSSE(w, wireEvent(ev)); err != nil {
 				return
 			}

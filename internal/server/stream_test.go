@@ -12,11 +12,12 @@ import (
 
 	"blitzcoin"
 	"blitzcoin/internal/ledger"
+	"blitzcoin/internal/trace"
 )
 
 // hashOf computes the canonical hash of a request body the way the
 // server will.
-func hashOf(t *testing.T, body string) string {
+func hashOf(t testing.TB, body string) string {
 	t.Helper()
 	var req blitzcoin.Request
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
@@ -136,6 +137,27 @@ func TestStreamCachedHashAnswersImmediately(t *testing.T) {
 	}
 	if ev := events[0]; ev.event != "sweep-done" || !ev.data.Cached || !ev.data.OK {
 		t.Fatalf("synthetic event %+v", ev)
+	}
+}
+
+// TestStreamProbeLeavesCacheCounters: /v1/stream checks whether its hash
+// is already cached, but the probe serves no result, so it counts neither
+// a hit nor a miss, whether the sweep finished before the subscription or
+// not.
+func TestStreamProbeLeavesCacheCounters(t *testing.T) {
+	srv := New(Config{Logger: quiet, Bus: trace.NewBus()})
+	h := srv.Handler()
+	serve(t, h, http.MethodPost, "/v1/sweep", tinyExchange, "", http.StatusOK) // one miss, then computed
+	serve(t, h, http.MethodGet, "/v1/stream?hash="+hashOf(t, tinyExchange), "", "", http.StatusOK)
+	// A subscription before its sweep, from a client already gone: the
+	// stream ends right after its probe.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodGet, "/v1/stream?hash="+hashOf(t, exchangeBody(99)), nil)
+	h.ServeHTTP(httptest.NewRecorder(), req.WithContext(ctx))
+
+	if hits, misses, _, _, _ := srv.cache.stats(); hits != 0 || misses != 1 {
+		t.Errorf("cache hits=%d misses=%d, want 0 and 1 (only the sweep's lookup counts)", hits, misses)
 	}
 }
 

@@ -237,7 +237,7 @@ func TestRetryAfterOnEveryRejection(t *testing.T) {
 				}(i)
 			}
 			deadline := time.After(10 * time.Second)
-			for srv.pool.queuedNow() < 1 {
+			for srv.pool.adm.QueueTotal() < 1 {
 				select {
 				case <-deadline:
 					t.Fatal("second computation never queued")

@@ -21,6 +21,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -336,9 +337,7 @@ type Registry struct {
 	// maps to the unlimited anonymous tenant.
 	open    bool
 	ordered []*Tenant
-
-	mu     sync.Mutex
-	unauth uint64
+	unauth  atomic.Uint64
 }
 
 // Open returns the registry blitzd uses without a key file: one
@@ -452,18 +451,10 @@ func (r *Registry) Authenticate(key string) (*Tenant, error) {
 func (r *Registry) Tenants() []*Tenant { return r.ordered }
 
 // CountUnauthenticated records a 401.
-func (r *Registry) CountUnauthenticated() {
-	r.mu.Lock()
-	r.unauth++
-	r.mu.Unlock()
-}
+func (r *Registry) CountUnauthenticated() { r.unauth.Add(1) }
 
 // Unauthenticated returns the 401 counter.
-func (r *Registry) Unauthenticated() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.unauth
-}
+func (r *Registry) Unauthenticated() uint64 { return r.unauth.Load() }
 
 // SetNowFunc injects a clock into every tenant (tests only).
 func (r *Registry) SetNowFunc(now func() time.Time) {
