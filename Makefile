@@ -93,10 +93,17 @@ tenant-smoke:
 
 # bench snapshots the whole benchmark suite (3 samples each) — the root
 # package's figure and engine benchmarks plus the ledger, serving-layer
-# (scrape, memory hit) and metrics-primitive ones — into BENCH_<sha>.json;
-# commit the file to extend the perf trajectory.
+# (scrape, memory, disk and shard hits) and metrics-primitive ones — into
+# BENCH_<sha>.json; commit the file to extend the perf trajectory. Each
+# sample of an engine, ledger, serving or metrics benchmark covers ~1 s of
+# work; the root figure benchmarks measure experiment cost, so they run
+# once per sample.
+FIGURE_BENCH := ^Benchmark(Fig|Table|Ablation|ContentionRobustness|NoPMOverhead)
+ENGINE_BENCH := ^Benchmark(ExchangeThroughput|ExchangeThroughput64x64|SoCRunThroughput)$$
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ -count=3 -benchtime=1x . ./internal/ledger ./internal/server ./internal/metrics \
+	{ $(GO) test -bench='$(FIGURE_BENCH)' -benchmem -run=^$$ -count=3 -benchtime=1x . && \
+	  $(GO) test -bench='$(ENGINE_BENCH)' -benchmem -run=^$$ -count=3 -benchtime=1s . && \
+	  $(GO) test -bench=. -benchmem -run=^$$ -count=3 -benchtime=1s ./internal/ledger ./internal/server ./internal/metrics; } \
 		| $(GO) run ./cmd/benchjson -sha $(SHORTSHA) -goversion "$$($(GO) env GOVERSION)" -out BENCH_$(SHORTSHA).json
 
 # benchcheck fails if either hot path — the 400-tile emulator exchange or

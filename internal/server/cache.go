@@ -9,18 +9,17 @@ import (
 	"sync"
 )
 
-// cacheEntry is one cached result: the marshaled blitzcoin.Result bytes
-// under the request's canonical hash. The bytes are immutable once stored;
+// cacheEntry is one cached result under the request's canonical hash, in
+// the rendered form every hit writes. The bytes are immutable once stored;
 // every hit serves the same slice, which is what makes cached responses
 // byte-identical to the first computation.
 type cacheEntry struct {
-	key   string
-	kind  string
-	bytes []byte
+	key string
+	res rendered
 }
 
 // cache is an LRU over canonical request hashes, bounded both by entry
-// count and by total result bytes. All methods are safe for concurrent
+// count and by total rendered bytes. All methods are safe for concurrent
 // use.
 type cache struct {
 	mu         sync.Mutex
@@ -37,7 +36,7 @@ type cache struct {
 }
 
 // newCache builds a cache bounded to maxEntries results and maxBytes total
-// result bytes; either bound <= 0 disables that dimension (but not both:
+// rendered bytes; either bound <= 0 disables that dimension (but not both:
 // zero entries with zero bytes means unbounded entries, bounded only by
 // what fits).
 func newCache(maxEntries int, maxBytes int64) *cache {
@@ -49,18 +48,19 @@ func newCache(maxEntries int, maxBytes int64) *cache {
 	}
 }
 
-// get returns the cached bytes for key, if present, and promotes the entry.
-func (c *cache) get(key string) ([]byte, bool) {
+// get returns the cached result for key, if present, and promotes the
+// entry.
+func (c *cache) get(key string) (rendered, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return rendered{}, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).bytes, true
+	return el.Value.(*cacheEntry).res, true
 }
 
 // has reports whether key is cached without counting a hit or a miss or
@@ -72,21 +72,25 @@ func (c *cache) has(key string) bool {
 	return ok
 }
 
-// put stores the bytes under key and evicts from the LRU tail until both
-// bounds hold again. Re-putting an existing key refreshes it.
-func (c *cache) put(key, kind string, b []byte) {
+// put renders the marshaled result under key, stores it, and evicts from
+// the LRU tail until both bounds hold again. Re-putting an existing key
+// refreshes it. A payload that fails to render is not stored.
+func (c *cache) put(key string, marshaled []byte) (rendered, error) {
+	res, err := render(marshaled)
+	if err != nil {
+		return rendered{}, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*cacheEntry)
-		c.bytes += int64(len(b)) - int64(len(e.bytes))
-		e.bytes = b
-		e.kind = kind
+		c.bytes += int64(len(res.body)) - int64(len(e.res.body))
+		e.res = res
 		c.ll.MoveToFront(el)
 	} else {
-		el := c.ll.PushFront(&cacheEntry{key: key, kind: kind, bytes: b})
+		el := c.ll.PushFront(&cacheEntry{key: key, res: res})
 		c.items[key] = el
-		c.bytes += int64(len(b))
+		c.bytes += int64(len(res.body))
 	}
 	for c.over() {
 		tail := c.ll.Back()
@@ -96,9 +100,10 @@ func (c *cache) put(key, kind string, b []byte) {
 		e := tail.Value.(*cacheEntry)
 		c.ll.Remove(tail)
 		delete(c.items, e.key)
-		c.bytes -= int64(len(e.bytes))
+		c.bytes -= int64(len(e.res.body))
 		c.evictions++
 	}
+	return res, nil
 }
 
 // over reports whether either bound is exceeded.

@@ -6,8 +6,9 @@ import (
 )
 
 // flight is one in-progress computation shared by every request that asked
-// for the same canonical hash while it ran. done closes when bytes/err are
-// final.
+// for the same canonical hash while it ran. done closes when res/err are
+// final; res is the rendered result, so the leader and every follower
+// write it without rendering again.
 //
 // Shard flights (leaseShard) additionally carry a cancellable context and
 // a waiter count: when every attached request has abandoned the flight —
@@ -17,9 +18,9 @@ import (
 // keep the opposite policy: they run detached so the result still lands
 // in the cache for the next asker.
 type flight struct {
-	done  chan struct{}
-	bytes []byte
-	err   error
+	done chan struct{}
+	res  rendered
+	err  error
 
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -105,8 +106,8 @@ func (g *flightGroup) active(hash string) bool {
 // complete publishes the leader's outcome and retires the flight: later
 // requests for the key start fresh (and will hit the cache instead). An
 // abandoned flight may already have been replaced; the replacement stays.
-func (g *flightGroup) complete(key string, f *flight, b []byte, err error) {
-	f.bytes, f.err = b, err
+func (g *flightGroup) complete(key string, f *flight, res rendered, err error) {
+	f.res, f.err = res, err
 	g.mu.Lock()
 	if g.m[key] == f {
 		delete(g.m, key)

@@ -23,7 +23,7 @@ func TestShardFlightAbandonedIsNotJoined(t *testing.T) {
 	if !leader || fresh == old || fresh.ctx.Err() != nil {
 		t.Fatal("a new request joined the abandoned, cancelled flight")
 	}
-	g.complete("k", old, nil, old.ctx.Err())
+	g.complete("k", old, rendered{}, old.ctx.Err())
 	if f, leader := g.leaseShard("k", context.Background()); leader || f != fresh {
 		t.Fatal("the abandoned flight's completion retired the fresh flight")
 	}

@@ -178,3 +178,37 @@ func BenchmarkMemoryHit(b *testing.B) {
 		serve(b, h, http.MethodPost, "/v1/sweep", tinyExchange, "", http.StatusOK)
 	}
 }
+
+// BenchmarkDiskHit measures one POST /v1/sweep served from the disk tier
+// on the golden's configured server: two results alternate through its
+// one-entry memory tier, so every ask reads, verifies and promotes a blob.
+func BenchmarkDiskHit(b *testing.B) {
+	srv := goldenServer(b)
+	h := srv.Handler()
+	bodies := [2]string{tinyExchange, exchangeBody(7)}
+	for _, body := range bodies {
+		serve(b, h, http.MethodPost, "/v1/sweep", body, "alice-key", http.StatusOK)
+	}
+	hits := srv.store.Stats().Hits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(b, h, http.MethodPost, "/v1/sweep", bodies[i%2], "alice-key", http.StatusOK)
+	}
+	b.StopTimer()
+	if got := srv.store.Stats().Hits - hits; got != uint64(b.N) {
+		b.Fatalf("%d disk hits in %d requests", got, b.N)
+	}
+}
+
+// BenchmarkShardHit measures one POST /v1/shard served from the memory
+// tier on the golden's configured server.
+func BenchmarkShardHit(b *testing.B) {
+	h := goldenServer(b).Handler()
+	serve(b, h, http.MethodPost, "/v1/shard", tinyShard, "", http.StatusOK)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(b, h, http.MethodPost, "/v1/shard", tinyShard, "", http.StatusOK)
+	}
+}

@@ -366,10 +366,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	kind := string(norm.Kind)
 	t := tenant.FromContext(r.Context())
 
-	if b, ok := s.cache.get(hash); ok {
+	if res, ok := s.cache.get(hash); ok {
 		t.CountHit()
-		t.ChargeBytes(len(b))
-		s.respond(w, r, start, norm, hash, b, true, false, "memory")
+		t.ChargeBytes(res.size)
+		s.respond(w, r, start, norm, hash, res, true, false, "memory")
 		return
 	}
 	// The disk tier sits beneath the memory cache and, like it, is
@@ -378,10 +378,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// hit is promoted into memory so the next asker skips the read.
 	if s.store != nil {
 		if b, ok := s.store.Get(hash); ok {
-			s.cache.put(hash, kind, b)
+			res, err := s.cache.put(hash, b)
+			if err != nil {
+				s.finish(w, r, start, kind, http.StatusInternalServerError, err)
+				return
+			}
 			t.CountHit()
-			t.ChargeBytes(len(b))
-			s.respond(w, r, start, norm, hash, b, true, false, "disk")
+			t.ChargeBytes(res.size)
+			s.respond(w, r, start, norm, hash, res, true, false, "disk")
 			return
 		}
 	}
@@ -406,8 +410,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		class := t.PriorityClass()
 		go func() {
 			defer done()
-			b, err := s.compute(s.baseCtx, hash, norm, class)
-			s.flights.complete(hash, f, b, err)
+			res, err := s.compute(s.baseCtx, hash, norm, class)
+			s.flights.complete(hash, f, res, err)
 		}()
 	} else {
 		s.metrics.coalesced.Add(1)
@@ -435,8 +439,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.finish(w, r, start, kind, status, f.err)
 		return
 	}
-	t.ChargeBytes(len(f.bytes))
-	s.respond(w, r, start, norm, hash, f.bytes, false, !leader, "")
+	t.ChargeBytes(f.res.size)
+	s.respond(w, r, start, norm, hash, f.res, false, !leader, "")
 }
 
 // ShardResponse is the envelope of POST /v1/shard: a marshaled
@@ -505,8 +509,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	key := fmt.Sprintf("%s:%d-%d", hash, sr.Lo, sr.Hi)
 
-	if b, ok := s.cache.get(key); ok {
-		s.respondShard(w, r, start, norm, hash, sr.Lo, sr.Hi, b, true, false)
+	if res, ok := s.cache.get(key); ok {
+		s.respondShard(w, r, start, norm, hash, sr.Lo, sr.Hi, res, true, false)
 		return
 	}
 	// Workers sharing a store directory consult it before executing: a
@@ -514,8 +518,12 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	// computed is served from disk instead of re-run.
 	if s.store != nil {
 		if b, ok := s.store.Get(key); ok {
-			s.cache.put(key, string(norm.Kind)+"-shard", b)
-			s.respondShard(w, r, start, norm, hash, sr.Lo, sr.Hi, b, true, false)
+			res, err := s.cache.put(key, b)
+			if err != nil {
+				s.finish(w, r, start, "shard", http.StatusInternalServerError, err)
+				return
+			}
+			s.respondShard(w, r, start, norm, hash, sr.Lo, sr.Hi, res, true, false)
 			return
 		}
 	}
@@ -533,8 +541,8 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		done := s.pool.track()
 		go func() {
 			defer done()
-			b, err := s.computeShard(f.ctx, key, norm, sr.Lo, sr.Hi)
-			s.flights.complete(key, f, b, err)
+			res, err := s.computeShard(f.ctx, key, norm, sr.Lo, sr.Hi)
+			s.flights.complete(key, f, res, err)
 		}()
 	} else {
 		s.metrics.coalesced.Add(1)
@@ -555,34 +563,37 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		s.finish(w, r, start, "shard", status, f.err)
 		return
 	}
-	s.respondShard(w, r, start, norm, hash, sr.Lo, sr.Hi, f.bytes, false, !leader)
+	s.respondShard(w, r, start, norm, hash, sr.Lo, sr.Hi, f.res, false, !leader)
 }
 
 // computeShard runs one validated shard on the bounded pool and caches its
 // marshaled ShardResult under the range-extended key. ctx is the flight
 // context: it dies with the last interested client.
-func (s *Server) computeShard(ctx context.Context, key string, norm blitzcoin.Request, lo, hi int) ([]byte, error) {
+func (s *Server) computeShard(ctx context.Context, key string, norm blitzcoin.Request, lo, hi int) (rendered, error) {
 	if err := s.pool.acquire(ctx, tenant.ClassInteractive); err != nil {
-		return nil, err
+		return rendered{}, err
 	}
 	defer s.pool.release()
 	res, err := blitzcoin.ExecuteShard(ctx, norm, lo, hi)
 	if err != nil {
-		return nil, err
+		return rendered{}, err
 	}
 	b, err := json.Marshal(res)
 	if err != nil {
-		return nil, fmt.Errorf("encoding shard result: %w", err)
+		return rendered{}, fmt.Errorf("encoding shard result: %w", err)
 	}
-	s.cache.put(key, string(norm.Kind)+"-shard", b)
+	out, err := s.cache.put(key, b)
+	if err != nil {
+		return rendered{}, err
+	}
 	s.storePut(key, string(norm.Kind)+"-shard", b)
-	return b, nil
+	return out, nil
 }
 
 // respondShard writes the shard success envelope and its log line.
-func (s *Server) respondShard(w http.ResponseWriter, r *http.Request, start time.Time, norm blitzcoin.Request, hash string, lo, hi int, shard []byte, cached, coalesced bool) {
+func (s *Server) respondShard(w http.ResponseWriter, r *http.Request, start time.Time, norm blitzcoin.Request, hash string, lo, hi int, shard rendered, cached, coalesced bool) {
 	elapsed := time.Since(start)
-	writeJSON(w, http.StatusOK, ShardResponse{
+	writeShardResponse(w, &ShardResponse{
 		Version:       blitzcoin.APIVersion,
 		Kind:          string(norm.Kind),
 		RequestHash:   hash,
@@ -592,8 +603,7 @@ func (s *Server) respondShard(w http.ResponseWriter, r *http.Request, start time
 		Cached:        cached,
 		Coalesced:     coalesced,
 		ElapsedMicros: elapsed.Microseconds(),
-		Shard:         shard,
-	})
+	}, shard)
 	s.metrics.observeRequest("shard", "ok", elapsed.Seconds())
 	s.log.Info("shard",
 		"kind", norm.Kind,
@@ -612,24 +622,27 @@ func (s *Server) respondShard(w http.ResponseWriter, r *http.Request, start time
 // provenance into the cached bytes) when one is configured. Callers choose
 // the lifetime: handleSweep passes s.baseCtx to detach the computation from
 // the triggering request.
-func (s *Server) compute(ctx context.Context, hash string, norm blitzcoin.Request, class tenant.Class) ([]byte, error) {
+func (s *Server) compute(ctx context.Context, hash string, norm blitzcoin.Request, class tenant.Class) (rendered, error) {
 	if err := s.pool.acquire(ctx, class); err != nil {
-		return nil, err
+		return rendered{}, err
 	}
 	defer s.pool.release()
 	res, err := s.run(ctx, norm)
 	if err != nil {
-		return nil, err
+		return rendered{}, err
 	}
 	b, err := json.Marshal(res)
 	if err != nil {
-		return nil, fmt.Errorf("encoding result: %w", err)
+		return rendered{}, fmt.Errorf("encoding result: %w", err)
 	}
 	b = s.stampLedger(hash, b)
 	s.metrics.sweepRows.Add(uint64(resultRows(res)))
-	s.cache.put(hash, string(norm.Kind), b)
+	out, err := s.cache.put(hash, b)
+	if err != nil {
+		return rendered{}, err
+	}
 	s.storePut(hash, string(norm.Kind), b)
-	return b, nil
+	return out, nil
 }
 
 // storePut persists computed bytes to the disk tier. Persistence failures
@@ -697,9 +710,9 @@ func resultRows(res *blitzcoin.Result) int {
 // respond writes the success envelope and the structured log line. tier
 // names the cache tier that served a hit ("memory" or "disk"); empty for
 // freshly computed results.
-func (s *Server) respond(w http.ResponseWriter, r *http.Request, start time.Time, norm blitzcoin.Request, hash string, result []byte, cached, coalesced bool, tier string) {
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, start time.Time, norm blitzcoin.Request, hash string, result rendered, cached, coalesced bool, tier string) {
 	elapsed := time.Since(start)
-	resp := Response{
+	writeResponse(w, &Response{
 		Version:       blitzcoin.APIVersion,
 		Kind:          string(norm.Kind),
 		RequestHash:   hash,
@@ -708,9 +721,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, start time.Time
 		Tier:          tier,
 		Coalesced:     coalesced,
 		ElapsedMicros: elapsed.Microseconds(),
-		Result:        result,
-	}
-	writeJSON(w, http.StatusOK, resp)
+	}, result)
 	s.metrics.observeRequest(string(norm.Kind), "ok", elapsed.Seconds())
 	s.log.Info("sweep",
 		"kind", norm.Kind,
@@ -773,6 +784,8 @@ func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// writeJSON writes an error or control body; success envelopes go through
+// writeResponse and writeShardResponse.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -63,11 +63,11 @@ func writeSSE(w http.ResponseWriter, se streamEvent) error {
 // handleStream serves GET /v1/stream?hash=...: a server-sent-event stream
 // of the sweep's live events — trial progress, convergence markers, power
 // series points, and (in coordinator mode) shard lifecycle — ending with
-// the sweep-done or sweep-failed event. A hash already in the result
-// cache gets an immediate synthetic sweep-done. Subscribers are
-// backpressured by a bounded ring: a client that reads too slowly loses
-// its oldest events (counted in blitzd_stream_dropped_total), never the
-// sweep result itself.
+// the sweep-done or sweep-failed event. A hash already in either cache
+// tier gets an immediate synthetic sweep-done: serving it runs nothing, so
+// no live one would come. Subscribers are backpressured by a bounded ring:
+// a client that reads too slowly loses its oldest events (counted in
+// blitzd_stream_dropped_total), never the sweep result itself.
 //
 // Drain: new subscriptions are refused with 503 while draining; streams
 // already open when the drain begins keep following any sweep that is
@@ -94,8 +94,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Subscribe before the cache check: if the sweep completes between the
-	// two, either the cache has it (synthetic done below) or its
-	// sweep-done event is already queued in the subscription.
+	// two, either a tier has it (synthetic done below) or its sweep-done
+	// event is already queued in the subscription.
 	sub := s.bus.Subscribe(hash, s.streamBuf)
 	defer func() {
 		sub.Close()
@@ -106,7 +106,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	if s.cache.has(hash) {
+	if s.cache.has(hash) || (s.store != nil && s.store.Has(hash)) {
 		if err := writeSSE(w, streamEvent{Type: "sweep-done", Key: hash, OK: true, Cached: true}); err != nil {
 			return // client gone before the synthetic done; nothing to flush
 		}
@@ -115,21 +115,23 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	fl.Flush()
 
+	// forward writes one event and reports whether the stream goes on: not
+	// after a failed write or the sweep's terminal event.
+	forward := func(ev trace.Event) bool {
+		s.metrics.streamEvents.Add(1)
+		if err := writeSSE(w, wireEvent(ev)); err != nil {
+			return false
+		}
+		fl.Flush()
+		return ev.Type != trace.EventSweepDone && ev.Type != trace.EventSweepFailed
+	}
 	keepalive := time.NewTicker(10 * time.Second)
 	defer keepalive.Stop()
 	drainCh := s.drainCh
 	for {
 		select {
 		case ev, ok := <-sub.Events():
-			if !ok {
-				return
-			}
-			s.metrics.streamEvents.Add(1)
-			if err := writeSSE(w, wireEvent(ev)); err != nil {
-				return
-			}
-			fl.Flush()
-			if ev.Type == trace.EventSweepDone || ev.Type == trace.EventSweepFailed {
+			if !ok || !forward(ev) {
 				return
 			}
 		case <-keepalive.C:
@@ -139,11 +141,22 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 		case <-drainCh:
 			// Drain began. If nothing is computing for this hash anymore,
-			// no completion event will ever arrive — end the stream so
+			// no event will arrive beyond those already queued (a sweep
+			// publishes its done or failed event before its flight
+			// retires): forward them and end the stream so
 			// http.Server.Shutdown can finish. Otherwise keep following
 			// the in-flight sweep to its done/failed event.
 			if !s.flights.active(hash) {
-				return
+				for {
+					select {
+					case ev, ok := <-sub.Events():
+						if !ok || !forward(ev) {
+							return
+						}
+					default:
+						return
+					}
+				}
 			}
 			drainCh = nil
 		case <-r.Context().Done():

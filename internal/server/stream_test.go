@@ -12,6 +12,7 @@ import (
 
 	"blitzcoin"
 	"blitzcoin/internal/ledger"
+	"blitzcoin/internal/store"
 	"blitzcoin/internal/trace"
 )
 
@@ -158,6 +159,44 @@ func TestStreamProbeLeavesCacheCounters(t *testing.T) {
 
 	if hits, misses, _, _, _ := srv.cache.stats(); hits != 0 || misses != 1 {
 		t.Errorf("cache hits=%d misses=%d, want 0 and 1 (only the sweep's lookup counts)", hits, misses)
+	}
+}
+
+// TestStreamAnswersFromDisk: after a restart, a hash held only in the disk
+// tier gets the same immediate synthetic sweep-done as one in memory —
+// serving it from disk runs nothing, so no live sweep-done would ever
+// come — and the probe moves neither tier's hit or miss counters.
+func TestStreamAnswersFromDisk(t *testing.T) {
+	dir := t.TempDir()
+	st1, err := store.Open(dir, blitzcoin.EngineVersion, 0, quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve(t, New(Config{Logger: quiet, Store: st1, Bus: trace.NewBus()}).Handler(),
+		http.MethodPost, "/v1/sweep", tinyExchange, "", http.StatusOK)
+	st1.Close()
+
+	st2, err := store.Open(dir, blitzcoin.EngineVersion, 0, quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2.Close() // waits for the warm scan; the store stays usable
+	srv := New(Config{Logger: quiet, Store: st2, Bus: trace.NewBus()})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	req := httptest.NewRequest(http.MethodGet, "/v1/stream?hash="+hashOf(t, tinyExchange), nil)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req.WithContext(ctx))
+
+	events := readSSE(t, bufio.NewScanner(rec.Body), 10)
+	if len(events) != 1 || events[0].event != "sweep-done" || !events[0].data.Cached || !events[0].data.OK {
+		t.Fatalf("events %+v, want one synthetic cached sweep-done", events)
+	}
+	if st := st2.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("store hits=%d misses=%d, want 0 and 0", st.Hits, st.Misses)
+	}
+	if hits, misses, _, _, _ := srv.cache.stats(); hits != 0 || misses != 0 {
+		t.Errorf("cache hits=%d misses=%d, want 0 and 0", hits, misses)
 	}
 }
 

@@ -176,14 +176,37 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// probeLocked reads and verifies a pair straight off the disk.
-func (s *Store) probeLocked(digest string) ([]byte, int64, error) {
+// Has reports whether key is stored without reading the blob, counting a
+// hit or a miss, or promoting the entry: a probe, not a read of the
+// result. Before the warm scan completes, an index miss checks the
+// sidecar on disk the way Get's probe does.
+func (s *Store) Has(key string) bool {
+	digest := s.digest(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.items[digest]; ok {
+		return true
+	}
+	return !s.warmed && s.checkSidecar(digest) == nil
+}
+
+// checkSidecar reads a pair's sidecar and checks it was written by this
+// store's engine.
+func (s *Store) checkSidecar(digest string) error {
 	meta, err := s.readSidecar(s.sidecarPath(digest))
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	if meta.Engine != s.engine {
-		return nil, 0, fmt.Errorf("store: engine %s, want %s", meta.Engine, s.engine)
+		return fmt.Errorf("store: engine %s, want %s", meta.Engine, s.engine)
+	}
+	return nil
+}
+
+// probeLocked reads and verifies a pair straight off the disk.
+func (s *Store) probeLocked(digest string) ([]byte, int64, error) {
+	if err := s.checkSidecar(digest); err != nil {
+		return nil, 0, err
 	}
 	b, err := s.readVerifyLocked(digest)
 	if err != nil {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"container/list"
 	"fmt"
 	"log/slog"
 	"os"
@@ -73,6 +74,45 @@ func TestSurvivesRestart(t *testing.T) {
 	}
 	if st := s2.Stats(); st.Entries != 1 || !st.Warmed {
 		t.Errorf("post-warm stats = %+v", st)
+	}
+}
+
+// TestHasIsAProbe: Has answers from the index, or from the sidecar on
+// disk while the warm scan has not indexed the entry yet, and never moves
+// the hit and miss counters or indexes what it finds.
+func TestHasIsAProbe(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, 0)
+	if err := s.Put("hash-1", "exchange", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	// unwarmed is the store as Open leaves it before its scan runs.
+	unwarmed := func(engine string) *Store {
+		return &Store{dir: dir, engine: engine, log: quiet(), ll: list.New(), items: make(map[string]*list.Element)}
+	}
+	warm := openT(t, dir, 0)
+	warm.Close() // waits for the scan
+	for _, c := range []struct {
+		name  string
+		s     *Store
+		key   string
+		want  bool
+		entry int
+	}{
+		{"indexed", warm, "hash-1", true, 1},
+		{"indexed miss", warm, "hash-2", false, 1},
+		{"on disk", unwarmed("test-engine"), "hash-1", true, 0},
+		{"not on disk", unwarmed("test-engine"), "hash-2", false, 0},
+		{"other engine", unwarmed("other-engine"), "hash-1", false, 0},
+	} {
+		if got := c.s.Has(c.key); got != c.want {
+			t.Errorf("%s: Has(%s) = %v, want %v", c.name, c.key, got, c.want)
+		}
+		if st := c.s.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != c.entry {
+			t.Errorf("%s: stats after Has = %+v, want no hits, no misses, %d entries", c.name, st, c.entry)
+		}
 	}
 }
 
@@ -194,8 +234,8 @@ func TestWarmGCAndOrphanSweep(t *testing.T) {
 }
 
 // TestWarmConcurrentWithTraffic races the boot scan against incoming
-// gets and puts — the shape of a daemon restarted under live traffic.
-// Run under -race this is the boot/request data-race gate.
+// probes, gets and puts — the shape of a daemon restarted under live
+// traffic. Run under -race this is the boot/request data-race gate.
 func TestWarmConcurrentWithTraffic(t *testing.T) {
 	dir := t.TempDir()
 	seed := openT(t, dir, 0)
@@ -215,6 +255,10 @@ func TestWarmConcurrentWithTraffic(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < preloaded; i++ {
+				if !s.Has(fmt.Sprintf("old-%d", (i+g)%preloaded)) {
+					t.Errorf("goroutine %d: Has(old-%d) = false", g, (i+g)%preloaded)
+					return
+				}
 				if b, ok := s.Get(fmt.Sprintf("old-%d", i)); !ok || !bytes.Equal(b, blob) {
 					t.Errorf("goroutine %d: old-%d = %v, %v", g, i, len(b), ok)
 					return
