@@ -83,10 +83,12 @@ var ctxMintPackages = []string{
 
 // lockOrderPackages are the packages whose named mutexes participate in the
 // committed global acquisition order (lint/lockorder.txt): the scheduler/
-// coordinator/registry locks, the trace bus they publish into, and the
-// tenancy admission/quota locks.
+// coordinator/registry locks, the trace bus they publish into, the
+// daemon's tiered cache and flight locks, the tenancy admission/quota
+// locks, and the disk store's index lock.
 var lockOrderPackages = []string{
 	"blitzcoin/internal/cluster",
+	"blitzcoin/internal/server",
 	"blitzcoin/internal/trace",
 	"blitzcoin/internal/tenant",
 	"blitzcoin/internal/store",

@@ -6,17 +6,17 @@ import (
 )
 
 // flight is one in-progress computation shared by every request that asked
-// for the same canonical hash while it ran. done closes when res/err are
-// final; res is the rendered result, so the leader and every follower
-// write it without rendering again.
+// for the same key while it ran. done closes when res/err are final; res is
+// the rendered result, so the leader and every follower write it without
+// rendering again.
 //
-// Shard flights (leaseShard) additionally carry a cancellable context and
-// a waiter count: when every attached request has abandoned the flight —
-// a speculation race was lost, or the coordinator cancelled the sweep —
-// the computation itself is cancelled so the worker slot frees up, instead
-// of burning a pool slot on rows nobody will read. Sweep flights (lease)
-// keep the opposite policy: they run detached so the result still lands
-// in the cache for the next asker.
+// A flight runs under ctx and counts its waiters. What happens when every
+// waiter has left is the flight's policy, chosen at lease: a detached
+// flight (sweeps) runs on, so the result still lands in the cache for the
+// next asker; a cancellable flight (shards) is cancelled, so the worker
+// slot frees up instead of burning on rows nobody will read — the
+// coordinator cancels the losing copy of every speculation race, and the
+// winner already produced those rows byte-identically.
 type flight struct {
 	done chan struct{}
 	res  rendered
@@ -40,41 +40,39 @@ func newFlightGroup() *flightGroup {
 	return &flightGroup{m: make(map[string]*flight)}
 }
 
-// lease returns the flight for key and whether the caller is its leader.
-// The leader must call complete exactly once. The computation is
-// detached: it cannot be cancelled by departing waiters.
-func (g *flightGroup) lease(key string) (*flight, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if f, ok := g.m[key]; ok {
-		return f, false
-	}
-	f := &flight{done: make(chan struct{})}
-	g.m[key] = f
-	return f, true
-}
+// flightPolicy decides what happens to a flight every waiter has left.
+type flightPolicy bool
 
-// leaseShard is lease for cancellable shard computations: the returned
-// flight carries a context derived from base that abandon cancels once
-// the last waiter departs. Every caller must call abandon exactly once if
-// it stops waiting before the flight completes. A flight every waiter has
-// left is being cancelled, so a new request leads a fresh flight instead
-// of inheriting that cancellation.
-func (g *flightGroup) leaseShard(key string, base context.Context) (*flight, bool) {
+const (
+	// detached flights run to completion under the lease's context.
+	detached flightPolicy = false
+	// cancellable flights are cancelled with their last waiter.
+	cancellable flightPolicy = true
+)
+
+// lease returns the flight for key and whether the caller is its leader.
+// The leader runs the computation under the flight's ctx, derived from
+// base, and must call complete exactly once. Every caller must call
+// abandon exactly once if it stops waiting before the flight completes. A
+// cancellable flight every waiter has left is being cancelled, so a new
+// request leads a fresh flight instead of inheriting that cancellation.
+func (g *flightGroup) lease(key string, base context.Context, policy flightPolicy) (*flight, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if f, ok := g.m[key]; ok && f.waiters > 0 {
+	if f, ok := g.m[key]; ok && (f.cancel == nil || f.waiters > 0) {
 		f.waiters++
 		return f, false
 	}
-	ctx, cancel := context.WithCancel(base)
-	f := &flight{done: make(chan struct{}), ctx: ctx, cancel: cancel, waiters: 1}
+	f := &flight{done: make(chan struct{}), ctx: base, waiters: 1}
+	if policy == cancellable {
+		f.ctx, f.cancel = context.WithCancel(base)
+	}
 	g.m[key] = f
 	return f, true
 }
 
-// abandon detaches one waiter from a shard flight; the last departure
-// cancels the computation.
+// abandon detaches one waiter from a flight; the last departure cancels
+// a cancellable flight's computation.
 func (g *flightGroup) abandon(f *flight) {
 	g.mu.Lock()
 	f.waiters--

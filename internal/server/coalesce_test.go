@@ -13,18 +13,36 @@ import (
 // completion leaves the fresh one in place.
 func TestShardFlightAbandonedIsNotJoined(t *testing.T) {
 	g := newFlightGroup()
-	old, leader := g.leaseShard("k", context.Background())
+	old, leader := g.lease("k", context.Background(), cancellable)
 	if !leader {
 		t.Fatal("first lease is not the leader")
 	}
 	g.abandon(old)
 
-	fresh, leader := g.leaseShard("k", context.Background())
+	fresh, leader := g.lease("k", context.Background(), cancellable)
 	if !leader || fresh == old || fresh.ctx.Err() != nil {
 		t.Fatal("a new request joined the abandoned, cancelled flight")
 	}
 	g.complete("k", old, rendered{}, old.ctx.Err())
-	if f, leader := g.leaseShard("k", context.Background()); leader || f != fresh {
+	if f, leader := g.lease("k", context.Background(), cancellable); leader || f != fresh {
 		t.Fatal("the abandoned flight's completion retired the fresh flight")
+	}
+}
+
+// TestDetachedFlightOutlivesItsWaiters: a detached flight that every
+// waiter has left keeps its context and is still joined, so a later
+// request shares the running computation instead of starting another.
+func TestDetachedFlightOutlivesItsWaiters(t *testing.T) {
+	g := newFlightGroup()
+	f, leader := g.lease("k", context.Background(), detached)
+	if !leader {
+		t.Fatal("first lease is not the leader")
+	}
+	g.abandon(f)
+	if f.ctx.Err() != nil {
+		t.Fatal("the last waiter's departure cancelled a detached flight")
+	}
+	if again, leader := g.lease("k", context.Background(), detached); leader || again != f {
+		t.Fatal("a new request did not join the running detached flight")
 	}
 }

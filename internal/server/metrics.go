@@ -124,8 +124,7 @@ func (s *Server) writeMetrics(out io.Writer) error {
 	w.Family("blitzd_ledger_append_seconds", "histogram", "Ledger append latency (canonical SHA, append, seal fsync, restamp).")
 	w.Histogram("blitzd_ledger_append_seconds", m.ledgerAppend)
 
-	if s.store != nil {
-		st := s.store.Stats()
+	if st, ok := s.cache.diskStats(); ok {
 		var warmed int64
 		if st.Warmed {
 			warmed = 1

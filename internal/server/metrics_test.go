@@ -189,14 +189,14 @@ func BenchmarkDiskHit(b *testing.B) {
 	for _, body := range bodies {
 		serve(b, h, http.MethodPost, "/v1/sweep", body, "alice-key", http.StatusOK)
 	}
-	hits := srv.store.Stats().Hits
+	hits := srv.cache.disk.Stats().Hits
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serve(b, h, http.MethodPost, "/v1/sweep", bodies[i%2], "alice-key", http.StatusOK)
 	}
 	b.StopTimer()
-	if got := srv.store.Stats().Hits - hits; got != uint64(b.N) {
+	if got := srv.cache.disk.Stats().Hits - hits; got != uint64(b.N) {
 		b.Fatalf("%d disk hits in %d requests", got, b.N)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -127,7 +128,6 @@ type Server struct {
 	bus     *trace.Bus
 	ledger  *ledger.Ledger
 	tenants *tenant.Registry
-	store   *store.Store
 
 	streamBuf int
 
@@ -203,7 +203,7 @@ func New(cfg Config) *Server {
 	return &Server{
 		log:     cfg.Logger,
 		run:     cfg.Run,
-		cache:   newCache(cfg.CacheEntries, cfg.CacheBytes),
+		cache:   newCache(cfg.CacheEntries, cfg.CacheBytes, cfg.Store, cfg.Logger),
 		flights: newFlightGroup(),
 		pool:    newPool(cfg.Workers, cfg.QueueDepth),
 		metrics: &serverMetrics{
@@ -215,7 +215,6 @@ func New(cfg Config) *Server {
 		bus:        cfg.Bus,
 		ledger:     cfg.Ledger,
 		tenants:    cfg.Tenants,
-		store:      cfg.Store,
 		streamBuf:  cfg.StreamBuffer,
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -347,100 +346,34 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	var req blitzcoin.Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.finish(w, r, start, "", http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	norm := req.Normalized()
-	if err := norm.Validate(); err != nil {
-		s.finish(w, r, start, string(norm.Kind), http.StatusBadRequest, err)
-		return
-	}
-	hash, err := norm.CanonicalHash()
-	if err != nil {
-		s.finish(w, r, start, string(norm.Kind), http.StatusBadRequest, err)
-		return
-	}
+	norm, hash, err := decodeRequest(r.Body, "request", &req, &req)
 	kind := string(norm.Kind)
+	if err != nil {
+		s.finish(w, r, start, kind, http.StatusBadRequest, err)
+		return
+	}
 	t := tenant.FromContext(r.Context())
-
-	if res, ok := s.cache.get(hash); ok {
-		t.CountHit()
-		t.ChargeBytes(res.size)
-		s.respond(w, r, start, norm, hash, res, true, false, "memory")
+	respond := func(res rendered, tier string, coalesced bool) {
+		s.respond(w, r, start, norm, hash, res, tier, coalesced)
+	}
+	if s.serveCached(w, r, start, kind, hash, t, respond) {
 		return
 	}
-	// The disk tier sits beneath the memory cache and, like it, is
-	// consulted before the drain check: serving already-computed bytes is
-	// cheap and a draining daemon keeps doing it until Shutdown. A disk
-	// hit is promoted into memory so the next asker skips the read.
-	if s.store != nil {
-		if b, ok := s.store.Get(hash); ok {
-			res, err := s.cache.put(hash, b)
-			if err != nil {
-				s.finish(w, r, start, kind, http.StatusInternalServerError, err)
-				return
-			}
-			t.CountHit()
-			t.ChargeBytes(res.size)
-			s.respond(w, r, start, norm, hash, res, true, false, "disk")
-			return
+	// Sweep flights are detached: if the client disconnects mid-sweep, the
+	// result still lands in the cache for the next asker.
+	s.serveComputed(w, r, start, kind, hash, t, detached, respond, func(ctx context.Context) ([]byte, string, error) {
+		res, err := s.run(ctx, norm)
+		if err != nil {
+			return nil, "", err
 		}
-	}
-	if s.draining.Load() {
-		s.finish(w, r, start, kind, http.StatusServiceUnavailable, errors.New("server draining"))
-		return
-	}
-	// Past every cache tier: this request triggers (or joins) a real
-	// computation, which is what the sweep quota meters. Hits above never
-	// reach this line, so cached serving stays free.
-	if retry, err := t.AllowSweep(); err != nil {
-		s.throttle(w, r, t, retry, err)
-		return
-	}
-
-	f, leader := s.flights.lease(hash)
-	if leader {
-		// The computation runs under the server's base context, detached
-		// from this request: if the client disconnects mid-sweep, the
-		// result still lands in the cache for the next asker.
-		done := s.pool.track()
-		class := t.PriorityClass()
-		go func() {
-			defer done()
-			res, err := s.compute(s.baseCtx, hash, norm, class)
-			s.flights.complete(hash, f, res, err)
-		}()
-	} else {
-		s.metrics.coalesced.Add(1)
-	}
-
-	select {
-	case <-f.done:
-	case <-r.Context().Done():
-		// Client gave up; the leader's computation continues.
-		s.finish(w, r, start, kind, 499, r.Context().Err())
-		return
-	}
-	if f.err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(f.err, context.Canceled) {
-			status = http.StatusServiceUnavailable
+		b, err := json.Marshal(res)
+		if err != nil {
+			return nil, "", fmt.Errorf("encoding result: %w", err)
 		}
-		if errors.Is(f.err, tenant.ErrQueueFull) {
-			// The admission queue for the tenant's class is at its bound —
-			// shed load now rather than let the backlog grow. finish sets
-			// Retry-After on every 503.
-			status = http.StatusServiceUnavailable
-			t.CountQueueReject()
-		}
-		s.finish(w, r, start, kind, status, f.err)
-		return
-	}
-	t.ChargeBytes(f.res.size)
-	s.respond(w, r, start, norm, hash, f.res, false, !leader, "")
+		b = s.stampLedger(hash, b)
+		s.metrics.sweepRows.Add(uint64(resultRows(res)))
+		return b, kind, nil
+	})
 }
 
 // ShardResponse is the envelope of POST /v1/shard: a marshaled
@@ -459,10 +392,15 @@ type ShardResponse struct {
 }
 
 // handleShard executes one trial-range shard of a request — the worker
-// half of a distributed sweep. It shares the sweep endpoint's machinery:
+// half of a distributed sweep. It takes the sweep endpoint's serve path:
 // shards are cached under the request hash extended with the trial range,
-// coalesced per range, computed on the bounded pool under the base
-// context, and refused with 503 while draining.
+// coalesced per range, computed on the bounded pool, and refused with 503
+// while draining.
+//
+// Shards carry no tenant, on purpose: /v1/shard is cluster-internal and
+// the coordinator's /v1/sweep already charged the tenant. Every charge
+// and count on the serve path is a no-op for a nil tenant, so shards skip
+// the sweep quota and a shed shard is no tenant's queue reject.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{"POST a blitzcoin.ShardRequest"})
@@ -473,18 +411,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	var sr blitzcoin.ShardRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sr); err != nil {
-		s.finish(w, r, start, "shard", http.StatusBadRequest, fmt.Errorf("decoding shard request: %w", err))
-		return
-	}
-	norm := sr.Request.Normalized()
-	if err := norm.Validate(); err != nil {
-		s.finish(w, r, start, "shard", http.StatusBadRequest, err)
-		return
-	}
-	hash, err := norm.CanonicalHash()
+	norm, hash, err := decodeRequest(r.Body, "shard request", &sr, &sr.Request)
 	if err != nil {
 		s.finish(w, r, start, "shard", http.StatusBadRequest, err)
 		return
@@ -508,40 +435,95 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := fmt.Sprintf("%s:%d-%d", hash, sr.Lo, sr.Hi)
-
-	if res, ok := s.cache.get(key); ok {
-		s.respondShard(w, r, start, norm, hash, sr.Lo, sr.Hi, res, true, false)
+	respond := func(res rendered, tier string, coalesced bool) {
+		s.respondShard(w, r, start, norm, hash, sr.Lo, sr.Hi, res, tier != "", coalesced)
+	}
+	// Workers sharing a store directory find a shard another worker (or a
+	// previous life of this one) already computed in the disk tier.
+	if s.serveCached(w, r, start, "shard", key, nil, respond) {
 		return
 	}
-	// Workers sharing a store directory consult it before executing: a
-	// shard another worker (or a previous life of this one) already
-	// computed is served from disk instead of re-run.
-	if s.store != nil {
-		if b, ok := s.store.Get(key); ok {
-			res, err := s.cache.put(key, b)
-			if err != nil {
-				s.finish(w, r, start, "shard", http.StatusInternalServerError, err)
-				return
-			}
-			s.respondShard(w, r, start, norm, hash, sr.Lo, sr.Hi, res, true, false)
-			return
+	s.serveComputed(w, r, start, "shard", key, nil, cancellable, respond, func(ctx context.Context) ([]byte, string, error) {
+		res, err := blitzcoin.ExecuteShard(ctx, norm, sr.Lo, sr.Hi)
+		if err != nil {
+			return nil, "", err
 		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			return nil, "", fmt.Errorf("encoding shard result: %w", err)
+		}
+		return b, string(norm.Kind) + "-shard", nil
+	})
+}
+
+// decodeRequest strictly decodes body into v, the request shape, and
+// returns the normalized request at req, which must point into v, with
+// its canonical hash. what names the shape in the decoding error.
+func decodeRequest(body io.Reader, what string, v any, req *blitzcoin.Request) (blitzcoin.Request, string, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return blitzcoin.Request{}, "", fmt.Errorf("decoding %s: %w", what, err)
 	}
+	norm := req.Normalized()
+	if err := norm.Validate(); err != nil {
+		return norm, "", err
+	}
+	hash, err := norm.CanonicalHash()
+	return norm, hash, err
+}
+
+// respondFunc writes a success envelope: tier is "memory" or "disk" for a
+// hit and empty for a computed result, coalesced marks a follower.
+type respondFunc func(res rendered, tier string, coalesced bool)
+
+// computeFunc computes a result under ctx: its marshaled bytes and the
+// kind the disk tier files them under.
+type computeFunc func(ctx context.Context) (marshaled []byte, kind string, err error)
+
+// serveCached is the first half of the serve path: it answers key from a
+// cache tier, before any drain check (a draining daemon serves stored
+// bytes until Shutdown), and reports whether it wrote a response. t is
+// the tenant charged, nil for none; kind labels the request in /metrics.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, start time.Time, kind, key string, t *tenant.Tenant, respond respondFunc) bool {
+	res, tier, err := s.cache.get(key)
+	switch {
+	case err != nil:
+		s.finish(w, r, start, kind, http.StatusInternalServerError, err)
+	case tier == "":
+		return false
+	default:
+		t.CountHit()
+		t.ChargeBytes(res.size)
+		respond(res, tier, false)
+	}
+	return true
+}
+
+// serveComputed is the second half, for a key every tier missed: it leads
+// or joins the key's flight under policy, the leader computing run under
+// the flight's context on the pool, and waits. Callers build run only
+// after serveCached missed, so a hit never allocates it.
+func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, start time.Time, kind, key string, t *tenant.Tenant, policy flightPolicy, respond respondFunc, run computeFunc) {
 	if s.draining.Load() {
-		s.finish(w, r, start, "shard", http.StatusServiceUnavailable, errors.New("server draining"))
+		s.finish(w, r, start, kind, http.StatusServiceUnavailable, errors.New("server draining"))
+		return
+	}
+	// Past every cache tier: this request triggers (or joins) a real
+	// computation, which is what the sweep quota meters. Hits never reach
+	// this line, so cached serving stays free.
+	if retry, err := t.AllowSweep(); err != nil {
+		s.throttle(w, r, t, retry, err)
 		return
 	}
 
-	// Shard flights are cancellable, unlike sweep flights: the coordinator
-	// cancels the losing copy of every speculation race, and keeping the
-	// loser running would burn a pool slot on rows the winner already
-	// produced byte-identically.
-	f, leader := s.flights.leaseShard(key, s.baseCtx)
+	f, leader := s.flights.lease(key, s.baseCtx, policy)
 	if leader {
 		done := s.pool.track()
+		class := t.PriorityClass()
 		go func() {
 			defer done()
-			res, err := s.computeShard(f.ctx, key, norm, sr.Lo, sr.Hi)
+			res, err := s.compute(f.ctx, key, class, run)
 			s.flights.complete(key, f, res, err)
 		}()
 	} else {
@@ -551,43 +533,45 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-f.done:
 	case <-r.Context().Done():
+		// The client gave up: a detached computation continues, a
+		// cancellable one stops with its last waiter.
 		s.flights.abandon(f)
-		s.finish(w, r, start, "shard", 499, r.Context().Err())
+		t.SettleSweep(false)
+		s.finish(w, r, start, kind, 499, r.Context().Err())
 		return
 	}
+	// A computation the admission queue shed never ran, so the sweep
+	// quota unit it reserved goes back.
+	shed := errors.Is(f.err, tenant.ErrQueueFull)
+	t.SettleSweep(shed)
 	if f.err != nil {
 		status := http.StatusInternalServerError
-		if errors.Is(f.err, context.Canceled) || errors.Is(f.err, tenant.ErrQueueFull) {
+		if shed || errors.Is(f.err, context.Canceled) {
+			// Shedding load or shutting down; finish sets Retry-After.
 			status = http.StatusServiceUnavailable
 		}
-		s.finish(w, r, start, "shard", status, f.err)
+		if shed {
+			t.CountQueueReject()
+		}
+		s.finish(w, r, start, kind, status, f.err)
 		return
 	}
-	s.respondShard(w, r, start, norm, hash, sr.Lo, sr.Hi, f.res, false, !leader)
+	t.ChargeBytes(f.res.size)
+	respond(f.res, "", !leader)
 }
 
-// computeShard runs one validated shard on the bounded pool and caches its
-// marshaled ShardResult under the range-extended key. ctx is the flight
-// context: it dies with the last interested client.
-func (s *Server) computeShard(ctx context.Context, key string, norm blitzcoin.Request, lo, hi int) (rendered, error) {
-	if err := s.pool.acquire(ctx, tenant.ClassInteractive); err != nil {
+// compute runs one computation on the bounded pool and enters its result
+// into both cache tiers under key. ctx is the flight's context.
+func (s *Server) compute(ctx context.Context, key string, class tenant.Class, run computeFunc) (rendered, error) {
+	if err := s.pool.acquire(ctx, class); err != nil {
 		return rendered{}, err
 	}
 	defer s.pool.release()
-	res, err := blitzcoin.ExecuteShard(ctx, norm, lo, hi)
+	b, kind, err := run(ctx)
 	if err != nil {
 		return rendered{}, err
 	}
-	b, err := json.Marshal(res)
-	if err != nil {
-		return rendered{}, fmt.Errorf("encoding shard result: %w", err)
-	}
-	out, err := s.cache.put(key, b)
-	if err != nil {
-		return rendered{}, err
-	}
-	s.storePut(key, string(norm.Kind)+"-shard", b)
-	return out, nil
+	return s.cache.put(key, kind, b)
 }
 
 // respondShard writes the shard success envelope and its log line.
@@ -615,46 +599,6 @@ func (s *Server) respondShard(w http.ResponseWriter, r *http.Request, start time
 		"elapsed", elapsed,
 		"remote", r.RemoteAddr,
 	)
-}
-
-// compute runs one validated request on the bounded pool and caches its
-// marshaled result, appending it to the ledger (and stamping the ledger
-// provenance into the cached bytes) when one is configured. Callers choose
-// the lifetime: handleSweep passes s.baseCtx to detach the computation from
-// the triggering request.
-func (s *Server) compute(ctx context.Context, hash string, norm blitzcoin.Request, class tenant.Class) (rendered, error) {
-	if err := s.pool.acquire(ctx, class); err != nil {
-		return rendered{}, err
-	}
-	defer s.pool.release()
-	res, err := s.run(ctx, norm)
-	if err != nil {
-		return rendered{}, err
-	}
-	b, err := json.Marshal(res)
-	if err != nil {
-		return rendered{}, fmt.Errorf("encoding result: %w", err)
-	}
-	b = s.stampLedger(hash, b)
-	s.metrics.sweepRows.Add(uint64(resultRows(res)))
-	out, err := s.cache.put(hash, b)
-	if err != nil {
-		return rendered{}, err
-	}
-	s.storePut(hash, string(norm.Kind), b)
-	return out, nil
-}
-
-// storePut persists computed bytes to the disk tier. Persistence failures
-// degrade to memory-only caching — a full or broken disk never fails the
-// sweep that produced the result.
-func (s *Server) storePut(key, kind string, b []byte) {
-	if s.store == nil {
-		return
-	}
-	if err := s.store.Put(key, kind, b); err != nil {
-		s.log.Warn("store put failed", "key", short(key), "error", err)
-	}
 }
 
 // stampLedger appends the result to the ledger and returns the bytes with
@@ -710,8 +654,9 @@ func resultRows(res *blitzcoin.Result) int {
 // respond writes the success envelope and the structured log line. tier
 // names the cache tier that served a hit ("memory" or "disk"); empty for
 // freshly computed results.
-func (s *Server) respond(w http.ResponseWriter, r *http.Request, start time.Time, norm blitzcoin.Request, hash string, result rendered, cached, coalesced bool, tier string) {
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, start time.Time, norm blitzcoin.Request, hash string, result rendered, tier string, coalesced bool) {
 	elapsed := time.Since(start)
+	cached := tier != ""
 	writeResponse(w, &Response{
 		Version:       blitzcoin.APIVersion,
 		Kind:          string(norm.Kind),

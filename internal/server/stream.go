@@ -106,7 +106,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	if s.cache.has(hash) || (s.store != nil && s.store.Has(hash)) {
+	if s.cache.has(hash) {
 		if err := writeSSE(w, streamEvent{Type: "sweep-done", Key: hash, OK: true, Cached: true}); err != nil {
 			return // client gone before the synthetic done; nothing to flush
 		}

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"blitzcoin"
 	"blitzcoin/internal/ledger"
@@ -212,39 +211,28 @@ func TestRetryAfterOnEveryRejection(t *testing.T) {
 			return resp
 		}},
 		{"admission queue full", http.StatusServiceUnavailable, func(t *testing.T) *http.Response {
-			release := make(chan struct{})
-			srv := New(Config{
-				Logger:     quiet,
-				Workers:    1,
-				QueueDepth: 1,
-				Run: func(ctx context.Context, req blitzcoin.Request) (*blitzcoin.Result, error) {
-					<-release
-					return blitzcoin.Execute(ctx, req)
-				},
-			})
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			// Saturate: one computation holds the only slot, a second waits
-			// in the interactive queue (filling its bound of 1).
-			var wg sync.WaitGroup
-			defer wg.Wait()      // after release: both saturating sweeps finish
-			defer close(release) // unblocks the held computations first
-			for i := 1; i <= 2; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					postSweepKey(t, ts, exchangeBody(i), "")
-				}(i)
+			_, ts, _ := saturatedServer(t, nil, "")
+			resp, _ := postSweepKey(t, ts, exchangeBody(3), "")
+			return resp
+		}},
+		{"admission queue full (shard)", http.StatusServiceUnavailable, func(t *testing.T) *http.Response {
+			srv, ts, _ := saturatedServer(t, nil, "")
+			resp, err := ts.Client().Post(ts.URL+"/v1/shard", "application/json", strings.NewReader(tinyShard))
+			if err != nil {
+				t.Fatal(err)
 			}
-			deadline := time.After(10 * time.Second)
-			for srv.pool.adm.QueueTotal() < 1 {
-				select {
-				case <-deadline:
-					t.Fatal("second computation never queued")
-				case <-time.After(time.Millisecond):
+			resp.Body.Close()
+			// Shards carry no tenant: the shed is counted as a shard
+			// request, not as the anonymous tenant's queue reject.
+			metrics := serve(t, srv.Handler(), http.MethodGet, "/metrics", "", "", http.StatusOK).Body.String()
+			for _, want := range []string{
+				`blitzd_requests_total{kind="shard",status="unavailable"} 1`,
+				`blitzd_tenant_rejects_total{tenant="anonymous",reason="queue"} 0`,
+			} {
+				if !strings.Contains(metrics, want) {
+					t.Errorf("metrics missing %q", want)
 				}
 			}
-			resp, _ := postSweepKey(t, ts, exchangeBody(3), "")
 			return resp
 		}},
 	}
@@ -256,6 +244,78 @@ func TestRetryAfterOnEveryRejection(t *testing.T) {
 			}
 			wantRetryAfter(t, resp)
 		})
+	}
+}
+
+// saturatedServer starts a server with one worker slot and a one-deep
+// admission queue, and fills both with two sweeps sent under key (empty
+// for keyless) whose computations block until release is called. release
+// waits for both sweeps to finish; the test's cleanup calls it too.
+func saturatedServer(t *testing.T, reg *tenant.Registry, key string) (srv *Server, ts *httptest.Server, release func()) {
+	t.Helper()
+	unblock := make(chan struct{})
+	srv = New(Config{
+		Logger:     quiet,
+		Workers:    1,
+		QueueDepth: 1,
+		Tenants:    reg,
+		Run: func(ctx context.Context, req blitzcoin.Request) (*blitzcoin.Result, error) {
+			<-unblock
+			return blitzcoin.Execute(ctx, req)
+		},
+	})
+	ts = httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	var wg sync.WaitGroup
+	var once sync.Once
+	release = func() {
+		once.Do(func() { close(unblock) })
+		wg.Wait()
+	}
+	t.Cleanup(release) // runs before ts.Close
+	h := srv.Handler()
+	for i := 1; i <= 2; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(exchangeBody(i)))
+		if key != "" {
+			req.Header.Set("Authorization", "Bearer "+key)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h.ServeHTTP(httptest.NewRecorder(), req)
+		}()
+	}
+	waitFor(t, func() bool { return srv.pool.adm.QueueTotal() == 1 })
+	return srv, ts, release
+}
+
+// TestShedSweepKeepsQuota: a sweep the admission queue sheds never ran, so
+// it returns the sweep quota it reserved and is not counted as one of the
+// tenant's sweeps, while the quota still bounds the sweeps that do run.
+func TestShedSweepKeepsQuota(t *testing.T) {
+	reg := registry(t, tenant.KeyFile{Tenants: []tenant.Config{
+		{Name: "alice", Key: "alice-key"},
+		{Name: "bob", Key: "bob-key", QuotaSweeps: 2},
+	}})
+	_, ts, release := saturatedServer(t, reg, "alice-key")
+	for seed := 3; seed <= 4; seed++ {
+		if resp, _ := postSweepKey(t, ts, exchangeBody(seed), "bob-key"); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("bob's sweep %d behind a full queue: HTTP %d, want 503", seed, resp.StatusCode)
+		}
+	}
+	release()
+	for seed := 3; seed <= 4; seed++ {
+		if resp, _ := postSweepKey(t, ts, exchangeBody(seed), "bob-key"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("bob's sweep %d after the sheds: HTTP %d, want 200 (sheds use no quota)", seed, resp.StatusCode)
+		}
+	}
+	if resp, _ := postSweepKey(t, ts, exchangeBody(5), "bob-key"); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("bob's third computed sweep: HTTP %d, want 429", resp.StatusCode)
+	}
+	for _, tn := range reg.Tenants() {
+		if c := tn.Snapshot(); tn.Name == "bob" && (c.Sweeps != 2 || c.RejectedQueue != 2) {
+			t.Errorf("bob: %d sweeps, %d queue rejects; want 2 and 2", c.Sweeps, c.RejectedQueue)
+		}
 	}
 }
 

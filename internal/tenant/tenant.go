@@ -249,10 +249,11 @@ func (t *Tenant) AllowRequest() (time.Duration, error) {
 	return 0, nil
 }
 
-// AllowSweep consumes one unit of the sweep quota — called when a request
+// AllowSweep reserves one unit of the sweep quota — called when a request
 // misses every cache tier and is about to trigger (or join) a real
 // computation. Cache hits never consume sweep quota: serving stored
-// results cheaply is the point of the tiered store.
+// results cheaply is the point of the tiered store. Every reservation is
+// settled by one SettleSweep once the computation's fate is known.
 func (t *Tenant) AllowSweep() (time.Duration, error) {
 	if t == nil {
 		return 0, nil
@@ -266,8 +267,24 @@ func (t *Tenant) AllowSweep() (time.Duration, error) {
 		return t.windowRetryLocked(now), fmt.Errorf("%w: %d of %d sweep executions used this window", ErrQuotaExhausted, t.usedSweeps, t.quotaSweeps)
 	}
 	t.usedSweeps++
-	t.c.Sweeps++
 	return 0, nil
+}
+
+// SettleSweep settles a reservation taken by AllowSweep. A computation
+// the admission queue shed never ran: its unit goes back to the window
+// (never below zero, should the window have rolled over since), and it is
+// not counted. Any other outcome counts one sweep in Counters.Sweeps.
+func (t *Tenant) SettleSweep(shed bool) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	if !shed {
+		t.c.Sweeps++
+	} else if t.usedSweeps > 0 {
+		t.usedSweeps--
+	}
+	t.mu.Unlock()
 }
 
 // ChargeBytes records result bytes served to the tenant; the next

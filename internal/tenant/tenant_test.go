@@ -2,6 +2,8 @@ package tenant
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -178,6 +180,86 @@ func TestSweepQuota(t *testing.T) {
 	}
 }
 
+// TestSweepSettle: a reservation settled as shed goes back to the window
+// and is not counted; one settled as run stays charged and counts. A
+// return never drives the window below zero, even one from a window that
+// has since rolled over.
+func TestSweepSettle(t *testing.T) {
+	clock := newFakeClock()
+	r := mustRegistry(t, KeyFile{Tenants: []Config{{Name: "a", Key: "k", QuotaSweeps: 2, QuotaWindowSecs: 60}}})
+	r.SetNowFunc(clock.now)
+	tn, _ := r.Authenticate("k")
+	allow := func(want int) {
+		t.Helper()
+		for i := 0; i < want; i++ {
+			if _, err := tn.AllowSweep(); err != nil {
+				t.Fatalf("sweep %d of %d: %v", i+1, want, err)
+			}
+		}
+		if _, err := tn.AllowSweep(); !errors.Is(err, ErrQuotaExhausted) {
+			t.Fatalf("sweep %d: got %v, want ErrQuotaExhausted", want+1, err)
+		}
+	}
+
+	allow(2)
+	tn.SettleSweep(true)
+	tn.SettleSweep(false)
+	allow(1)
+	if c := tn.Snapshot(); c.Sweeps != 1 {
+		t.Errorf("Sweeps = %d, want 1 (sheds are not counted)", c.Sweeps)
+	}
+
+	clock.advance(61 * time.Second)
+	allow(2)
+	for i := 0; i < 3; i++ {
+		tn.SettleSweep(true) // the third returns the previous window's reservation
+	}
+	allow(2)
+}
+
+// TestSweepSettleConcurrent: reservations taken and settled from many
+// goroutines at once never overrun the quota, and every shed reservation
+// comes back, so exactly the units no kept sweep used remain.
+func TestSweepSettleConcurrent(t *testing.T) {
+	const quota = 10
+	r := mustRegistry(t, KeyFile{Tenants: []Config{{Name: "a", Key: "k", QuotaSweeps: quota}}})
+	tn, _ := r.Authenticate("k")
+	var kept atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if _, err := tn.AllowSweep(); err != nil {
+					continue
+				}
+				shed := i%2 == 0
+				if !shed {
+					kept.Add(1)
+				}
+				tn.SettleSweep(shed)
+			}
+		}()
+	}
+	wg.Wait()
+	n := kept.Load()
+	if n > quota {
+		t.Fatalf("%d sweeps kept on a quota of %d", n, quota)
+	}
+	for i := n; i < quota; i++ {
+		if _, err := tn.AllowSweep(); err != nil {
+			t.Fatalf("unit %d of the %d left unused: %v", i-n+1, quota-n, err)
+		}
+	}
+	if _, err := tn.AllowSweep(); !errors.Is(err, ErrQuotaExhausted) {
+		t.Fatalf("past the quota: got %v, want ErrQuotaExhausted", err)
+	}
+	if c := tn.Snapshot(); c.Sweeps != uint64(n) {
+		t.Errorf("Sweeps = %d, want the %d kept", c.Sweeps, n)
+	}
+}
+
 func TestNilTenantIsUnlimited(t *testing.T) {
 	var tn *Tenant
 	if _, err := tn.AllowRequest(); err != nil {
@@ -189,6 +271,7 @@ func TestNilTenantIsUnlimited(t *testing.T) {
 	tn.ChargeBytes(10)
 	tn.CountHit()
 	tn.CountQueueReject()
+	tn.SettleSweep(false)
 	if snap := tn.Snapshot(); snap != (Counters{}) {
 		t.Errorf("nil Snapshot = %+v", snap)
 	}
