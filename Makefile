@@ -2,10 +2,10 @@
 
 GO ?= go
 SHORTSHA := $(shell git rev-parse --short HEAD)
-# The committed perf baseline `make benchcheck` gates against. Update it to
-# the freshly written BENCH_<sha>.json whenever a PR intentionally shifts
-# performance, and commit both.
-BENCH_BASELINE ?= BENCH_f33851c.json
+# The pinned commit `make benchcheck` compares the working tree against on
+# the same machine. Re-pin it whenever a PR intentionally shifts
+# performance (see BENCHMARKING.md).
+BENCH_BASE_REF ?= 6dcf6f09ef558c5e80dd3bb92cd81aa8104871a6
 
 .PHONY: build test vet race verify bench benchcheck bench-report figures \
 	server-smoke cluster-smoke chaos-smoke stream-smoke tenant-smoke \
@@ -106,14 +106,13 @@ bench:
 	  $(GO) test -bench=. -benchmem -run=^$$ -count=3 -benchtime=1s ./internal/ledger ./internal/server ./internal/metrics; } \
 		| $(GO) run ./cmd/benchjson -sha $(SHORTSHA) -goversion "$$($(GO) env GOVERSION)" -out BENCH_$(SHORTSHA).json
 
-# benchcheck fails if either hot path — the 400-tile emulator exchange or
-# the full-SoC run — regressed more than 20% in ns/op or allocs/op against
-# the committed baseline snapshot; the failure names the offending
-# benchmark and metric.
+# benchcheck builds the root test binary at BENCH_BASE_REF and from the
+# working tree, alternates 5 pairs of the two hot-path benchmarks — the
+# 400-tile emulator exchange and the full-SoC run — and fails if the median
+# per-pair ratio of ns/op or allocs/op exceeds 1.20; the failure names the
+# offending benchmark and metric. Needs BENCH_BASE_REF in the local history.
 benchcheck:
-	$(GO) test -bench='^(BenchmarkExchangeThroughput|BenchmarkSoCRunThroughput)$$' -benchmem -run=^$$ -count=3 . \
-		| $(GO) run ./cmd/benchjson -baseline $(BENCH_BASELINE) \
-			-bench BenchmarkExchangeThroughput,BenchmarkSoCRunThroughput -max-regress 0.20
+	sh scripts/benchcheck.sh $(BENCH_BASE_REF)
 
 # bench-report renders the committed BENCH_<sha>.json trajectory (ordered by
 # when each snapshot first entered history, then any uncommitted ones) into

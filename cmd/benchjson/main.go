@@ -1,5 +1,6 @@
 // Command benchjson turns `go test -bench` output into a committed JSON
-// snapshot, and gates regressions against a previous snapshot.
+// snapshot, and gates regressions against a base snapshot taken on the same
+// machine.
 //
 // Snapshot mode reads benchmark output on stdin and writes one JSON document
 // holding every benchmark's ns/op, B/op, allocs/op, and custom metrics, one
@@ -7,14 +8,18 @@
 //
 //	go test -bench=. -benchmem -count=3 . | benchjson -sha abc1234 -out BENCH_abc1234.json
 //
-// Check mode reads fresh benchmark output on stdin and compares each gated
-// benchmark's best ns/op and allocs/op against the committed baseline,
-// failing (exit 1) with the offending benchmark and metric named when any
-// regresses beyond -max-regress. -bench takes a comma-separated list:
+// Check mode reads fresh benchmark output on stdin and compares it sample
+// by sample with a baseline snapshot taken on the same machine: sample i of
+// each side is one pair, and the gate is the median over pairs of the
+// current/baseline ratio of ns/op and of allocs/op. It fails (exit 1) with
+// the offending benchmark and metric named when a median ratio exceeds
+// 1 + -max-regress. -bench takes a comma-separated list.
+// scripts/benchcheck.sh (`make benchcheck`) produces both sides by
+// alternating a pinned base commit's test binary with the working tree's:
 //
-//	go test -bench='^(BenchmarkExchangeThroughput|BenchmarkSoCRunThroughput)$' -benchmem . | \
-//	    benchjson -baseline BENCH_abc1234.json \
-//	    -bench BenchmarkExchangeThroughput,BenchmarkSoCRunThroughput -max-regress 0.20
+//	benchjson -out base.json < base.txt
+//	benchjson -baseline base.json \
+//	    -bench BenchmarkExchangeThroughput,BenchmarkSoCRunThroughput -max-regress 0.20 < head.txt
 //
 // Report mode renders the committed snapshot sequence as a markdown
 // trajectory table (one row per benchmark, one column per snapshot SHA, with
@@ -33,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -137,6 +143,18 @@ func best(xs []float64) (float64, bool) {
 	return m, true
 }
 
+// median returns the middle order statistic (the mean of the two middle
+// ones for an even count).
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
 func readStdin() []string {
 	var lines []string
 	sc := bufio.NewScanner(os.Stdin)
@@ -166,27 +184,40 @@ func check(baselinePath, benches string, maxRegress float64, cur *Snapshot) erro
 		if cb == nil {
 			return fmt.Errorf("stdin output has no %s", bench)
 		}
-		gate := func(metric string, baseVals, curVals []float64) {
-			b, okB := best(baseVals)
-			c, okC := best(curVals)
-			if !okB || !okC || b == 0 {
-				return
+		gate := func(metric string, baseVals, curVals []float64) error {
+			if len(baseVals) != len(curVals) || len(baseVals) == 0 {
+				return fmt.Errorf("%s %s: %d baseline samples against %d current; the sides must pair up",
+					bench, metric, len(baseVals), len(curVals))
 			}
-			ratio := c / b
+			ratios := make([]float64, len(curVals))
+			cells := make([]string, len(curVals))
+			for i := range curVals {
+				if baseVals[i] == 0 {
+					return fmt.Errorf("%s %s: baseline sample %d is zero", bench, metric, i)
+				}
+				ratios[i] = curVals[i] / baseVals[i]
+				cells[i] = fmt.Sprintf("%.3f", ratios[i])
+			}
+			ratio := median(ratios)
 			status := "ok"
 			if ratio > 1+maxRegress {
 				status = "REGRESSION"
-				offending = append(offending, bench+" "+metric)
+				offending = append(offending, fmt.Sprintf("%s %s (median ratio %.3f)", bench, metric, ratio))
 			}
-			fmt.Printf("benchcheck %s %s: baseline=%.0f current=%.0f (%+.1f%%) %s\n",
-				bench, metric, b, c, 100*(ratio-1), status)
+			fmt.Printf("benchcheck %s %s: baseline median=%.0f current median=%.0f, per-pair ratios [%s], median ratio %.3f %s\n",
+				bench, metric, median(baseVals), median(curVals), strings.Join(cells, " "), ratio, status)
+			return nil
 		}
-		gate("ns/op", bb.NsPerOp, cb.NsPerOp)
-		gate("allocs/op", bb.AllocsPerOp, cb.AllocsPerOp)
+		if err := gate("ns/op", bb.NsPerOp, cb.NsPerOp); err != nil {
+			return err
+		}
+		if err := gate("allocs/op", bb.AllocsPerOp, cb.AllocsPerOp); err != nil {
+			return err
+		}
 	}
 	if len(offending) > 0 {
-		return fmt.Errorf("regressed more than %.0f%% vs %s: %s",
-			100*maxRegress, baselinePath, strings.Join(offending, ", "))
+		return fmt.Errorf("median per-pair ratio above %.2f vs %s: %s",
+			1+maxRegress, baselinePath, strings.Join(offending, ", "))
 	}
 	return nil
 }
@@ -273,7 +304,7 @@ func main() {
 	out := flag.String("out", "", "write parsed snapshot JSON to this file")
 	sha := flag.String("sha", "", "git short SHA to record in the snapshot")
 	goVersion := flag.String("goversion", "", "go version to record in the snapshot")
-	baseline := flag.String("baseline", "", "check mode: committed snapshot to compare against")
+	baseline := flag.String("baseline", "", "check mode: same-machine snapshot whose samples pair with stdin's")
 	bench := flag.String("bench", "BenchmarkExchangeThroughput", "check mode: comma-separated benchmarks to gate on")
 	maxRegress := flag.Float64("max-regress", 0.20, "check mode: allowed fractional regression")
 	doReport := flag.Bool("report", false, "report mode: render the snapshot files given as args into a markdown trajectory table")

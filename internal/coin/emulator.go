@@ -239,8 +239,10 @@ type Emulator struct {
 	// runs don't pay for handlers that are never scheduled.
 	opTick, opTimeout, opWatchdog, opAudit sim.OpCode
 
-	// gatherHas/gatherMax are reusable scratch for the 4-way group split.
-	gatherHas, gatherMax []int64
+	// split is the 4-way group split's fixed scratch: the gathered has and
+	// max of the center (index 0) and its joined neighbors, the new
+	// allocation, and the remainders.
+	split struct{ has, max, out, rems [1 + maxNbrs]int64 }
 	// auditCands is reusable scratch for the audit's repair ordering.
 	auditCands []auditCand
 }
@@ -279,13 +281,10 @@ func NewEmulatorOn(k *sim.Kernel, net *noc.Network, cfg Config, src *rng.Source)
 	// Carve every per-tile array of one element type out of a single slab:
 	// five allocations cover all hot state, and arrays the exchange loop
 	// touches together are contiguous.
-	i64 := make([]int64, (2+maxNbrs)*n+2*(1+maxNbrs))
+	i64 := make([]int64, (2+maxNbrs)*n)
 	e.has = i64[:n:n]
 	e.max = i64[n : 2*n : 2*n]
-	e.nbrHas = i64[2*n : (2+maxNbrs)*n : (2+maxNbrs)*n]
-	g := (2 + maxNbrs) * n
-	e.gatherHas = i64[g : g : g+1+maxNbrs]
-	e.gatherMax = i64[g+1+maxNbrs : g+1+maxNbrs : g+2*(1+maxNbrs)]
+	e.nbrHas = i64[2*n:]
 
 	i32 := make([]int32, (2*maxNbrs+9)*n)
 	carve := func(k int) (s []int32) {
@@ -1134,15 +1133,17 @@ func (e *Emulator) onFourWayStatus(i, from int, msg noc.CoinMsg) {
 		e.adjustTiming(i, 0)
 		return
 	}
-	has := append(e.gatherHas[:0], e.has[i])
-	max := append(e.gatherMax[:0], e.max[i])
+	g := &e.split
+	g.has[0], g.max[0] = e.has[i], e.max[i]
+	m := 1
 	for s := 0; s < nc; s++ {
 		if e.pendMask[i]&(1<<s) != 0 {
-			has = append(has, e.pend[base+s].Has)
-			max = append(max, e.pend[base+s].Max)
+			g.has[m], g.max[m] = e.pend[base+s].Has, e.pend[base+s].Max
+			m++
 		}
 	}
-	out := GroupSplit(has, max)
+	has, out := g.has[:m], g.out[:m]
+	groupSplit(has, g.max[:m], out, g.rems[:m])
 	var moved int64
 	e.setHas(i, out[0])
 	moved += abs64(out[0] - has[0])

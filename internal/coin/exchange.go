@@ -79,6 +79,16 @@ func floorDiv(a, b int64) int64 {
 // 0 (their coins flow to the others); if all maxes are 0, the input
 // allocation is returned unchanged.
 func GroupSplit(has, max []int64) []int64 {
+	out := make([]int64, len(has))
+	groupSplit(has, max, out, make([]int64, len(has)))
+	return out
+}
+
+// groupSplit is GroupSplit writing the allocation into out, with rems as
+// remainder scratch; both must be as long as has. The emulator's 4-way
+// exchange passes fixed scratch arrays, so its steady state allocates
+// nothing.
+func groupSplit(has, max, out, rems []int64) {
 	if len(has) != len(max) || len(has) == 0 {
 		panic("coin: GroupSplit slice mismatch")
 	}
@@ -90,18 +100,17 @@ func GroupSplit(has, max []int64) []int64 {
 		total += has[i]
 		summax += max[i]
 	}
-	out := make([]int64, len(has))
 	if summax == 0 {
 		copy(out, has)
-		return out
+		return
 	}
 	// Floor shares, then hand the leftover coins to the tiles with the
 	// largest fractional remainders (ties to the lower index, matching a
 	// deterministic hardware priority encoder).
-	rems := make([]int64, len(has))
 	var assigned int64
 	for i := range has {
 		if max[i] == 0 {
+			out[i], rems[i] = 0, 0
 			continue
 		}
 		prod := total * max[i]
@@ -133,7 +142,6 @@ func GroupSplit(has, max []int64) []int64 {
 	if after >= before {
 		copy(out, has)
 	}
-	return out
 }
 
 // Target returns the ideal (real-valued) coin count of a tile under the

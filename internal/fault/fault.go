@@ -283,10 +283,16 @@ func (in *Injector) TileDead(tile int) bool { return in.deadTiles[tile] }
 // LinkFailed reports whether the directed link a->b has fail-stopped.
 func (in *Injector) LinkFailed(a, b int) bool { return in.deadLinks[[2]int{a, b}] }
 
+// HasDeadLinks reports whether any link has fail-stopped so far. Until one
+// has, PacketVerdict needs no route, so senders can skip building it.
+func (in *Injector) HasDeadLinks() bool { return len(in.deadLinks) > 0 }
+
 // PacketVerdict rules on one packet about to enter the network. route is
-// the tile-index path including both endpoints. The ruling consumes random
-// draws only for the rate faults on the targeted plane, so fault-free
-// planes see no RNG churn and the schedule is reproducible.
+// the tile-index path including both endpoints; it is only inspected for
+// failed links, so a nil route is exact while HasDeadLinks is false. The
+// ruling consumes random draws only for the rate faults on the targeted
+// plane, so fault-free planes see no RNG churn and the schedule is
+// reproducible.
 func (in *Injector) PacketVerdict(plane, src, dst int, route []int) Verdict {
 	var v Verdict
 	// Fail-stop tiles: a dead destination swallows everything sent to it.

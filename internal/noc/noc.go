@@ -170,20 +170,17 @@ type Network struct {
 	mesh   mesh.Mesh
 	cfg    Config
 
-	// links[plane][from*NumDirections+dir] is the first cycle at which the
-	// directed link out of tile `from` through port `dir` is free. One flit
-	// per cycle per plane; a flat slice because every send touches it.
-	links [NumPlanes][]sim.Cycles
-	// inject[plane][tile] is the injection port's next free cycle: the
-	// per-tile round-robin arbiter serializes sources within a tile.
-	inject [NumPlanes][]sim.Cycles
-	// eject[plane][tile] serializes deliveries into a tile.
-	eject [NumPlanes][]sim.Cycles
+	// coords[tile] is the tile's grid position, computed once so the route
+	// walk in Send never divides.
+	coords []mesh.Coord
+	// planes holds each plane's tables, allocated on the first SetHandler or
+	// Send that uses the plane: the exchange emulator only ever touches the
+	// PM plane and pays for no other.
+	planes [NumPlanes]planeTables
 
-	handlers [NumPlanes][]Handler
-	nextID   uint64
-	stats    Stats
-	faults   *fault.Injector
+	nextID uint64
+	stats  Stats
+	faults *fault.Injector
 
 	// Deliveries travel the kernel as typed (opDeliver, dst, slot) events:
 	// slots holds each in-flight packet under a small integer index, so the
@@ -194,6 +191,20 @@ type Network struct {
 	freeSlots []int32
 	// pool recycles packets created by SendCoin, refilled a slab at a time.
 	pool []*Packet
+}
+
+// planeTables is one plane's link, port and handler state.
+type planeTables struct {
+	// links[from*NumDirections+dir] is the first cycle at which the directed
+	// link out of tile `from` through port `dir` is free. One flit per cycle
+	// per plane; a flat slice because every send touches it.
+	links []sim.Cycles
+	// inject[tile] is the injection port's next free cycle: the per-tile
+	// round-robin arbiter serializes sources within a tile.
+	inject []sim.Cycles
+	// eject[tile] serializes deliveries into a tile.
+	eject    []sim.Cycles
+	handlers []Handler
 }
 
 // poolBatch is how many packets one pool refill allocates (as a single
@@ -207,12 +218,9 @@ func New(k *sim.Kernel, m mesh.Mesh, cfg Config) *Network {
 	if cfg.HopLatency == 0 {
 		cfg.HopLatency = 1
 	}
-	n := &Network{kernel: k, mesh: m, cfg: cfg}
-	for p := Plane(0); p < NumPlanes; p++ {
-		n.links[p] = make([]sim.Cycles, m.N()*mesh.NumDirections)
-		n.inject[p] = make([]sim.Cycles, m.N())
-		n.eject[p] = make([]sim.Cycles, m.N())
-		n.handlers[p] = make([]Handler, m.N())
+	n := &Network{kernel: k, mesh: m, cfg: cfg, coords: make([]mesh.Coord, m.N())}
+	for i := range n.coords {
+		n.coords[i] = m.Coord(i)
 	}
 	n.opDeliver = k.RegisterOp(func(_ int32, x uint64) {
 		p := n.slots[x]
@@ -221,6 +229,22 @@ func New(k *sim.Kernel, m mesh.Mesh, cfg Config) *Network {
 		n.deliver(p)
 	})
 	return n
+}
+
+// plane returns p's tables, allocating them on first use; the link and
+// port tables share one slab.
+func (n *Network) plane(p Plane) *planeTables {
+	pt := &n.planes[p]
+	if pt.links == nil {
+		tiles := n.mesh.N()
+		nl := tiles * mesh.NumDirections
+		slab := make([]sim.Cycles, nl+2*tiles)
+		pt.links = slab[:nl:nl]
+		pt.inject = slab[nl : nl+tiles : nl+tiles]
+		pt.eject = slab[nl+tiles:]
+		pt.handlers = make([]Handler, tiles)
+	}
+	return pt
 }
 
 // schedDeliver parks p in the slot table and schedules its delivery event.
@@ -246,7 +270,7 @@ func (n *Network) Stats() Stats { return n.stats }
 // SetHandler registers the delivery callback for (tile, plane). Passing nil
 // drops packets silently, which models a tile with that service disabled.
 func (n *Network) SetHandler(tile int, plane Plane, h Handler) {
-	n.handlers[plane][tile] = h
+	n.plane(plane).handlers[tile] = h
 }
 
 // AttachFaults connects a fault injector; every subsequent Send consults it.
@@ -280,39 +304,55 @@ func (n *Network) Send(p *Packet) bool {
 		n.stats.PerKindSent[p.Kind]++
 	}
 
-	// The route is only materialized when a fault injector needs to inspect
-	// it; the healthy path walks hops with NextHopXY and allocates nothing.
+	// The route is only materialized once a link has failed: until then the
+	// injector's verdict needs no path, and the send allocates nothing.
 	var v fault.Verdict
 	if n.faults != nil {
-		v = n.faults.PacketVerdict(int(p.Plane), p.Src, p.Dst, n.mesh.XYRoute(p.Src, p.Dst))
+		var route []int
+		if n.faults.HasDeadLinks() {
+			route = n.mesh.XYRoute(p.Src, p.Dst)
+		}
+		v = n.faults.PacketVerdict(int(p.Plane), p.Src, p.Dst, route)
 	}
 
+	pt := n.plane(p.Plane)
 	// Injection arbitration: the port accepts one packet per cycle.
 	depart := p.Injected + n.cfg.RouterLatency
-	if free := n.inject[p.Plane][p.Src]; free > depart {
+	if free := pt.inject[p.Src]; free > depart {
 		n.stats.ContentionCyc += uint64(free - depart)
 		depart = free
 	}
-	n.inject[p.Plane][p.Src] = depart + 1
+	pt.inject[p.Src] = depart + 1
 	p.Departed = depart
 
-	// Reserve each link along the XY route in order. Because reservations
-	// are made at send time in event order, two packets contending for a
-	// link serialize deterministically. Doomed packets still reserve links:
-	// they occupy the fabric up to wherever they die.
+	// Reserve each link along the XY route in order, X first, then Y — the
+	// route of mesh.NextHopXY, walked from the endpoints' coordinates with
+	// each axis's direction resolved once. Because reservations are made at
+	// send time in event order, two packets contending for a link serialize
+	// deterministically. Doomed packets still reserve links: they occupy
+	// the fabric up to wherever they die.
 	t := depart
-	links := n.links[p.Plane]
-	for cur := p.Src; cur != p.Dst; {
-		next, dir := n.mesh.NextHopXY(cur, p.Dst)
-		li := cur*mesh.NumDirections + int(dir)
-		if free := links[li]; free > t {
-			n.stats.ContentionCyc += uint64(free - t)
-			t = free
+	s, d := n.coords[p.Src], n.coords[p.Dst]
+	li := p.Src * mesh.NumDirections
+	if s.X != d.X {
+		hops, fwd := n.axisHops(s.X, d.X, n.mesh.W)
+		dir := mesh.West
+		if fwd {
+			dir = mesh.East
 		}
-		links[li] = t + 1
-		t += n.cfg.HopLatency
-		p.Hops++
-		cur = next
+		li, t = n.walk(pt.links, li, s.X, hops, fwd, dir, n.mesh.W, mesh.NumDirections, t)
+		p.Hops += hops
+	}
+	if s.Y != d.Y {
+		hops, fwd := n.axisHops(s.Y, d.Y, n.mesh.H)
+		// On a 2-high torus both Y ports reach the same tile and the port
+		// scan picks North, as in mesh.NextHopXY.
+		dir := mesh.North
+		if fwd && !(n.mesh.Torus && n.mesh.H == 2) {
+			dir = mesh.South
+		}
+		_, t = n.walk(pt.links, li, s.Y, hops, fwd, dir, n.mesh.H, n.mesh.W*mesh.NumDirections, t)
+		p.Hops += hops
 	}
 
 	if v.Drop {
@@ -326,11 +366,11 @@ func (n *Network) Send(p *Packet) bool {
 	}
 
 	// Ejection port serialization at the destination.
-	if free := n.eject[p.Plane][p.Dst]; free > t {
+	if free := pt.eject[p.Dst]; free > t {
 		n.stats.ContentionCyc += uint64(free - t)
 		t = free
 	}
-	n.eject[p.Plane][p.Dst] = t + 1
+	pt.eject[p.Dst] = t + 1
 
 	n.schedDeliver(t, p)
 
@@ -341,13 +381,65 @@ func (n *Network) Send(p *Packet) bool {
 		dup := *p
 		dup.Dup = true
 		td := t + 1
-		if free := n.eject[p.Plane][p.Dst]; free > td {
+		if free := pt.eject[p.Dst]; free > td {
 			td = free
 		}
-		n.eject[p.Plane][p.Dst] = td + 1
+		pt.eject[p.Dst] = td + 1
 		n.schedDeliver(td, &dup)
 	}
 	return true
+}
+
+// axisHops resolves one axis of the XY route from coordinate a to b on an
+// axis of the given length: the hop count and whether the hops step
+// forward (+1). A torus takes the shorter way around, ties going forward.
+func (n *Network) axisHops(a, b, length int) (hops int, fwd bool) {
+	hops = b - a
+	if !n.mesh.Torus {
+		if hops < 0 {
+			return -hops, false
+		}
+		return hops, true
+	}
+	if hops < 0 {
+		hops += length
+	}
+	if hops <= length-hops {
+		return hops, true
+	}
+	return length - hops, false
+}
+
+// walk reserves hops consecutive links along one axis, each leaving its tile
+// through port dir. li is the link-table base (tile*NumDirections) of the
+// starting tile, pos its coordinate on the axis, and stride the link-table
+// distance between axis neighbors; a torus wrap moves the base by
+// length*stride. It returns the base of the tile the walk ends on and the
+// cycle the packet clears the last link.
+func (n *Network) walk(links []sim.Cycles, li, pos, hops int, fwd bool, dir mesh.Direction, length, stride int, t sim.Cycles) (int, sim.Cycles) {
+	wrap := length * stride
+	for ; hops > 0; hops-- {
+		l := li + int(dir)
+		if free := links[l]; free > t {
+			n.stats.ContentionCyc += uint64(free - t)
+			t = free
+		}
+		links[l] = t + 1
+		t += n.cfg.HopLatency
+		if fwd {
+			li += stride
+			if pos++; pos == length {
+				pos, li = 0, li-wrap
+			}
+		} else {
+			if pos == 0 {
+				pos, li = length, li+wrap
+			}
+			pos--
+			li -= stride
+		}
+	}
+	return li, t
 }
 
 // SendCoin injects a coin-exchange packet drawn from the network's free
@@ -407,7 +499,7 @@ func (n *Network) deliver(p *Packet) {
 	if p.Latency() > n.stats.MaxLatency {
 		n.stats.MaxLatency = p.Latency()
 	}
-	if h := n.handlers[p.Plane][p.Dst]; h != nil {
+	if h := n.planes[p.Plane].handlers[p.Dst]; h != nil {
 		h(p)
 	}
 	if p.pooled {

@@ -20,8 +20,10 @@ package power
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Point is one DVFS operating point of an accelerator.
@@ -203,8 +205,12 @@ func Vision() *Curve {
 	return Synthesize(ModelParams{Name: "Vision", VMin: 0.6, VMax: 0.9, FMaxMHz: 600, PMaxmW: 20})
 }
 
-// Catalog returns all accelerator curves by name.
-func Catalog() map[string]*Curve {
+// Catalog returns all accelerator curves by name. The curves are
+// synthesized once per process and shared, so callers must treat them as
+// read-only; the map itself is fresh on every call and theirs to edit.
+func Catalog() map[string]*Curve { return maps.Clone(catalog()) }
+
+var catalog = sync.OnceValue(func() map[string]*Curve {
 	return map[string]*Curve{
 		"FFT":     FFT(),
 		"Viterbi": Viterbi(),
@@ -213,4 +219,4 @@ func Catalog() map[string]*Curve {
 		"Conv2D":  Conv2D(),
 		"Vision":  Vision(),
 	}
-}
+})

@@ -171,3 +171,20 @@ func TestSynthesizePanicsOnBadParams(t *testing.T) {
 	}()
 	Synthesize(ModelParams{Name: "bad", VMin: 0.2, VMax: 0.1, FMaxMHz: 100, PMaxmW: 10})
 }
+
+// Catalog shares its curves across calls, but each call's map is the
+// caller's own: editing one must not leak into the next.
+func TestCatalogMapIsFreshPerCall(t *testing.T) {
+	a := Catalog()
+	fft := a["FFT"]
+	delete(a, "Viterbi")
+	a["FFT"] = Vision()
+	a["TPU"] = GEMM()
+	b := Catalog()
+	if len(b) != 6 || b["TPU"] != nil || b["Viterbi"] == nil {
+		t.Fatalf("edits to one Catalog map leaked into the next: %d entries", len(b))
+	}
+	if b["FFT"] != fft || b["FFT"].Name != "FFT" {
+		t.Fatalf("FFT entry = %q, want the shared FFT curve", b["FFT"].Name)
+	}
+}

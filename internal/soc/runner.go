@@ -62,6 +62,9 @@ type Runner struct {
 	tiles     []*accelTile
 	tileOrder []int // sorted mesh indices for deterministic iteration
 	byAccel   map[string][]int
+	// apShareMW is every tile's target under absolute-proportional
+	// allocation: the combined Fmax power split evenly, fixed at New.
+	apShareMW float64
 
 	// UVFR settle and task completion travel the kernel as typed
 	// (op, tile, epoch) events — no per-event closures on the SoC hot path.
@@ -164,6 +167,9 @@ func New(cfg Config) *Runner {
 		r.tileOrder = append(r.tileOrder, idx)
 		r.byAccel[t.accel] = append(r.byAccel[t.accel], idx)
 	}
+	if cfg.Strategy == AbsoluteProportional {
+		r.apShareMW = cfg.CombinedPMaxMW() / float64(len(r.tileOrder))
+	}
 
 	// DMA flits demux by transfer (payload pointer), so one handler per
 	// (tile, plane) suffices for all concurrent bursts.
@@ -258,7 +264,7 @@ func (r *Runner) Kernel() *sim.Kernel { return r.kernel }
 // tile a target proportional to its power at Fmax.
 func (r *Runner) targetMW(t *accelTile) float64 {
 	if r.cfg.Strategy == AbsoluteProportional {
-		return r.cfg.CombinedPMaxMW() / float64(len(r.tileOrder))
+		return r.apShareMW
 	}
 	return t.curve.PMax()
 }
