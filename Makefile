@@ -93,17 +93,19 @@ tenant-smoke:
 
 # bench snapshots the whole benchmark suite (3 samples each) — the root
 # package's figure and engine benchmarks plus the ledger, serving-layer
-# (scrape, memory, disk and shard hits) and metrics-primitive ones — into
-# BENCH_<sha>.json; commit the file to extend the perf trajectory. Each
-# sample of an engine, ledger, serving or metrics benchmark covers ~1 s of
-# work; the root figure benchmarks measure experiment cost, so they run
-# once per sample.
+# (scrape, memory, disk and shard hits, misses, coalesced followers),
+# metrics-primitive, admission and trace-bus ones — into BENCH_<sha>.json,
+# stamped with the machine's cohort (CPU model, nproc, GOMAXPROCS, Go
+# version); commit the file to extend the perf trajectory. Each sample of
+# an engine, ledger, serving, metrics, admission or bus benchmark covers
+# ~1 s of work; the root figure benchmarks measure experiment cost, so they
+# run once per sample.
 FIGURE_BENCH := ^Benchmark(Fig|Table|Ablation|ContentionRobustness|NoPMOverhead)
 ENGINE_BENCH := ^Benchmark(ExchangeThroughput|ExchangeThroughput64x64|SoCRunThroughput)$$
 bench:
 	{ $(GO) test -bench='$(FIGURE_BENCH)' -benchmem -run=^$$ -count=3 -benchtime=1x . && \
 	  $(GO) test -bench='$(ENGINE_BENCH)' -benchmem -run=^$$ -count=3 -benchtime=1s . && \
-	  $(GO) test -bench=. -benchmem -run=^$$ -count=3 -benchtime=1s ./internal/ledger ./internal/server ./internal/metrics; } \
+	  $(GO) test -bench=. -benchmem -run=^$$ -count=3 -benchtime=1s ./internal/ledger ./internal/server ./internal/metrics ./internal/tenant ./internal/trace; } \
 		| $(GO) run ./cmd/benchjson -sha $(SHORTSHA) -goversion "$$($(GO) env GOVERSION)" -out BENCH_$(SHORTSHA).json
 
 # benchcheck builds the root test binary at BENCH_BASE_REF and from the

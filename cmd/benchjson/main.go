@@ -4,9 +4,11 @@
 //
 // Snapshot mode reads benchmark output on stdin and writes one JSON document
 // holding every benchmark's ns/op, B/op, allocs/op, and custom metrics, one
-// sample per -count repetition:
+// sample per -count repetition, stamped with the cohort of the machine
+// that ran them: the CPU model from go test's `cpu:` line, the GOMAXPROCS
+// suffix of the benchmark names, the machine's CPU count, and -goversion:
 //
-//	go test -bench=. -benchmem -count=3 . | benchjson -sha abc1234 -out BENCH_abc1234.json
+//	go test -bench=. -benchmem -count=3 . | benchjson -sha abc1234 -goversion go1.24.0 -out BENCH_abc1234.json
 //
 // Check mode reads fresh benchmark output on stdin and compares it sample
 // by sample with a baseline snapshot taken on the same machine: sample i of
@@ -23,7 +25,9 @@
 //
 // Report mode renders the committed snapshot sequence as a markdown
 // trajectory table (one row per benchmark, one column per snapshot SHA, with
-// the percentage delta of best ns/op against the previous snapshot):
+// the percentage delta of best ns/op against the previous snapshot when
+// both were taken in the same cohort; snapshots that record no cohort are
+// never compared):
 //
 //	benchjson -report BENCH_abc1234.json BENCH_def5678.json > BENCHMARKS.md
 //
@@ -37,7 +41,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,11 +59,27 @@ type Benchmark struct {
 	Metrics     map[string][]float64 `json:"metrics,omitempty"`
 }
 
-// Snapshot is the committed JSON document.
+// Cohort is the machine a snapshot was taken on. Timings are comparable
+// only within one cohort (BENCHMARKING.md rule 3).
+type Cohort struct {
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+}
+
+// Snapshot is the committed JSON document. Snapshots written before
+// cohorts were recorded have a nil Cohort (and a top-level "go" field,
+// which is no longer read).
 type Snapshot struct {
 	SHA        string       `json:"sha,omitempty"`
-	Go         string       `json:"go,omitempty"`
+	Cohort     *Cohort      `json:"cohort,omitempty"`
 	Benchmarks []*Benchmark `json:"benchmarks"`
+}
+
+// sameCohort reports whether a and b were taken on one recorded cohort.
+func sameCohort(a, b *Snapshot) bool {
+	return a.Cohort != nil && b.Cohort != nil && *a.Cohort == *b.Cohort
 }
 
 func (s *Snapshot) find(name string) *Benchmark {
@@ -73,12 +95,18 @@ func (s *Snapshot) find(name string) *Benchmark {
 //
 //	BenchmarkName-8  	 12	 97273245 ns/op	 916.4 custom-metric	 30659648 B/op	 943511 allocs/op
 //
-// i.e. name, iteration count, then (value, unit) pairs. Non-benchmark lines
+// i.e. name, iteration count, then (value, unit) pairs. The first `cpu:`
+// line and the first benchmark name's -GOMAXPROCS suffix (absent when it
+// is 1) fill the cohort's CPU and GOMAXPROCS; other non-benchmark lines
 // (goos/goarch/pkg/PASS/ok) are skipped.
 func parse(lines []string) *Snapshot {
-	snap := &Snapshot{}
+	snap := &Snapshot{Cohort: &Cohort{}}
 	byName := map[string]*Benchmark{}
 	for _, line := range lines {
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok && snap.Cohort.CPU == "" {
+			snap.Cohort.CPU = strings.TrimSpace(cpu)
+			continue
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -88,15 +116,18 @@ func parse(lines []string) *Snapshot {
 		}
 		// Strip the -GOMAXPROCS suffix so snapshots from different machines
 		// key identically.
-		name := f[0]
+		name, procs := f[0], 1
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
+			if n, err := strconv.Atoi(name[i+1:]); err == nil {
+				name, procs = name[:i], n
 			}
 		}
 		iters, err := strconv.ParseInt(f[1], 10, 64)
 		if err != nil {
 			continue
+		}
+		if len(snap.Benchmarks) == 0 {
+			snap.Cohort.GOMAXPROCS = procs
 		}
 		b := byName[name]
 		if b == nil {
@@ -224,10 +255,12 @@ func check(baselinePath, benches string, maxRegress float64, cur *Snapshot) erro
 
 // report renders the snapshot files (in trajectory order) as a markdown
 // table: one row per benchmark, one column per snapshot, each cell the best
-// ns/op with its delta against the previous snapshot that has the benchmark.
+// ns/op with its delta against the previous snapshot that has the
+// benchmark, when both snapshots record the same cohort. A cohort row
+// labels each column and a legend below the table spells the labels out.
 // Unreadable paths are skipped with a warning so a pruned snapshot does not
 // break the trajectory.
-func report(paths []string) error {
+func report(w io.Writer, paths []string) error {
 	var snaps []*Snapshot
 	for _, path := range paths {
 		raw, err := os.ReadFile(path)
@@ -260,23 +293,44 @@ func report(paths []string) error {
 		}
 	}
 
-	fmt.Println("# Benchmark trajectory")
-	fmt.Println()
-	fmt.Println("Best-of-N ns/op per committed `BENCH_<sha>.json` snapshot; the")
-	fmt.Println("percentage is the delta against the previous snapshot that ran the")
-	fmt.Println("benchmark. Regenerate with `make bench-report` after `make bench`.")
-	fmt.Println("See BENCHMARKING.md for the run-validity policy.")
-	fmt.Println()
-	head, rule := "| benchmark |", "|---|"
+	// Cohort labels: A, B, ... in order of first appearance.
+	var cohorts []Cohort
+	label := func(c *Cohort) string {
+		if c == nil {
+			return "—"
+		}
+		for i, x := range cohorts {
+			if x == *c {
+				return string(rune('A' + i))
+			}
+		}
+		cohorts = append(cohorts, *c)
+		return string(rune('A' + len(cohorts) - 1))
+	}
+
+	fmt.Fprintln(w, "# Benchmark trajectory")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Best-of-N ns/op per committed `BENCH_<sha>.json` snapshot; the")
+	fmt.Fprintln(w, "percentage is the delta against the previous snapshot that ran the")
+	fmt.Fprintln(w, "benchmark, shown only when both snapshots were taken in the same")
+	fmt.Fprintln(w, "cohort (CPU model, nproc, GOMAXPROCS, Go version). Snapshots with no")
+	fmt.Fprintln(w, "recorded cohort (—) are never compared. Regenerate with `make")
+	fmt.Fprintln(w, "bench-report` after `make bench`. See BENCHMARKING.md for the")
+	fmt.Fprintln(w, "run-validity policy.")
+	fmt.Fprintln(w)
+	head, rule, cohortRow := "| benchmark |", "|---|", "| cohort |"
 	for _, s := range snaps {
 		head += " " + s.SHA + " |"
 		rule += "---:|"
+		cohortRow += " " + label(s.Cohort) + " |"
 	}
-	fmt.Println(head)
-	fmt.Println(rule)
+	fmt.Fprintln(w, head)
+	fmt.Fprintln(w, rule)
+	fmt.Fprintln(w, cohortRow)
 	for _, name := range names {
 		row := "| " + strings.TrimPrefix(name, "Benchmark") + " |"
-		prev, havePrev := 0.0, false
+		var prev *Snapshot
+		var prevNs float64
 		for _, s := range snaps {
 			b := s.find(name)
 			if b == nil {
@@ -289,13 +343,19 @@ func report(paths []string) error {
 				continue
 			}
 			cell := fmt.Sprintf("%.0f", v)
-			if havePrev && prev > 0 {
-				cell += fmt.Sprintf(" (%+.1f%%)", 100*(v/prev-1))
+			if prev != nil && prevNs > 0 && sameCohort(prev, s) {
+				cell += fmt.Sprintf(" (%+.1f%%)", 100*(v/prevNs-1))
 			}
-			prev, havePrev = v, true
+			prev, prevNs = s, v
 			row += " " + cell + " |"
 		}
-		fmt.Println(row)
+		fmt.Fprintln(w, row)
+	}
+	if len(cohorts) > 0 {
+		fmt.Fprintln(w)
+		for i, c := range cohorts {
+			fmt.Fprintf(w, "- Cohort %c: %s, nproc %d, GOMAXPROCS %d, %s\n", rune('A'+i), c.CPU, c.NProc, c.GOMAXPROCS, c.Go)
+		}
 	}
 	return nil
 }
@@ -311,7 +371,7 @@ func main() {
 	flag.Parse()
 
 	if *doReport {
-		if err := report(flag.Args()); err != nil {
+		if err := report(os.Stdout, flag.Args()); err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 			os.Exit(1)
 		}
@@ -320,7 +380,8 @@ func main() {
 
 	snap := parse(readStdin())
 	snap.SHA = *sha
-	snap.Go = *goVersion
+	snap.Cohort.NProc = runtime.NumCPU()
+	snap.Cohort.Go = *goVersion
 	if len(snap.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)

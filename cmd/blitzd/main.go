@@ -14,7 +14,7 @@
 //	       [-addrfile path] [-drain-timeout 30s]
 //	       [-ledger path.jsonl] [-ledger-batch 8]
 //	       [-coordinator] [-cluster-workers url,url,...]
-//	       [-steal-unit n] [-no-speculation]
+//	       [-shards 0] [-heartbeat 1s] [-shard-timeout 10m]
 //	       [-join url -advertise url]
 //	       [-chaos '{"fail_slow":[...]}' -chaos-tile 2]
 //
@@ -59,10 +59,16 @@
 // deterministically (byte-identical to single-node execution). Workers
 // are listed statically with -cluster-workers and/or self-register by
 // running with `-join http://coordinator -advertise http://self`.
-// Shards are pulled from a work queue by idle workers (-steal-unit sets
-// the grain), and stragglers are speculatively re-executed on a second
-// worker (-spec-percentile/-spec-factor/-spec-min-samples tune the
-// threshold; -no-speculation turns it off).
+// Shards are pulled from a work queue by idle workers, and stragglers are
+// speculatively re-executed on a second worker. Three flags tune the
+// cluster: -shards (shards per sweep; 0 plans two per live worker, and
+// a sweep's unit count or more gives every trial unit its own shard),
+// -heartbeat (the worker probe and join cadence) and -shard-timeout (one
+// dispatch's bound). The rest of the scheduler is fixed in
+// internal/cluster: at most 2 shards in flight per worker, 4 dispatch
+// attempts per shard, a 100 ms full-jitter retry base, eviction after 5
+// missed heartbeats, and speculation always on, past 1.5x the p95 of
+// completed shards once 3 have finished.
 //
 // Chaos mode: `-chaos` takes blitzcoin fault-options JSON (the same
 // shape the sweep API's "faults" field takes) and injects those faults
@@ -113,18 +119,9 @@ func main() {
 
 	coordinator := flag.Bool("coordinator", false, "serve sweeps by sharding them across cluster workers")
 	clusterWorkers := flag.String("cluster-workers", "", "comma-separated static worker base URLs (coordinator mode)")
-	shards := flag.Int("shards", 0, "fixed shard count per sweep (0 = shards-per-worker x live workers)")
-	shardsPerWorker := flag.Int("shards-per-worker", 0, "auto-planning shards per live worker (0 = default 2)")
-	maxInflight := flag.Int("max-inflight", 0, "max concurrent shards per worker (0 = default 2)")
-	maxAttempts := flag.Int("max-attempts", 0, "dispatch attempts per shard before the sweep fails (0 = default 4)")
-	heartbeat := flag.Duration("heartbeat", 0, "worker liveness-probe cadence (0 = default 1s)")
-	evictAfter := flag.Duration("evict-after", 0, "unreachable window before a worker is evicted (0 = default 5x heartbeat)")
-	shardTimeout := flag.Duration("shard-timeout", 0, "per-shard dispatch timeout (0 = default 10m)")
-	stealUnit := flag.Int("steal-unit", 0, "max sweep units per shard for work-stealing (0 = use -shards/-shards-per-worker)")
-	noSpeculation := flag.Bool("no-speculation", false, "disable speculative straggler re-execution")
-	specPercentile := flag.Float64("spec-percentile", 0, "completed-shard latency percentile anchoring the straggler threshold (0 = default 0.95)")
-	specFactor := flag.Float64("spec-factor", 0, "straggler threshold multiplier over the percentile latency (0 = default 1.5)")
-	specMinSamples := flag.Int("spec-min-samples", 0, "completed shards required before speculation arms (0 = default 3)")
+	shards := flag.Int("shards", 0, "shards per sweep, clamped to its unit count (0 = two per live worker)")
+	heartbeat := flag.Duration("heartbeat", time.Second, "worker liveness-probe and -join cadence; eviction after 5 missed")
+	shardTimeout := flag.Duration("shard-timeout", 10*time.Minute, "per-shard dispatch timeout")
 
 	joinURL := flag.String("join", "", "coordinator base URL to register this worker with")
 	advertise := flag.String("advertise", "", "base URL this worker is reachable at (required with -join)")
@@ -187,22 +184,11 @@ func main() {
 		}
 		var err error
 		coord, err = cluster.New(cluster.Config{
-			Options: blitzcoin.ClusterOptions{
-				Workers:               staticWorkers,
-				Shards:                *shards,
-				ShardsPerWorker:       *shardsPerWorker,
-				MaxInflight:           *maxInflight,
-				MaxAttempts:           *maxAttempts,
-				HeartbeatMillis:       int(heartbeat.Milliseconds()),
-				EvictAfterMillis:      int(evictAfter.Milliseconds()),
-				ShardTimeoutMillis:    int(shardTimeout.Milliseconds()),
-				StealUnit:             *stealUnit,
-				NoSpeculation:         *noSpeculation,
-				SpeculationPercentile: *specPercentile,
-				SpeculationFactor:     *specFactor,
-				SpeculationMinSamples: *specMinSamples,
-			},
-			Logger: log,
+			Workers:      staticWorkers,
+			Shards:       *shards,
+			Heartbeat:    *heartbeat,
+			ShardTimeout: *shardTimeout,
+			Logger:       log,
 		})
 		if err != nil {
 			log.Error("cluster", "error", err)
@@ -256,11 +242,11 @@ func main() {
 			log.Error("-join requires -advertise (the URL this worker is reachable at)")
 			os.Exit(1)
 		}
-		interval := *heartbeat
-		if interval <= 0 {
-			interval = time.Second
+		if *heartbeat <= 0 {
+			log.Error("-join requires a positive -heartbeat", "heartbeat", *heartbeat)
+			os.Exit(1)
 		}
-		go cluster.JoinLoop(ctx, nil, *joinURL, self, interval, log)
+		go cluster.JoinLoop(ctx, nil, *joinURL, self, *heartbeat, log)
 	}
 
 	errCh := make(chan error, 1)

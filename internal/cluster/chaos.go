@@ -103,8 +103,8 @@ func (c *Chaos) verdict() (v fault.Verdict, dead bool, slow float64) {
 	if c.inj.TileDead(c.tile) || c.inj.LinkFailed(chaosCoordTile, c.tile) {
 		return fault.Verdict{Drop: true}, c.inj.TileDead(c.tile), c.slow
 	}
-	return c.inj.PacketVerdict(fault.DefaultPlane, chaosCoordTile, c.tile,
-		[]int{chaosCoordTile, c.tile}), false, c.slow
+	// The link check above ruled on the one link a request crosses.
+	return c.inj.PacketVerdict(fault.DefaultPlane, chaosCoordTile, c.tile, false), false, c.slow
 }
 
 // deadNow re-checks fail-stop after a handler ran: a kill that fired

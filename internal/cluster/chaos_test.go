@@ -23,14 +23,14 @@ func newChaosWorker(t *testing.T, opts blitzcoin.FaultOptions, tile int) (*httpt
 
 // chaosSweep runs one clustered sweep against the given workers and
 // asserts the rows are byte-identical to single-node execution.
-func chaosSweep(t *testing.T, opts blitzcoin.ClusterOptions, label string) *Coordinator {
+func chaosSweep(t *testing.T, cfg Config, label string) *Coordinator {
 	t.Helper()
 	req := clusterTestRequests()["fig7"]
 	want, err := blitzcoin.Execute(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newCoordinator(t, opts)
+	c := newCoordinator(t, cfg)
 	got, err := c.Run(context.Background(), req)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -48,9 +48,9 @@ func TestChaosFailSlowWorker(t *testing.T) {
 	slow, ch := newChaosWorker(t, blitzcoin.FaultOptions{
 		FailSlow: []blitzcoin.SlowFault{{Tile: 2, AtCycle: 0, Factor: 40}},
 	}, 2)
-	chaosSweep(t, blitzcoin.ClusterOptions{
-		Workers:   []string{healthy.URL, slow.URL},
-		StealUnit: 1,
+	chaosSweep(t, Config{
+		Workers: []string{healthy.URL, slow.URL},
+		Shards:  fig7Units,
 	}, "fail-slow chaos")
 	if ch.Stats().Slowed != 1 {
 		t.Errorf("chaos stats: slowed = %d, want 1", ch.Stats().Slowed)
@@ -65,10 +65,9 @@ func TestChaosCrashMidShard(t *testing.T) {
 	crashing, _ := newChaosWorker(t, blitzcoin.FaultOptions{
 		KillTiles: []blitzcoin.TileFault{{Tile: 3, AtCycle: 3}},
 	}, 3)
-	c := chaosSweep(t, blitzcoin.ClusterOptions{
-		Workers:            []string{h1.URL, h2.URL, crashing.URL},
-		StealUnit:          1,
-		RetryBackoffMillis: 10,
+	c := chaosSweep(t, Config{
+		Workers: []string{h1.URL, h2.URL, crashing.URL},
+		Shards:  fig7Units,
 	}, "crash mid-shard chaos")
 	for _, ws := range c.registry.snapshot() {
 		if ws.URL == crashing.URL && ws.Alive {
@@ -86,11 +85,10 @@ func TestChaosHeartbeatPartition(t *testing.T) {
 	partitioned, _ := newChaosWorker(t, blitzcoin.FaultOptions{
 		FailLinks: []blitzcoin.LinkFault{{A: chaosCoordTile, B: 2, AtCycle: 2}},
 	}, 2)
-	c := chaosSweep(t, blitzcoin.ClusterOptions{
-		Workers:            []string{healthy.URL, partitioned.URL},
-		StealUnit:          1,
-		HeartbeatMillis:    50,
-		RetryBackoffMillis: 10,
+	c := chaosSweep(t, Config{
+		Workers:   []string{healthy.URL, partitioned.URL},
+		Shards:    fig7Units,
+		Heartbeat: 50 * time.Millisecond,
 	}, "heartbeat partition chaos")
 	for _, ws := range c.registry.snapshot() {
 		if ws.URL == partitioned.URL && ws.Alive {
@@ -112,10 +110,9 @@ func TestChaosPacketFaults(t *testing.T) {
 		DelayRate:      0.4,
 		DelayMaxCycles: 8,
 	}, 2)
-	chaosSweep(t, blitzcoin.ClusterOptions{
-		Workers:            []string{healthy.URL, noisy.URL},
-		StealUnit:          1,
-		RetryBackoffMillis: 10,
+	chaosSweep(t, Config{
+		Workers: []string{healthy.URL, noisy.URL},
+		Shards:  fig7Units,
 	}, "packet chaos")
 	st := ch.Stats()
 	if st.Drops+st.Dups+st.Delays == 0 {
@@ -130,9 +127,9 @@ func TestChaosPacketFaults(t *testing.T) {
 // stall would bound the sweep.
 func TestChaosFailSlowMakespan(t *testing.T) {
 	req := clusterTestRequests()["fig7"]
-	run := func(opts blitzcoin.ClusterOptions) time.Duration {
+	run := func(cfg Config) time.Duration {
 		t.Helper()
-		c := newCoordinator(t, opts)
+		c := newCoordinator(t, cfg)
 		start := time.Now()
 		if _, err := c.Run(context.Background(), req); err != nil {
 			t.Fatal(err)
@@ -142,22 +139,22 @@ func TestChaosFailSlowMakespan(t *testing.T) {
 
 	// Baseline: three healthy workers.
 	h1, h2, h3 := newWorker(t), newWorker(t), newWorker(t)
-	healthy := run(blitzcoin.ClusterOptions{
-		Workers:   []string{h1.URL, h2.URL, h3.URL},
-		StealUnit: 1,
+	healthy := run(Config{
+		Workers: []string{h1.URL, h2.URL, h3.URL},
+		Shards:  fig7Units,
 	})
 
 	// Same worker count, but one node stalls every shard for far longer
 	// than the whole healthy sweep.
 	const stall = 20 * time.Second
 	slow := newSlowWorker(t, stall)
-	speculated := run(blitzcoin.ClusterOptions{
-		Workers:   []string{h1.URL, h2.URL, slow.URL},
-		StealUnit: 1,
+	speculated := run(Config{
+		Workers: []string{h1.URL, h2.URL, slow.URL},
+		Shards:  fig7Units,
 	})
 
 	// The absolute slack absorbs speculation-trigger latency (the
-	// threshold only arms after SpeculationMinSamples completions) and CI
+	// threshold only arms after specMinSamples completions) and CI
 	// scheduling noise; it is tiny next to the injected stall.
 	limit := healthy*3/2 + 2*time.Second
 	if speculated > limit {
@@ -185,17 +182,10 @@ func BenchmarkClusterFailSlowSweep(b *testing.B) {
 	slow := httptest.NewServer(slowChaos.Wrap(slowBackend.Handler()))
 	defer slow.Close()
 
-	c, err := New(Config{
-		Options: blitzcoin.ClusterOptions{
-			Workers:   []string{h1.URL, h2.URL, slow.URL},
-			StealUnit: 1,
-		},
-		Logger: quietLogger(),
+	c := newCoordinator(b, Config{
+		Workers: []string{h1.URL, h2.URL, slow.URL},
+		Shards:  fig7Units,
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
 
 	req := blitzcoin.Request{Figure: &blitzcoin.FigureOptions{
 		Name: "7", Ns: []int{16}, Trials: 6, Seed: 2,

@@ -36,11 +36,24 @@ import (
 	"blitzcoin/internal/trace"
 )
 
-// Config configures a Coordinator.
+// Config configures a Coordinator. New validates it; every other
+// scheduling setting is one of the fixed constants below.
 type Config struct {
-	// Options are the cluster knobs (workers, shard planning, retry,
-	// liveness, speculation). Normalized and validated by New.
-	Options blitzcoin.ClusterOptions
+	// Workers is the static worker list (base URLs, e.g.
+	// "http://10.0.0.2:8425"); more workers may join at runtime via
+	// POST /v1/cluster/join.
+	Workers []string
+	// Shards is the shard count planned per request, clamped to the
+	// request's unit count: 0 plans shardsPerWorker shards per live
+	// worker, and a count at or above the unit count gives every trial
+	// unit its own shard, the finest work-stealing grain.
+	Shards int
+	// Heartbeat is the liveness-probe cadence; a worker unreachable for
+	// evictHeartbeats of them is evicted. Must be positive.
+	Heartbeat time.Duration
+	// ShardTimeout bounds one shard dispatch, so a hung worker turns into
+	// a retry instead of a wedged request. Must be positive.
+	ShardTimeout time.Duration
 	// Logger receives worker state transitions and dispatch failures.
 	// Default: slog.Default().
 	Logger *slog.Logger
@@ -54,6 +67,53 @@ type Config struct {
 	Bus *trace.Bus
 }
 
+// The fixed scheduling settings. None of them can change a row; they only
+// shape makespan and failure handling.
+const (
+	// shardsPerWorker is the planning factor when Config.Shards is 0:
+	// slightly over-splitting keeps every worker busy when shards finish
+	// unevenly and shrinks the re-dispatch cost of a worker death.
+	shardsPerWorker = 2
+	// maxInflight bounds concurrent shards per worker (backpressure).
+	maxInflight = 2
+	// maxAttempts bounds dispatch attempts per shard, across all workers,
+	// before the request fails.
+	maxAttempts = 4
+	// retryBase is the base of the full-jitter per-shard retry backoff.
+	retryBase = 100 * time.Millisecond
+	// evictHeartbeats is how many heartbeats a worker may stay unreachable
+	// before it is evicted (joined workers are dropped; static workers stay
+	// listed as dead and revive on a successful probe).
+	evictHeartbeats = 5
+	// A running shard is a straggler, and gets a speculative second copy,
+	// once it has run specFactor times the specPercentile (nearest rank)
+	// of the sweep's completed-shard latencies; the threshold arms after
+	// specMinSamples completions. The first byte-identical result wins,
+	// so speculation never changes rows, only makespan.
+	specPercentile = 0.95
+	specFactor     = 1.5
+	specMinSamples = 3
+)
+
+// validate reports the first setting New cannot run with.
+func (cfg Config) validate() error {
+	if cfg.Shards < 0 {
+		return fmt.Errorf("cluster: negative shard count %d", cfg.Shards)
+	}
+	if cfg.Heartbeat <= 0 {
+		return fmt.Errorf("cluster: heartbeat %v is not positive", cfg.Heartbeat)
+	}
+	if cfg.ShardTimeout <= 0 {
+		return fmt.Errorf("cluster: shard timeout %v is not positive", cfg.ShardTimeout)
+	}
+	for _, w := range cfg.Workers {
+		if w == "" {
+			return fmt.Errorf("cluster: empty worker URL")
+		}
+	}
+	return nil
+}
+
 // shardLatencyBuckets are the upper bounds (seconds) of the
 // completed-shard latency histogram: millisecond test shards through
 // shards near the default ten-minute dispatch timeout.
@@ -63,7 +123,7 @@ var shardLatencyBuckets = []float64{0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 
 // server.RunFunc shape, so a coordinator blitzd is an ordinary blitzd
 // whose compute function fans out instead of computing locally.
 type Coordinator struct {
-	opts     blitzcoin.ClusterOptions
+	cfg      Config
 	log      *slog.Logger
 	client   *http.Client
 	registry *registry
@@ -99,8 +159,7 @@ type Coordinator struct {
 
 // New builds a Coordinator and starts its heartbeat loop.
 func New(cfg Config) (*Coordinator, error) {
-	opts := cfg.Options.Normalized()
-	if err := opts.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Logger == nil {
@@ -117,10 +176,10 @@ func New(cfg Config) (*Coordinator, error) {
 	// background loops), so this is the one place the package mints one.
 	ctx, cancel := context.WithCancel(context.Background()) //blitzlint:allow C002 coordinator lifetime root: constructed at process startup, cancelled by Close
 	c := &Coordinator{
-		opts:         opts,
+		cfg:          cfg,
 		log:          cfg.Logger,
 		client:       cfg.Client,
-		registry:     newRegistry(opts.Workers),
+		registry:     newRegistry(cfg.Workers),
 		bus:          cfg.Bus,
 		shardLatency: metrics.NewHistogram(shardLatencyBuckets...),
 		baseCtx:      ctx,
@@ -165,8 +224,7 @@ func (c *Coordinator) Readiness() server.ClusterReadiness {
 // and evicts workers unreachable past the eviction window.
 func (c *Coordinator) heartbeatLoop() {
 	defer c.done.Done()
-	interval := time.Duration(c.opts.HeartbeatMillis) * time.Millisecond
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(c.cfg.Heartbeat)
 	defer ticker.Stop()
 	for {
 		select {
@@ -174,8 +232,8 @@ func (c *Coordinator) heartbeatLoop() {
 			return
 		case <-ticker.C:
 		}
-		c.probeAll(interval)
-		for _, url := range c.registry.evictStale(time.Duration(c.opts.EvictAfterMillis) * time.Millisecond) {
+		c.probeAll(c.cfg.Heartbeat)
+		for _, url := range c.registry.evictStale(evictHeartbeats * c.cfg.Heartbeat) {
 			c.log.Warn("cluster worker evicted", "worker", url)
 		}
 	}
@@ -232,32 +290,15 @@ func (c *Coordinator) probe(ctx context.Context, url string) bool {
 // shardRange is one planned dispatch unit.
 type shardRange struct{ lo, hi int }
 
-// plan splits [0, units) into contiguous ranges. StealUnit, when set,
-// wins: ceil(units/StealUnit) shards of at most StealUnit units each —
-// fine-grained so the work-stealing queue can rebalance around slow
-// workers. Otherwise the explicit Shards count when set, else
-// ShardsPerWorker per live worker; always clamped to the unit count and
-// floored at one.
+// plan splits [0, units) into contiguous ranges whose sizes differ by at
+// most one: Config.Shards of them, or shardsPerWorker per live worker when
+// Shards is 0, clamped to the unit count and floored at one.
 func (c *Coordinator) plan(units int) []shardRange {
-	var k int
-	switch {
-	case c.opts.StealUnit > 0:
-		k = (units + c.opts.StealUnit - 1) / c.opts.StealUnit
-	case c.opts.Shards > 0:
-		k = c.opts.Shards
-	default:
-		alive := c.registry.aliveCount()
-		if alive < 1 {
-			alive = 1
-		}
-		k = c.opts.ShardsPerWorker * alive
+	k := c.cfg.Shards
+	if k == 0 {
+		k = shardsPerWorker * max(c.registry.aliveCount(), 1)
 	}
-	if k > units {
-		k = units
-	}
-	if k < 1 {
-		k = 1
-	}
+	k = max(min(k, units), 1)
 	base, rem := units/k, units%k
 	out := make([]shardRange, 0, k)
 	at := 0
@@ -349,7 +390,7 @@ func (c *Coordinator) postShard(ctx context.Context, url string, norm blitzcoin.
 	if err != nil {
 		return nil, permanentError{fmt.Errorf("encoding shard request: %w", err)}
 	}
-	callCtx, cancel := context.WithTimeout(ctx, time.Duration(c.opts.ShardTimeoutMillis)*time.Millisecond)
+	callCtx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(callCtx, http.MethodPost, url+"/v1/shard", bytes.NewReader(body))
 	if err != nil {

@@ -32,15 +32,30 @@ func newWorker(t *testing.T) *httptest.Server {
 	return ts
 }
 
-func newCoordinator(t *testing.T, opts blitzcoin.ClusterOptions) *Coordinator {
+// newCoordinator builds a quiet coordinator from cfg, with blitzd's flag
+// defaults (a 1 s heartbeat, a 10 min shard timeout) where cfg leaves
+// them zero.
+func newCoordinator(t testing.TB, cfg Config) *Coordinator {
 	t.Helper()
-	c, err := New(Config{Options: opts, Logger: quietLogger()})
+	if cfg.Heartbeat == 0 {
+		cfg.Heartbeat = time.Second
+	}
+	if cfg.ShardTimeout == 0 {
+		cfg.ShardTimeout = 10 * time.Minute
+	}
+	cfg.Logger = quietLogger()
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
 	return c
 }
+
+// fig7Units is the trial-unit count of clusterTestRequests()["fig7"]: two
+// pairing points of six trials each. Planning that many shards gives every
+// unit its own shard, the finest work-stealing grain.
+const fig7Units = 12
 
 // clusterTestRequests are the determinism-gate workloads: Fig. 7 and the
 // fault study, sized for test runtime.
@@ -85,7 +100,7 @@ func TestClusterByteIdenticalAtShardCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, k := range []int{1, 2, 4} {
-				c := newCoordinator(t, blitzcoin.ClusterOptions{
+				c := newCoordinator(t, Config{
 					Workers: []string{w1.URL, w2.URL},
 					Shards:  k,
 				})
@@ -131,10 +146,9 @@ func TestClusterWorkerDeathMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := newCoordinator(t, blitzcoin.ClusterOptions{
-		Workers:            []string{good1.URL, good2.URL, dying.URL},
-		Shards:             6,
-		RetryBackoffMillis: 10,
+	c := newCoordinator(t, Config{
+		Workers: []string{good1.URL, good2.URL, dying.URL},
+		Shards:  6,
 	})
 	got, err := c.Run(context.Background(), req)
 	if err != nil {
@@ -179,11 +193,10 @@ func TestClusterSlowWorkerRedispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := newCoordinator(t, blitzcoin.ClusterOptions{
-		Workers:            []string{good.URL, hung.URL},
-		Shards:             2,
-		ShardTimeoutMillis: 200,
-		RetryBackoffMillis: 10,
+	c := newCoordinator(t, Config{
+		Workers:      []string{good.URL, hung.URL},
+		Shards:       2,
+		ShardTimeout: 200 * time.Millisecond,
 	})
 	got, err := c.Run(context.Background(), req)
 	if err != nil {
@@ -203,10 +216,9 @@ func TestClusterEviction(t *testing.T) {
 	// 127.0.0.1:1 is reserved and refuses connections immediately.
 	deadStatic := "http://127.0.0.1:1"
 	deadJoined := "http://127.0.0.1:2"
-	c := newCoordinator(t, blitzcoin.ClusterOptions{
-		Workers:          []string{deadStatic},
-		HeartbeatMillis:  20,
-		EvictAfterMillis: 60,
+	c := newCoordinator(t, Config{
+		Workers:   []string{deadStatic},
+		Heartbeat: 20 * time.Millisecond, // eviction after 5 of them: 100 ms
 	})
 
 	// Join a worker that immediately stops answering.
@@ -241,9 +253,9 @@ func TestClusterEviction(t *testing.T) {
 
 	// Revival: a static worker that comes back is probed alive again.
 	live := newWorker(t)
-	c2 := newCoordinator(t, blitzcoin.ClusterOptions{
-		Workers:         []string{live.URL},
-		HeartbeatMillis: 20,
+	c2 := newCoordinator(t, Config{
+		Workers:   []string{live.URL},
+		Heartbeat: 20 * time.Millisecond,
 	})
 	c2.registry.markDead(live.URL)
 	deadline = time.Now().Add(5 * time.Second)
@@ -258,10 +270,7 @@ func TestClusterEviction(t *testing.T) {
 // TestClusterNoLiveWorkers checks the fail-fast path: a sweep with every
 // worker dead errors instead of blocking.
 func TestClusterNoLiveWorkers(t *testing.T) {
-	c := newCoordinator(t, blitzcoin.ClusterOptions{
-		Workers:            []string{"http://127.0.0.1:1"},
-		RetryBackoffMillis: 1,
-	})
+	c := newCoordinator(t, Config{Workers: []string{"http://127.0.0.1:1"}})
 	req := blitzcoin.Request{Trials: 2, Exchange: &blitzcoin.ExchangeOptions{
 		Dim: 4, Torus: true, RandomPairing: true, Seed: 1,
 	}}
@@ -285,9 +294,9 @@ func TestClusterEngineMismatch(t *testing.T) {
 	}))
 	t.Cleanup(mismatched.Close)
 
-	c := newCoordinator(t, blitzcoin.ClusterOptions{
-		Workers:         []string{mismatched.URL},
-		HeartbeatMillis: 20,
+	c := newCoordinator(t, Config{
+		Workers:   []string{mismatched.URL},
+		Heartbeat: 20 * time.Millisecond,
 	})
 	deadline := time.Now().Add(5 * time.Second)
 	for c.registry.aliveCount() != 0 {
@@ -301,7 +310,7 @@ func TestClusterEngineMismatch(t *testing.T) {
 // TestJoinLoop checks worker self-registration end to end through a
 // coordinator-mode server.
 func TestJoinLoop(t *testing.T) {
-	c := newCoordinator(t, blitzcoin.ClusterOptions{HeartbeatMillis: 50})
+	c := newCoordinator(t, Config{Heartbeat: 50 * time.Millisecond})
 	srv := server.New(server.Config{Logger: quietLogger(), Run: c.Run, Cluster: c})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)

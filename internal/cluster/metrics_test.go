@@ -47,9 +47,9 @@ func completeShards(t *testing.T, c *Coordinator, url string, times ...time.Dura
 // and one steal. The heartbeat is slowed past the test's lifetime so no
 // probe can change worker liveness mid-test.
 func TestCoordinatorMetricsGolden(t *testing.T) {
-	c := newCoordinator(t, blitzcoin.ClusterOptions{
-		Workers:         []string{"http://w1", "http://w2"},
-		HeartbeatMillis: 3_600_000,
+	c := newCoordinator(t, Config{
+		Workers:   []string{"http://w1", "http://w2"},
+		Heartbeat: time.Hour,
 	})
 	completeShards(t, c, "http://w1", 3*time.Millisecond, 8*time.Millisecond, 40*time.Millisecond, 700*time.Millisecond)
 	c.registry.addSteal("http://w2")
@@ -87,9 +87,9 @@ func scrapeCluster(t *testing.T, c *Coordinator) string {
 // completions: the count is exact, and the status p50 lands in the
 // bucket that holds the true median.
 func TestShardLatencyHistogram(t *testing.T) {
-	c := newCoordinator(t, blitzcoin.ClusterOptions{
-		Workers:         []string{"http://w1"},
-		HeartbeatMillis: 3_600_000,
+	c := newCoordinator(t, Config{
+		Workers:   []string{"http://w1"},
+		Heartbeat: time.Hour,
 	})
 	// Nine completions with a true median of 20 ms, inside (10 ms, 25 ms].
 	completeShards(t, c, "http://w1",
@@ -117,7 +117,7 @@ func TestShardLatencyHistogram(t *testing.T) {
 // through POST /v1/cluster/join and appears in its label with the tab
 // raw, since the text format defines no \t escape.
 func TestJoinedWorkerLabelKeepsRawTab(t *testing.T) {
-	c := newCoordinator(t, blitzcoin.ClusterOptions{HeartbeatMillis: 3_600_000})
+	c := newCoordinator(t, Config{Heartbeat: time.Hour})
 	rec := httptest.NewRecorder()
 	c.HandleJoin(rec, httptest.NewRequest(http.MethodPost, "/v1/cluster/join", strings.NewReader(`{"url": "http://w\t1"}`)))
 	if rec.Code != http.StatusOK {

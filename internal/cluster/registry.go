@@ -25,7 +25,7 @@ type worker struct {
 	// from here.
 	lastSeen time.Time
 	// inflight counts shards currently dispatched to this worker; bounded
-	// by ClusterOptions.MaxInflight (backpressure).
+	// by maxInflight (backpressure).
 	inflight int
 
 	// Scheduling counters, surfaced per worker in /v1/cluster/status and
@@ -56,12 +56,12 @@ func newRegistry(static []string) *registry {
 }
 
 // tryAcquire reserves an in-flight slot on the least-loaded live worker
-// whose URL is not in exclude, without blocking.
+// below maxInflight whose URL is not in exclude, without blocking.
 // It returns the worker URL and ok=true on success; anyAlive reports
 // whether any live worker exists at all (excluded or saturated ones
 // included), so the caller can distinguish "try again shortly" from
 // "the cluster is empty".
-func (r *registry) tryAcquire(maxInflight int, exclude map[string]bool) (url string, ok, anyAlive bool) {
+func (r *registry) tryAcquire(exclude map[string]bool) (url string, ok, anyAlive bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var best *worker

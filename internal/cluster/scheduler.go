@@ -32,7 +32,7 @@ type shardState struct {
 	idx int
 	sr  shardRange
 	// attempts counts failed dispatch attempts; the shard fails the sweep
-	// once it reaches MaxAttempts with no copy still running.
+	// once it reaches maxAttempts with no copy still running.
 	attempts int
 	// lastWorker is the worker of the most recent failed attempt; a retry
 	// landing elsewhere counts as a steal.
@@ -172,7 +172,7 @@ func (s *sched) dispatchLocked() {
 			i++
 			continue
 		}
-		url, ok, anyAlive := s.c.registry.tryAcquire(s.c.opts.MaxInflight, nil)
+		url, ok, anyAlive := s.c.registry.tryAcquire(nil)
 		if anyAlive {
 			s.noLiveSince = time.Time{}
 		}
@@ -208,19 +208,15 @@ func (s *sched) dispatchLocked() {
 // before failing the sweep: two heartbeat rounds (so one missed probe
 // never kills a sweep), with a one-second floor.
 func (s *sched) noLiveGrace() time.Duration {
-	grace := 2 * time.Duration(s.c.opts.HeartbeatMillis) * time.Millisecond
-	if grace < time.Second {
-		grace = time.Second
-	}
-	return grace
+	return max(2*s.c.cfg.Heartbeat, time.Second)
 }
 
 // speculateLocked re-dispatches stragglers: once the queue is drained and
 // enough shards have completed to estimate a latency distribution, any
-// single-copy shard running longer than SpeculationFactor times the
-// SpeculationPercentile latency gets a second copy on a different worker.
+// single-copy shard running longer than specFactor times the
+// specPercentile latency gets a second copy on a different worker.
 func (s *sched) speculateLocked() {
-	if s.c.opts.NoSpeculation || len(s.pending) != 0 {
+	if len(s.pending) != 0 {
 		return
 	}
 	threshold, ok := s.thresholdLocked()
@@ -239,7 +235,7 @@ func (s *sched) speculateLocked() {
 		for _, ci := range st.copies {
 			exclude[ci.url] = true
 		}
-		url, ok, _ := s.c.registry.tryAcquire(s.c.opts.MaxInflight, exclude)
+		url, ok, _ := s.c.registry.tryAcquire(exclude)
 		if !ok {
 			return // no second worker free; retry next scan
 		}
@@ -251,16 +247,16 @@ func (s *sched) speculateLocked() {
 }
 
 // thresholdLocked derives the straggler threshold from this sweep's
-// completed-shard latencies; ok is false until SpeculationMinSamples
-// shards have finished.
+// completed-shard latencies; ok is false until specMinSamples shards
+// have finished.
 func (s *sched) thresholdLocked() (time.Duration, bool) {
-	if len(s.latencies) < s.c.opts.SpeculationMinSamples {
+	if len(s.latencies) < specMinSamples {
 		return 0, false
 	}
 	sorted := append([]float64(nil), s.latencies...)
 	sort.Float64s(sorted)
-	p := percentile(sorted, s.c.opts.SpeculationPercentile)
-	return time.Duration(p * s.c.opts.SpeculationFactor * float64(time.Second)), true
+	p := percentile(sorted, specPercentile)
+	return time.Duration(p * specFactor * float64(time.Second)), true
 }
 
 // percentile reads quantile q from ascending sorted using the
@@ -362,13 +358,13 @@ func (s *sched) complete(st *shardState, id int, url string, shard *blitzcoin.Sh
 		// when it too fails does the shard re-enter the queue.
 		return
 	}
-	if st.attempts >= s.c.opts.MaxAttempts {
+	if st.attempts >= maxAttempts {
 		s.c.failed.Add(1)
 		s.failLocked(fmt.Errorf("cluster: shard [%d,%d) failed after %d attempts: %w", st.sr.lo, st.sr.hi, st.attempts, err))
 		return
 	}
 	s.c.retried.Add(1)
-	delay := fullJitterBackoff(time.Duration(s.c.opts.RetryBackoffMillis)*time.Millisecond, st.attempts)
+	delay := fullJitterBackoff(retryBase, st.attempts)
 	if ra, ok := err.(retryAfterError); ok && ra.after > delay {
 		// The worker asked for a longer pause than our backoff would give
 		// it (throttling, draining): honor the Retry-After hint.

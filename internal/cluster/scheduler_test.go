@@ -59,9 +59,9 @@ func TestClusterSpeculationBeatsStraggler(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := newCoordinator(t, blitzcoin.ClusterOptions{
-		Workers:   []string{fast.URL, slow.URL},
-		StealUnit: 1, // fine-grained: every trial unit its own shard
+	c := newCoordinator(t, Config{
+		Workers: []string{fast.URL, slow.URL},
+		Shards:  fig7Units, // fine-grained: every trial unit its own shard
 	})
 	start := time.Now()
 	got, err := c.Run(context.Background(), req)
@@ -88,39 +88,12 @@ func TestClusterSpeculationBeatsStraggler(t *testing.T) {
 	}
 }
 
-// TestClusterNoSpeculationKnob checks the off switch: with speculation
-// disabled nothing is ever re-dispatched early, however slow a worker is
-// relative to its peers.
-func TestClusterNoSpeculationKnob(t *testing.T) {
-	fast := newWorker(t)
-	slow := newSlowWorker(t, 300*time.Millisecond)
-
-	req := clusterTestRequests()["faults"]
-	want, err := blitzcoin.Execute(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newCoordinator(t, blitzcoin.ClusterOptions{
-		Workers:       []string{fast.URL, slow.URL},
-		StealUnit:     1,
-		NoSpeculation: true,
-	})
-	got, err := c.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameLines(t, resultLines(t, got), resultLines(t, want), "no-speculation sweep")
-	if c.speculated.Load() != 0 {
-		t.Errorf("speculated=%d with NoSpeculation set", c.speculated.Load())
-	}
-}
-
 // TestSchedulerDuplicateCompletionIdempotent drives the first-result-wins
 // rule directly: both copies of a speculated shard complete successfully,
 // and the second byte-identical result is discarded without disturbing
 // the merge inputs or the win/loss accounting.
 func TestSchedulerDuplicateCompletionIdempotent(t *testing.T) {
-	c := newCoordinator(t, blitzcoin.ClusterOptions{Workers: []string{"http://w1", "http://w2"}})
+	c := newCoordinator(t, Config{Workers: []string{"http://w1", "http://w2"}})
 	req := clusterTestRequests()["fig7"].Normalized()
 	hash, err := req.CanonicalHash()
 	if err != nil {
@@ -167,26 +140,78 @@ func TestSchedulerDuplicateCompletionIdempotent(t *testing.T) {
 	}
 }
 
-// TestPlanStealUnit checks the fine-grained planning knob: StealUnit
-// bounds the units per shard and overrides the static shard counts.
-func TestPlanStealUnit(t *testing.T) {
-	c := newCoordinator(t, blitzcoin.ClusterOptions{
-		Workers:   []string{"http://w1"},
-		Shards:    2, // overridden by StealUnit
-		StealUnit: 1,
-	})
-	ranges := c.plan(6)
-	if len(ranges) != 6 {
-		t.Fatalf("StealUnit=1 over 6 units planned %d shards, want 6", len(ranges))
+// TestPlan pins plan's one rule: Config.Shards ranges, or two per live
+// worker when it is 0, clamped to the unit count and floored at one; the
+// ranges are contiguous, tile [0, units), and differ in size by at most
+// one unit.
+func TestPlan(t *testing.T) {
+	workers := []string{"http://w1", "http://w2", "http://w3"}
+	cases := []struct {
+		name   string
+		shards int
+		dead   int // static workers marked dead before planning
+		units  int
+		want   int
+	}{
+		{"auto: two per live worker", 0, 0, 100, 6},
+		{"auto counts live workers only", 0, 1, 100, 4},
+		{"auto with no live worker plans for one", 0, 3, 100, 2},
+		{"explicit count", 5, 0, 100, 5},
+		{"explicit count, uneven split", 4, 0, 7, 4},
+		{"clamped to the unit count", 50, 0, 6, 6},
+		{"auto clamped to the unit count", 0, 0, 4, 4},
+		{"one unit", 2, 0, 1, 1},
+		{"no units still plans one range", 3, 0, 0, 1},
 	}
-	for i, r := range ranges {
-		if r.hi-r.lo != 1 || r.lo != i {
-			t.Fatalf("shard %d = [%d,%d), want [%d,%d)", i, r.lo, r.hi, i, i+1)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newCoordinator(t, Config{Workers: workers, Shards: tc.shards, Heartbeat: time.Hour})
+			for _, w := range workers[:tc.dead] {
+				c.registry.markDead(w)
+			}
+			ranges := c.plan(tc.units)
+			if len(ranges) != tc.want {
+				t.Fatalf("planned %d shards over %d units, want %d: %v", len(ranges), tc.units, tc.want, ranges)
+			}
+			at, smallest, largest := 0, tc.units, 0
+			for i, r := range ranges {
+				if r.lo != at || r.hi < r.lo {
+					t.Fatalf("range %d = [%d,%d) does not continue at %d: %v", i, r.lo, r.hi, at, ranges)
+				}
+				smallest, largest = min(smallest, r.hi-r.lo), max(largest, r.hi-r.lo)
+				at = r.hi
+			}
+			if at != tc.units {
+				t.Fatalf("ranges cover [0,%d), want [0,%d): %v", at, tc.units, ranges)
+			}
+			if largest-smallest > 1 {
+				t.Fatalf("range sizes span %d..%d, want a difference of at most 1: %v", smallest, largest, ranges)
+			}
+		})
+	}
+}
+
+// TestConfigValidate: New refuses the settings the scheduler cannot run
+// with, the inputs of blitzd's -cluster-workers, -shards, -heartbeat and
+// -shard-timeout flags.
+func TestConfigValidate(t *testing.T) {
+	ok := Config{Workers: []string{"http://w1"}, Heartbeat: time.Second, ShardTimeout: time.Minute}
+	if err := ok.validate(); err != nil {
+		t.Fatalf("valid config refused: %v", err)
+	}
+	for name, mutate := range map[string]func(*Config){
+		"negative shards":        func(c *Config) { c.Shards = -1 },
+		"empty worker URL":       func(c *Config) { c.Workers = []string{"http://w1", ""} },
+		"zero heartbeat":         func(c *Config) { c.Heartbeat = 0 },
+		"negative heartbeat":     func(c *Config) { c.Heartbeat = -time.Second },
+		"zero shard timeout":     func(c *Config) { c.ShardTimeout = 0 },
+		"negative shard timeout": func(c *Config) { c.ShardTimeout = -time.Minute },
+	} {
+		cfg := ok
+		mutate(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New accepted %+v", name, cfg)
 		}
-	}
-	c2 := newCoordinator(t, blitzcoin.ClusterOptions{Workers: []string{"http://w1"}, StealUnit: 4})
-	if got := len(c2.plan(6)); got != 2 {
-		t.Fatalf("StealUnit=4 over 6 units planned %d shards, want ceil(6/4)=2", got)
 	}
 }
 
@@ -215,7 +240,7 @@ func TestFullJitterBackoff(t *testing.T) {
 // TestCoordinatorReadiness checks the readiness surface /readyz consumes.
 func TestCoordinatorReadiness(t *testing.T) {
 	w := newWorker(t)
-	c := newCoordinator(t, blitzcoin.ClusterOptions{Workers: []string{w.URL}})
+	c := newCoordinator(t, Config{Workers: []string{w.URL}})
 	cr := c.Readiness()
 	if !cr.Ready || cr.AliveWorkers != 1 {
 		t.Fatalf("readiness with a live worker = %+v", cr)

@@ -41,10 +41,11 @@ func runAllocs(t *testing.T, fc *fault.Config) (uint64, Result) {
 }
 
 // The exchange steady state allocates nothing: per-packet routing, the
-// fault verdict and the 4-way group split all run on tables built at
-// construction. What Run still allocates grows with the run's peak and its
-// audit rounds, not with its packets. An allocation profile of the two
-// trials attributes it to:
+// fault verdict (failed links included) and the 4-way group split all run
+// on tables built at construction or at a fault's activation. What Run
+// still allocates grows with the run's peak and its audit rounds, not with
+// its packets. An allocation profile of the first two trials attributes
+// it to:
 //
 //   - packet-pool slabs of 64 packets and the pool's free list (~14);
 //   - the NoC slot table and its free list, grown by append (~16);
@@ -57,7 +58,12 @@ func runAllocs(t *testing.T, fc *fault.Config) (uint64, Result) {
 // That is 43 (healthy) and 151 (1% drop) allocations; the bounds leave
 // 2-3x headroom for layout changes. They sit three orders of magnitude
 // below one allocation per packet or per exchange: the healthy trial sends
-// ~170,000 packets and the 1%-drop trial ~210,000.
+// ~170,000 packets and the 1%-drop trial ~210,000. The fail-stop rows keep
+// that shape: a tile killed or a link failed at cycle 900 (96 and 218
+// allocations for ~870,000 and ~710,000 packets), and a 2% duplication plan
+// whose copies come from the packet pool (105 for ~600,000). Before failed
+// links were read off the route walk and duplicates drawn from the pool,
+// those last two rows allocated ~1.36 million and ~12,000 objects.
 func TestRunSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -66,6 +72,9 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 	}{
 		{"healthy", nil, 100},
 		{"drop-1pct", &fault.Config{Seed: 0x5eed, DropRate: 0.01}, 400},
+		{"tile-kill", &fault.Config{TileKills: []fault.TileFault{{Tile: 9, At: 900}}}, 400},
+		{"link-failure", &fault.Config{LinkFails: []fault.LinkFault{{A: 9, B: 10, At: 900}}}, 400},
+		{"dup-2pct", &fault.Config{Seed: 0x5eed, DupRate: 0.02}, 400},
 	}
 	for _, c := range cases {
 		allocs, res := runAllocs(t, c.fc)

@@ -143,9 +143,10 @@ type Injector struct {
 	slowTiles  map[int]float64
 	deadLinks  map[[2]int]bool
 
-	onKill  []func(tile int)
-	onStuck []func(tile int)
-	onSlow  []func(tile int, factor float64)
+	onKill     []func(tile int)
+	onStuck    []func(tile int)
+	onSlow     []func(tile int, factor float64)
+	onLinkFail []func(a, b int)
 
 	armed bool
 	stats Stats
@@ -182,6 +183,10 @@ func (in *Injector) OnStuckCounter(fn func(tile int)) { in.onStuck = append(in.o
 func (in *Injector) OnFailSlow(fn func(tile int, factor float64)) {
 	in.onSlow = append(in.onSlow, fn)
 }
+
+// OnLinkFail registers a callback for link fail-stop activations; it
+// receives the link's two tiles, and both directions are down.
+func (in *Injector) OnLinkFail(fn func(a, b int)) { in.onLinkFail = append(in.onLinkFail, fn) }
 
 // Arm schedules every timed fault on the kernel. Call exactly once, after
 // all listeners are registered and before the simulation runs.
@@ -275,6 +280,9 @@ func (in *Injector) failLink(a, b int) {
 	in.deadLinks[[2]int{a, b}] = true
 	in.deadLinks[[2]int{b, a}] = true
 	in.stats.LinksDown++
+	for _, fn := range in.onLinkFail {
+		fn(a, b)
+	}
 }
 
 // TileDead reports whether a tile has fail-stopped.
@@ -283,17 +291,13 @@ func (in *Injector) TileDead(tile int) bool { return in.deadTiles[tile] }
 // LinkFailed reports whether the directed link a->b has fail-stopped.
 func (in *Injector) LinkFailed(a, b int) bool { return in.deadLinks[[2]int{a, b}] }
 
-// HasDeadLinks reports whether any link has fail-stopped so far. Until one
-// has, PacketVerdict needs no route, so senders can skip building it.
-func (in *Injector) HasDeadLinks() bool { return len(in.deadLinks) > 0 }
-
-// PacketVerdict rules on one packet about to enter the network. route is
-// the tile-index path including both endpoints; it is only inspected for
-// failed links, so a nil route is exact while HasDeadLinks is false. The
-// ruling consumes random draws only for the rate faults on the targeted
-// plane, so fault-free planes see no RNG churn and the schedule is
-// reproducible.
-func (in *Injector) PacketVerdict(plane, src, dst int, route []int) Verdict {
+// PacketVerdict rules on one packet about to enter the network.
+// crossesDeadLink reports whether the packet's route crosses a failed
+// link; the sender knows, since it walks the route (the NoC learns of
+// failures through OnLinkFail). The ruling consumes random draws only for
+// the rate faults on the targeted plane, so fault-free planes see no RNG
+// churn and the schedule is reproducible.
+func (in *Injector) PacketVerdict(plane, src, dst int, crossesDeadLink bool) Verdict {
 	var v Verdict
 	// Fail-stop tiles: a dead destination swallows everything sent to it.
 	if in.deadTiles[dst] {
@@ -303,12 +307,10 @@ func (in *Injector) PacketVerdict(plane, src, dst int, route []int) Verdict {
 	}
 	// Fail-stop links: a packet whose XY route crosses a dead link is lost
 	// in the fabric.
-	for i := 1; i < len(route); i++ {
-		if in.deadLinks[[2]int{route[i-1], route[i]}] {
-			in.stats.LinkDrops++
-			v.Drop = true
-			return v
-		}
+	if crossesDeadLink {
+		in.stats.LinkDrops++
+		v.Drop = true
+		return v
 	}
 	if plane != in.cfg.Plane && in.cfg.Plane >= 0 {
 		return v

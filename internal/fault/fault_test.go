@@ -12,10 +12,9 @@ func TestVerdictDeterminism(t *testing.T) {
 	cfg := Config{Seed: 42, DropRate: 0.1, DupRate: 0.05, DelayRate: 0.05}
 	a := NewInjector(cfg)
 	b := NewInjector(cfg)
-	route := []int{0, 1, 2}
 	for i := 0; i < 5000; i++ {
-		va := a.PacketVerdict(5, 0, 2, route)
-		vb := b.PacketVerdict(5, 0, 2, route)
+		va := a.PacketVerdict(5, 0, 2, false)
+		vb := b.PacketVerdict(5, 0, 2, false)
 		if va != vb {
 			t.Fatalf("packet %d: verdicts diverged: %+v vs %+v", i, va, vb)
 		}
@@ -32,9 +31,8 @@ func TestVerdictDeterminism(t *testing.T) {
 // RNG draws, so their traffic cannot perturb the fault schedule.
 func TestVerdictPlaneFilter(t *testing.T) {
 	in := NewInjector(Config{Seed: 7, DropRate: 0.5})
-	route := []int{0, 1}
 	for i := 0; i < 1000; i++ {
-		if v := in.PacketVerdict(0, 0, 1, route); v != (Verdict{}) {
+		if v := in.PacketVerdict(0, 0, 1, false); v != (Verdict{}) {
 			t.Fatalf("plane 0 packet got verdict %+v", v)
 		}
 	}
@@ -45,7 +43,7 @@ func TestVerdictPlaneFilter(t *testing.T) {
 	all := NewInjector(Config{Seed: 7, Plane: -1, DropRate: 0.5})
 	drops := 0
 	for i := 0; i < 1000; i++ {
-		if all.PacketVerdict(0, 0, 1, route).Drop {
+		if all.PacketVerdict(0, 0, 1, false).Drop {
 			drops++
 		}
 	}
@@ -64,7 +62,9 @@ func TestScheduledFaults(t *testing.T) {
 	})
 	var kills, stucks []int
 	var slows []int
+	var links [][2]int
 	in.OnTileKill(func(tile int) { kills = append(kills, tile) })
+	in.OnLinkFail(func(a, b int) { links = append(links, [2]int{a, b}) })
 	in.OnStuckCounter(func(tile int) { stucks = append(stucks, tile) })
 	in.OnFailSlow(func(tile int, f float64) {
 		if f != 2 {
@@ -91,13 +91,18 @@ func TestScheduledFaults(t *testing.T) {
 	if len(stucks) != 1 || stucks[0] != 2 || len(slows) != 1 || slows[0] != 4 {
 		t.Fatalf("stuck %v slow %v", stucks, slows)
 	}
+	if len(links) != 1 || links[0] != [2]int{0, 1} {
+		t.Fatalf("link failures %v", links)
+	}
 	st := in.Stats()
 	if st.Killed != 2 || st.Stuck != 1 || st.Slowed != 1 || st.LinksDown != 1 {
 		t.Fatalf("stats %+v", st)
 	}
 }
 
-// Dead destinations and failed links drop packets regardless of plane.
+// Dead destinations and packets the sender reports crossing a failed link
+// are dropped regardless of plane, before any random draw. Which routes
+// cross a failed link is the NoC's ruling (TestDeadLinkVerdictMatchesXYRoute).
 func TestStructuralDrops(t *testing.T) {
 	k := &sim.Kernel{}
 	in := NewInjector(Config{
@@ -107,20 +112,23 @@ func TestStructuralDrops(t *testing.T) {
 	in.Arm(k)
 	k.Run(20)
 
-	if v := in.PacketVerdict(0, 0, 9, []int{0, 9}); !v.Drop {
+	if v := in.PacketVerdict(0, 0, 9, false); !v.Drop {
 		t.Fatal("packet to dead tile not dropped")
 	}
-	if v := in.PacketVerdict(2, 3, 6, []int{3, 4, 5, 6}); !v.Drop {
+	if v := in.PacketVerdict(0, 0, 9, true); !v.Drop {
+		t.Fatal("packet to dead tile across a failed link not dropped")
+	}
+	if v := in.PacketVerdict(2, 3, 6, true); !v.Drop {
 		t.Fatal("packet across failed link not dropped")
 	}
-	if v := in.PacketVerdict(2, 6, 3, []int{6, 5, 4, 3}); !v.Drop {
-		t.Fatal("reverse direction of failed link not dropped")
-	}
-	if v := in.PacketVerdict(2, 0, 3, []int{0, 3}); v.Drop {
+	if v := in.PacketVerdict(2, 0, 3, false); v.Drop {
 		t.Fatal("healthy route dropped")
 	}
+	if !in.LinkFailed(4, 5) || !in.LinkFailed(5, 4) {
+		t.Fatal("failed link not down in both directions")
+	}
 	st := in.Stats()
-	if st.DeadDrops != 1 || st.LinkDrops != 2 {
+	if st.DeadDrops != 2 || st.LinkDrops != 1 || st.Drops != 0 {
 		t.Fatalf("stats %+v", st)
 	}
 }

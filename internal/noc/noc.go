@@ -108,9 +108,9 @@ type Packet struct {
 	// Receivers that keep in-flight accounting must not double-count it;
 	// protocol state machines still process it (that is the fault).
 	Dup bool
-	// pooled marks packets owned by the network's free list (SendCoin);
-	// deliver returns them to the pool after the handler runs, so handlers
-	// must not retain them.
+	// pooled marks packets owned by the network's free list (SendCoin,
+	// SendData and injected duplicates); deliver returns them to the pool
+	// after the handler runs, so handlers must not retain them.
 	pooled bool
 }
 
@@ -181,6 +181,12 @@ type Network struct {
 	nextID uint64
 	stats  Stats
 	faults *fault.Injector
+	// deadPorts lists the link-table index (tile*NumDirections+dir) of
+	// every port leading across a failed link, the same index in every
+	// plane's table; deadFree is Send's scratch copy of those ports' free
+	// cycles. Both stay empty on a fabric with no failed link.
+	deadPorts []int
+	deadFree  []sim.Cycles
 
 	// Deliveries travel the kernel as typed (opDeliver, dst, slot) events:
 	// slots holds each in-flight packet under a small integer index, so the
@@ -275,7 +281,26 @@ func (n *Network) SetHandler(tile int, plane Plane, h Handler) {
 
 // AttachFaults connects a fault injector; every subsequent Send consults it.
 // Attach before any traffic flows so the fault schedule is reproducible.
-func (n *Network) AttachFaults(in *fault.Injector) { n.faults = in }
+func (n *Network) AttachFaults(in *fault.Injector) {
+	n.faults = in
+	in.OnLinkFail(n.failLink)
+}
+
+// failLink records the ports that lead across the failed link a-b, both
+// ways. On a 2-wide or 2-high torus two ports of a tile reach the same
+// neighbor; both are marked, so the check does not depend on which one
+// the route takes. A link failed twice lists its ports twice, which only
+// repeats a comparison in Send.
+func (n *Network) failLink(a, b int) {
+	for _, e := range [2][2]int{{a, b}, {b, a}} {
+		for d := mesh.North; int(d) < mesh.NumDirections; d++ {
+			if j, ok := n.mesh.Neighbor(e[0], d); ok && j == e[1] {
+				n.deadPorts = append(n.deadPorts, e[0]*mesh.NumDirections+int(d))
+			}
+		}
+	}
+	n.deadFree = make([]sim.Cycles, len(n.deadPorts))
+}
 
 // Faults returns the attached injector, or nil on a healthy fabric.
 func (n *Network) Faults() *fault.Injector { return n.faults }
@@ -287,7 +312,9 @@ func (n *Network) Faults() *fault.Injector { return n.faults }
 // The return value reports whether the packet will be delivered: false means
 // an injected fault discarded it in the fabric. It exists for conservation
 // accounting only — a real tile cannot observe an in-fabric drop, so protocol
-// logic must recover via timeouts, never by branching on this result.
+// logic must recover via timeouts, never by branching on this result. A
+// duplicate injected by a fault is a pooled copy of p: handlers must not
+// retain it.
 func (n *Network) Send(p *Packet) bool {
 	if p.Src == p.Dst {
 		panic("noc: packet addressed to its own tile")
@@ -302,17 +329,6 @@ func (n *Network) Send(p *Packet) bool {
 	n.stats.PerPlaneSent[p.Plane]++
 	if p.Kind >= 0 && p.Kind < numKinds {
 		n.stats.PerKindSent[p.Kind]++
-	}
-
-	// The route is only materialized once a link has failed: until then the
-	// injector's verdict needs no path, and the send allocates nothing.
-	var v fault.Verdict
-	if n.faults != nil {
-		var route []int
-		if n.faults.HasDeadLinks() {
-			route = n.mesh.XYRoute(p.Src, p.Dst)
-		}
-		v = n.faults.PacketVerdict(int(p.Plane), p.Src, p.Dst, route)
 	}
 
 	pt := n.plane(p.Plane)
@@ -330,7 +346,13 @@ func (n *Network) Send(p *Packet) bool {
 	// each axis's direction resolved once. Because reservations are made at
 	// send time in event order, two packets contending for a link serialize
 	// deterministically. Doomed packets still reserve links: they occupy
-	// the fabric up to wherever they die.
+	// the fabric up to wherever they die. A reservation strictly advances
+	// a link's free cycle, so the walk crossed a failed link exactly when
+	// it moved a dead port's: two loads per dead port and packet, none per
+	// hop, and nothing at all on a fabric with no failed link.
+	for i, l := range n.deadPorts {
+		n.deadFree[i] = pt.links[l]
+	}
 	t := depart
 	s, d := n.coords[p.Src], n.coords[p.Dst]
 	li := p.Src * mesh.NumDirections
@@ -355,6 +377,14 @@ func (n *Network) Send(p *Packet) bool {
 		p.Hops += hops
 	}
 
+	var v fault.Verdict
+	if n.faults != nil {
+		crossed := false
+		for i, l := range n.deadPorts {
+			crossed = crossed || pt.links[l] != n.deadFree[i]
+		}
+		v = n.faults.PacketVerdict(int(p.Plane), p.Src, p.Dst, crossed)
+	}
 	if v.Drop {
 		n.stats.Dropped++
 		n.stats.PerPlaneDropped[p.Plane]++
@@ -376,16 +406,18 @@ func (n *Network) Send(p *Packet) bool {
 
 	if v.Dup {
 		// The duplicate trails the original through the ejection port with
-		// the same payload; receivers see the message twice.
+		// the same payload; receivers see the message twice. It is a pooled
+		// copy, recycled after its delivery like any SendCoin packet.
 		n.stats.Duplicated++
-		dup := *p
-		dup.Dup = true
+		dup := n.getPooled()
+		*dup = *p
+		dup.Dup, dup.pooled = true, true
 		td := t + 1
 		if free := pt.eject[p.Dst]; free > td {
 			td = free
 		}
 		pt.eject[p.Dst] = td + 1
-		n.schedDeliver(td, &dup)
+		n.schedDeliver(td, dup)
 	}
 	return true
 }

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -81,10 +82,60 @@ func TestRouteWalkMatchesNextHopXY(t *testing.T) {
 	}
 }
 
+// With one link failed, Send drops exactly the packets whose mesh.XYRoute
+// crosses it in either direction, on every shape the route walk is checked
+// on, including the 2-wide and 2-high tori whose two ports reach the same
+// neighbor. The packets are all sent at cycle 0, so later ones also cross
+// links already reserved by earlier ones.
+func TestDeadLinkVerdictMatchesXYRoute(t *testing.T) {
+	shapes := [][2]int{{1, 6}, {6, 1}, {2, 2}, {2, 3}, {3, 2}, {5, 2}, {3, 3}, {4, 4}, {5, 7}}
+	for _, s := range shapes {
+		for _, torus := range []bool{false, true} {
+			m := mesh.New(s[0], s[1], torus)
+			t.Run(fmt.Sprintf("%dx%d-torus=%v", s[0], s[1], torus), func(t *testing.T) {
+				routes := make([][]int, m.N()*m.N())
+				for src := 0; src < m.N(); src++ {
+					for dst := 0; dst < m.N(); dst++ {
+						routes[src*m.N()+dst] = m.XYRoute(src, dst)
+					}
+				}
+				for a := 0; a < m.N(); a++ {
+					for _, b := range m.DistinctNeighbors(a) {
+						if b < a {
+							continue
+						}
+						k := &sim.Kernel{}
+						n := New(k, m, DefaultConfig())
+						inj := fault.NewInjector(fault.Config{LinkFails: []fault.LinkFault{{A: a, B: b}}})
+						n.AttachFaults(inj)
+						inj.Arm(k)
+						k.Run(0)
+						for src := 0; src < m.N(); src++ {
+							for dst := 0; dst < m.N(); dst++ {
+								if src == dst {
+									continue
+								}
+								route, crosses := routes[src*m.N()+dst], false
+								for i := 1; i < len(route); i++ {
+									crosses = crosses || inj.LinkFailed(route[i-1], route[i])
+								}
+								p := &Packet{Plane: PlanePM, Kind: KindCoinStatus, Src: src, Dst: dst}
+								if delivered := n.Send(p); delivered == crosses {
+									t.Fatalf("link %d-%d down: %d->%d (route %v) delivered=%v", a, b, src, dst, route, delivered)
+								}
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // A link that fails mid-run kills the packets routed across it from then
 // on, while packets sent across it before the failure are delivered. Until
-// the failure the network builds no route for the verdict; this test fails
-// if the route is not built once the link is down.
+// the failure the network tracks no dead port; once it fires, the two ports
+// of the link are dead.
 func TestLinkFailureMidRun(t *testing.T) {
 	const failAt = 50
 	k, n := newNet(4, 1, false)
@@ -105,8 +156,8 @@ func TestLinkFailureMidRun(t *testing.T) {
 	if !ok {
 		t.Fatal("packet sent before the failure reported dropped")
 	}
-	if inj.HasDeadLinks() {
-		t.Fatal("link reported dead before its failure time")
+	if len(n.deadPorts) != 0 {
+		t.Fatalf("dead ports %v before the failure time", n.deadPorts)
 	}
 	var after, afterRev, beside *Packet
 	var okAfter, okRev, okBeside bool
@@ -117,8 +168,8 @@ func TestLinkFailureMidRun(t *testing.T) {
 	})
 	k.Drain()
 
-	if !inj.HasDeadLinks() {
-		t.Fatal("link failure never took effect")
+	if want := []int{1*mesh.NumDirections + int(mesh.East), 2*mesh.NumDirections + int(mesh.West)}; !slices.Equal(n.deadPorts, want) {
+		t.Fatalf("dead ports %v after the failure, want %v", n.deadPorts, want)
 	}
 	if !delivered[before.ID] {
 		t.Fatal("packet sent across the link before it failed was not delivered")

@@ -175,3 +175,18 @@ func waitDepth(t *testing.T, a *Admission, c Class, n int) {
 	}
 	t.Fatalf("class %v queue never reached depth %d", c, n)
 }
+
+// BenchmarkAdmissionAcquire measures one uncontended Acquire and its
+// Release: the admission cost every computed request pays when a worker
+// slot is free.
+func BenchmarkAdmissionAcquire(b *testing.B) {
+	a := NewAdmission(1, 1)
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := a.Acquire(ctx, ClassInteractive); err != nil {
+			b.Fatal(err)
+		}
+		a.Release()
+	}
+}

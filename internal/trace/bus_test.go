@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -142,5 +143,40 @@ func TestRecorderAttachPublishesPoints(t *testing.T) {
 	ev = <-sub.Events()
 	if ev.Series != "post" || ev.Value != 20 {
 		t.Fatalf("second event %+v", ev)
+	}
+}
+
+// BenchmarkBusPublish measures one trial-done event published through a
+// sweep's Stream, with no subscriber (the path every engine run takes, one
+// atomic load and no allocation) and with four subscribers on the sweep's
+// key, each drained by its own goroutine as an SSE handler would.
+func BenchmarkBusPublish(b *testing.B) {
+	for _, subs := range []int{0, 4} {
+		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
+			bus := NewBus()
+			var wg sync.WaitGroup
+			var open []*Subscription
+			for i := 0; i < subs; i++ {
+				s := bus.Subscribe("k", 256)
+				open = append(open, s)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for range s.Events() {
+					}
+				}()
+			}
+			st := NewStream(bus, "k")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.TrialDone(i, b.N, true, 12.5)
+			}
+			b.StopTimer()
+			for _, s := range open {
+				s.Close()
+			}
+			wg.Wait()
+		})
 	}
 }

@@ -21,14 +21,17 @@ const (
 	// coordinators refuse workers whose engine disagrees, so mixed-version
 	// clusters cannot merge rows from different semantics. 5 marks the
 	// elastic work-stealing cluster: duplicate-tolerant MergeShards and
-	// the speculation/steal knobs on ClusterOptions. 6 marks the live
+	// the speculation/steal knobs then on ClusterOptions. 6 marks the live
 	// telemetry surface: ResultMeta gained the LedgerSeq/LedgerRoot
 	// provenance fields, so serialized results — and the canonical result
 	// SHA the ledger records — differ from engine 5's. 7 marks the figure
 	// CSV surface: RunFigureCSV joined the exported API and the deprecated
 	// TileFaultAt/LinkFaultAt/SlowFaultAt aliases left it; rows are
-	// unchanged.)
-	EngineVersion = "7"
+	// unchanged. 8 marks ClusterOptions leaving the exported API: the
+	// coordinator's settings are internal/cluster's Config (workers, shard
+	// count, heartbeat, shard timeout), every other scheduling knob is a
+	// fixed constant there, and rows are unchanged.)
+	EngineVersion = "8"
 )
 
 // RequestKind discriminates the payload of a Request.

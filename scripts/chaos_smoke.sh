@@ -57,7 +57,7 @@ echo "chaos-smoke: workers on $w1 $w2 $w3 (w3 fail-slow x30)"
 
 "$workdir/blitzd" -addr 127.0.0.1:0 -addrfile "$workdir/coord.addr" \
     -coordinator -cluster-workers "http://$w1,http://$w2,http://$w3" \
-    -steal-unit 1 -heartbeat 200ms -evict-after 2s \
+    -shards 480 -heartbeat 200ms \
     >"$workdir/coord.out" 2>"$workdir/coord.log" &
 coord_pid=$!
 coord=$(wait_addr "$workdir/coord.addr" "coordinator")
@@ -82,6 +82,8 @@ lines() {
     awk '/"lines": \[/{f=1;next} f&&/\]/{exit} f{print}'
 }
 
+# 2 pairing points x 240 trials = 480 trial units: the coordinator's
+# -shards 480 gives every unit its own shard, the finest stealing grain.
 cat >"$workdir/sweep.json" <<'JSON'
 {"figure": {"name": "7", "trials": 240, "ns": [36], "seed": 13}}
 JSON

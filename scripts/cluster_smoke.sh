@@ -48,7 +48,7 @@ echo "cluster-smoke: workers on $w1 $w2"
 
 "$workdir/blitzd" -addr 127.0.0.1:0 -addrfile "$workdir/coord.addr" \
     -coordinator -cluster-workers "http://$w1,http://$w2" \
-    -shards 6 -heartbeat 200ms -evict-after 2s \
+    -shards 6 -heartbeat 200ms \
     >"$workdir/coord.out" 2>"$workdir/coord.log" &
 coord_pid=$!
 coord=$(wait_addr "$workdir/coord.addr" "coordinator")

@@ -264,135 +264,3 @@ func short12(h string) string {
 	}
 	return h
 }
-
-// ClusterOptions configures the coordinator of a distributed sweep
-// cluster: which workers it dispatches to and the knobs of shard planning,
-// backpressure, liveness, and retry. The zero value is completed with the
-// defaults noted per field (see Normalized).
-type ClusterOptions struct {
-	// Workers is the static worker list (base URLs, e.g.
-	// "http://10.0.0.2:8425"); more workers may join at runtime via
-	// POST /v1/cluster/join.
-	Workers []string `json:"workers,omitempty"`
-	// Shards fixes the shard count of every request; 0 plans
-	// ShardsPerWorker shards per live worker (clamped to the unit count).
-	Shards int `json:"shards,omitempty"`
-	// ShardsPerWorker is the auto-planning factor. Slightly over-splitting
-	// (default 2) keeps all workers busy when shards finish unevenly and
-	// shrinks the re-dispatch cost of a worker death.
-	ShardsPerWorker int `json:"shards_per_worker,omitempty"`
-	// StealUnit, when positive, bounds the trial units per planned shard:
-	// the sweep splits into ceil(units/StealUnit) shards of at most
-	// StealUnit units each, overriding Shards/ShardsPerWorker. Smaller
-	// units mean finer-grained work stealing — an idle worker can always
-	// pull more — at the cost of more dispatch round trips.
-	StealUnit int `json:"steal_unit,omitempty"`
-	// MaxInflight bounds concurrent shards per worker (backpressure).
-	// Default 2.
-	MaxInflight int `json:"max_inflight,omitempty"`
-	// MaxAttempts bounds dispatch attempts per shard across all workers
-	// before the request fails. Default 4.
-	MaxAttempts int `json:"max_attempts,omitempty"`
-	// RetryBackoffMillis is the base of the exponential per-shard retry
-	// backoff (base, 2x, 4x, ...). Default 100.
-	RetryBackoffMillis int `json:"retry_backoff_millis,omitempty"`
-	// HeartbeatMillis is the liveness-probe cadence. Default 1000.
-	HeartbeatMillis int `json:"heartbeat_millis,omitempty"`
-	// EvictAfterMillis is how long a worker may stay unreachable before it
-	// is evicted (joined workers are dropped; static workers stay listed as
-	// dead and revive on a successful probe). Default 5000.
-	EvictAfterMillis int `json:"evict_after_millis,omitempty"`
-	// ShardTimeoutMillis bounds one shard dispatch, so a hung worker turns
-	// into a retry instead of a wedged request. Default 600000 (10 min).
-	ShardTimeoutMillis int `json:"shard_timeout_millis,omitempty"`
-
-	// NoSpeculation disables straggler re-execution. By default the
-	// coordinator speculatively re-dispatches any shard whose runtime
-	// exceeds SpeculationFactor times the SpeculationPercentile of
-	// completed-shard latencies; the first byte-identical result wins and
-	// the losing copy is cancelled, so speculation never changes rows —
-	// only makespan.
-	NoSpeculation bool `json:"no_speculation,omitempty"`
-	// SpeculationPercentile is the completed-shard latency percentile the
-	// straggler threshold is based on, in (0, 1]. Default 0.95.
-	SpeculationPercentile float64 `json:"speculation_percentile,omitempty"`
-	// SpeculationFactor multiplies the percentile latency to form the
-	// straggler threshold; must be at least 1. Default 1.5.
-	SpeculationFactor float64 `json:"speculation_factor,omitempty"`
-	// SpeculationMinSamples is how many shards must complete before the
-	// latency percentile is trusted and speculation arms. Default 3.
-	SpeculationMinSamples int `json:"speculation_min_samples,omitempty"`
-}
-
-// Normalized returns a copy with every unset field replaced by its
-// documented default.
-func (o ClusterOptions) Normalized() ClusterOptions {
-	o.Workers = append([]string(nil), o.Workers...)
-	if o.ShardsPerWorker == 0 {
-		o.ShardsPerWorker = 2
-	}
-	if o.MaxInflight == 0 {
-		o.MaxInflight = 2
-	}
-	if o.MaxAttempts == 0 {
-		o.MaxAttempts = 4
-	}
-	if o.RetryBackoffMillis == 0 {
-		o.RetryBackoffMillis = 100
-	}
-	if o.HeartbeatMillis == 0 {
-		o.HeartbeatMillis = 1000
-	}
-	if o.EvictAfterMillis == 0 {
-		o.EvictAfterMillis = 5 * o.HeartbeatMillis
-	}
-	if o.ShardTimeoutMillis == 0 {
-		o.ShardTimeoutMillis = 600_000
-	}
-	if o.SpeculationPercentile == 0 {
-		o.SpeculationPercentile = 0.95
-	}
-	if o.SpeculationFactor == 0 {
-		o.SpeculationFactor = 1.5
-	}
-	if o.SpeculationMinSamples == 0 {
-		o.SpeculationMinSamples = 3
-	}
-	return o
-}
-
-// Validate reports whether the normalized options are coherent.
-func (o ClusterOptions) Validate() error {
-	o = o.Normalized()
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"shards", o.Shards},
-		{"shards_per_worker", o.ShardsPerWorker},
-		{"steal_unit", o.StealUnit},
-		{"speculation_min_samples", o.SpeculationMinSamples},
-		{"max_inflight", o.MaxInflight},
-		{"max_attempts", o.MaxAttempts},
-		{"retry_backoff_millis", o.RetryBackoffMillis},
-		{"heartbeat_millis", o.HeartbeatMillis},
-		{"evict_after_millis", o.EvictAfterMillis},
-		{"shard_timeout_millis", o.ShardTimeoutMillis},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("blitzcoin: negative cluster option %s %d", f.name, f.v)
-		}
-	}
-	if o.SpeculationPercentile <= 0 || o.SpeculationPercentile > 1 {
-		return fmt.Errorf("blitzcoin: speculation percentile %v outside (0,1]", o.SpeculationPercentile)
-	}
-	if o.SpeculationFactor < 1 {
-		return fmt.Errorf("blitzcoin: speculation factor %v below 1", o.SpeculationFactor)
-	}
-	for _, w := range o.Workers {
-		if w == "" {
-			return fmt.Errorf("blitzcoin: empty worker URL in cluster options")
-		}
-	}
-	return nil
-}

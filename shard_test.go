@@ -240,36 +240,6 @@ func TestMergeShardsTilingValidation(t *testing.T) {
 	}
 }
 
-func TestClusterOptionsNormalizeValidate(t *testing.T) {
-	o := ClusterOptions{}.Normalized()
-	if o.ShardsPerWorker != 2 || o.MaxInflight != 2 || o.MaxAttempts != 4 ||
-		o.RetryBackoffMillis != 100 || o.HeartbeatMillis != 1000 ||
-		o.EvictAfterMillis != 5000 || o.ShardTimeoutMillis != 600_000 {
-		t.Fatalf("defaults = %+v", o)
-	}
-	if o.SpeculationPercentile != 0.95 || o.SpeculationFactor != 1.5 || o.SpeculationMinSamples != 3 {
-		t.Fatalf("speculation defaults = %+v", o)
-	}
-	if err := (ClusterOptions{}).Validate(); err != nil {
-		t.Fatalf("zero value should validate: %v", err)
-	}
-	if err := (ClusterOptions{Shards: -1}).Validate(); err == nil {
-		t.Fatal("negative shards: want error")
-	}
-	if err := (ClusterOptions{Workers: []string{""}}).Validate(); err == nil {
-		t.Fatal("empty worker URL: want error")
-	}
-	if err := (ClusterOptions{StealUnit: -1}).Validate(); err == nil {
-		t.Fatal("negative steal unit: want error")
-	}
-	if err := (ClusterOptions{SpeculationPercentile: 1.5}).Validate(); err == nil {
-		t.Fatal("percentile above 1: want error")
-	}
-	if err := (ClusterOptions{SpeculationFactor: 0.5}).Validate(); err == nil {
-		t.Fatal("speculation factor below 1: want error")
-	}
-}
-
 // FuzzMergeShards hammers the merge with the exact garbage a speculating
 // work-stealing scheduler can produce: duplicated, out-of-order,
 // overlapping, and missing shard completions in arbitrary combinations.
