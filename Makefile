@@ -3,9 +3,10 @@
 GO ?= go
 SHORTSHA := $(shell git rev-parse --short HEAD)
 # The pinned commit `make benchcheck` compares the working tree against on
-# the same machine. Re-pin it whenever a PR intentionally shifts
-# performance (see BENCHMARKING.md).
-BENCH_BASE_REF ?= 6dcf6f09ef558c5e80dd3bb92cd81aa8104871a6
+# the same machine. A change cannot name its own commit, so the change
+# after one that intentionally shifts performance re-pins to it (see
+# BENCHMARKING.md).
+BENCH_BASE_REF ?= 5cd5139ef9fced3bda6b0608862fd98987a8244d
 
 .PHONY: build test vet race verify bench benchcheck bench-report figures \
 	server-smoke cluster-smoke chaos-smoke stream-smoke tenant-smoke \
@@ -92,20 +93,20 @@ tenant-smoke:
 	sh scripts/tenant_smoke.sh
 
 # bench snapshots the whole benchmark suite (3 samples each) — the root
-# package's figure and engine benchmarks plus the ledger, serving-layer
-# (scrape, memory, disk and shard hits, misses, coalesced followers),
-# metrics-primitive, admission and trace-bus ones — into BENCH_<sha>.json,
-# stamped with the machine's cohort (CPU model, nproc, GOMAXPROCS, Go
-# version); commit the file to extend the perf trajectory. Each sample of
-# an engine, ledger, serving, metrics, admission or bus benchmark covers
-# ~1 s of work; the root figure benchmarks measure experiment cost, so they
-# run once per sample.
+# package's figure and engine benchmarks plus the NoC (packet send, DMA
+# burst), ledger, serving-layer (scrape, memory, disk and shard hits,
+# misses, coalesced followers), metrics-primitive, admission and trace-bus
+# ones — into BENCH_<sha>.json, stamped with the machine's cohort (CPU
+# model, nproc, GOMAXPROCS, Go version); commit the file to extend the
+# perf trajectory. Each sample of an engine, NoC, ledger, serving,
+# metrics, admission or bus benchmark covers ~1 s of work; the root figure
+# benchmarks measure experiment cost, so they run once per sample.
 FIGURE_BENCH := ^Benchmark(Fig|Table|Ablation|ContentionRobustness|NoPMOverhead)
-ENGINE_BENCH := ^Benchmark(ExchangeThroughput|ExchangeThroughput64x64|SoCRunThroughput)$$
+ENGINE_BENCH := ^Benchmark(ExchangeThroughput|ExchangeThroughput64x64|SoCRunThroughput|SoCRunCentralized)$$
 bench:
 	{ $(GO) test -bench='$(FIGURE_BENCH)' -benchmem -run=^$$ -count=3 -benchtime=1x . && \
 	  $(GO) test -bench='$(ENGINE_BENCH)' -benchmem -run=^$$ -count=3 -benchtime=1s . && \
-	  $(GO) test -bench=. -benchmem -run=^$$ -count=3 -benchtime=1s ./internal/ledger ./internal/server ./internal/metrics ./internal/tenant ./internal/trace; } \
+	  $(GO) test -bench=. -benchmem -run=^$$ -count=3 -benchtime=1s ./internal/noc ./internal/ledger ./internal/server ./internal/metrics ./internal/tenant ./internal/trace; } \
 		| $(GO) run ./cmd/benchjson -sha $(SHORTSHA) -goversion "$$($(GO) env GOVERSION)" -out BENCH_$(SHORTSHA).json
 
 # benchcheck builds the root test binary at BENCH_BASE_REF and from the

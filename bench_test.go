@@ -426,3 +426,16 @@ func BenchmarkSoCRunThroughput(b *testing.B) {
 		r.Run(g)
 	}
 }
+
+// BenchmarkSoCRunCentralized measures the DMA-dominated SoC run: one 4x4
+// frame, CV-parallel x3, under C-RR. The centralized controller puts no
+// packets on the NoC, so the run's traffic is the DMA bursts bracketing
+// its 39 tasks: 14,202 flits in 156 trains. Not gated by benchcheck; it
+// documents the DMA layer's cost in a whole run.
+func BenchmarkSoCRunCentralized(b *testing.B) {
+	g := workload.Repeat(workload.ComputerVisionParallel(), 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		soc.New(soc.SoC4x4(450, soc.SchemeCRR, uint64(i))).Run(g)
+	}
+}

@@ -91,17 +91,24 @@ func (s *Snapshot) find(name string) *Benchmark {
 	return nil
 }
 
+// benchLine is one benchmark result line, split into fields, with its
+// iteration count parsed.
+type benchLine struct {
+	fields []string
+	iters  int64
+}
+
 // parse consumes `go test -bench` output. Benchmark lines look like:
 //
 //	BenchmarkName-8  	 12	 97273245 ns/op	 916.4 custom-metric	 30659648 B/op	 943511 allocs/op
 //
 // i.e. name, iteration count, then (value, unit) pairs. The first `cpu:`
-// line and the first benchmark name's -GOMAXPROCS suffix (absent when it
-// is 1) fill the cohort's CPU and GOMAXPROCS; other non-benchmark lines
+// line and the names' -GOMAXPROCS suffix (see procsSuffix) fill the
+// cohort's CPU and GOMAXPROCS; other non-benchmark lines
 // (goos/goarch/pkg/PASS/ok) are skipped.
 func parse(lines []string) *Snapshot {
 	snap := &Snapshot{Cohort: &Cohort{}}
-	byName := map[string]*Benchmark{}
+	var rows []benchLine
 	for _, line := range lines {
 		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok && snap.Cohort.CPU == "" {
 			snap.Cohort.CPU = strings.TrimSpace(cpu)
@@ -114,28 +121,30 @@ func parse(lines []string) *Snapshot {
 		if len(f) < 4 {
 			continue
 		}
-		// Strip the -GOMAXPROCS suffix so snapshots from different machines
-		// key identically.
-		name, procs := f[0], 1
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if n, err := strconv.Atoi(name[i+1:]); err == nil {
-				name, procs = name[:i], n
-			}
-		}
 		iters, err := strconv.ParseInt(f[1], 10, 64)
 		if err != nil {
 			continue
 		}
-		if len(snap.Benchmarks) == 0 {
-			snap.Cohort.GOMAXPROCS = procs
-		}
+		rows = append(rows, benchLine{f, iters})
+	}
+	if len(rows) == 0 {
+		return snap
+	}
+	// Strip the -GOMAXPROCS suffix so snapshots from different machines
+	// key identically.
+	suffix, procs := procsSuffix(rows)
+	snap.Cohort.GOMAXPROCS = procs
+	byName := map[string]*Benchmark{}
+	for _, row := range rows {
+		f := row.fields
+		name := strings.TrimSuffix(f[0], suffix)
 		b := byName[name]
 		if b == nil {
 			b = &Benchmark{Name: name}
 			byName[name] = b
 			snap.Benchmarks = append(snap.Benchmarks, b)
 		}
-		b.Iterations = append(b.Iterations, iters)
+		b.Iterations = append(b.Iterations, row.iters)
 		for i := 2; i+1 < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
@@ -157,6 +166,31 @@ func parse(lines []string) *Snapshot {
 		}
 	}
 	return snap
+}
+
+// procsSuffix returns the -GOMAXPROCS suffix go test appended to the
+// benchmark names of rows, and GOMAXPROCS. go test appends none when
+// GOMAXPROCS is 1, so a trailing -N can also be part of a name
+// (BenchmarkX/subs-4): it is read as the suffix only when every name ends
+// in the same one. Otherwise the names stay whole and GOMAXPROCS is 1.
+// Sub-benchmarks are named with `=` (subs=4) so that the one case this
+// cannot tell apart, a GOMAXPROCS=1 run whose names all end in one -N,
+// does not arise.
+func procsSuffix(rows []benchLine) (string, int) {
+	suffix, procs := "", 1
+	for _, row := range rows {
+		name := row.fields[0]
+		i := strings.LastIndex(name, "-")
+		if i <= 0 || (suffix != "" && name[i:] != suffix) {
+			return "", 1
+		}
+		n, err := strconv.Atoi(name[i+1:])
+		if err != nil {
+			return "", 1
+		}
+		suffix, procs = name[i:], n
+	}
+	return suffix, procs
 }
 
 // best returns the minimum sample: the least-noisy stand-in for the true

@@ -48,6 +48,28 @@ func TestParseCapturedOutput(t *testing.T) {
 	}
 }
 
+// TestParseKeepsDashNamesAtGOMAXPROCS1: with GOMAXPROCS 1 go test appends
+// no suffix, so sub-benchmarks named subs-4 and subs-16 keep their names,
+// two samples each, and the cohort records GOMAXPROCS 1. Reading each
+// trailing -N as a suffix would merge them into one "subs" benchmark at
+// GOMAXPROCS 4.
+func TestParseKeepsDashNamesAtGOMAXPROCS1(t *testing.T) {
+	snap := parse(captured(t, "bench_gomaxprocs1_dashnames.txt"))
+	if snap.Cohort.GOMAXPROCS != 1 {
+		t.Fatalf("cohort %+v, want GOMAXPROCS 1", *snap.Cohort)
+	}
+	var names []string
+	for _, b := range snap.Benchmarks {
+		names = append(names, b.Name)
+		if len(b.NsPerOp) != 2 {
+			t.Errorf("%s: %d ns/op samples, want 2", b.Name, len(b.NsPerOp))
+		}
+	}
+	if got, want := strings.Join(names, ","), "BenchmarkX/subs-4,BenchmarkX/subs-16"; got != want {
+		t.Fatalf("benchmarks %s, want %s", got, want)
+	}
+}
+
 // TestReportComparesOnlyWithinACohort: a delta is printed only between
 // consecutive snapshots of one recorded cohort; a snapshot without a
 // cohort, or a change of machine, starts the comparison afresh.

@@ -47,23 +47,24 @@ func runAllocs(t *testing.T, fc *fault.Config) (uint64, Result) {
 // its packets. An allocation profile of the first two trials attributes
 // it to:
 //
-//   - packet-pool slabs of 64 packets and the pool's free list (~14);
-//   - the NoC slot table and its free list, grown by append (~16);
+//   - the NoC's packet chunks of 64 packets, addressed by slot number,
+//     with the chunk list and the slot free list grown by append (~17);
 //   - the kernel's event arena (~9);
 //   - the end-of-run snapshots (4);
 //   - hardened runs only: each audit round's candidate list and sort
 //     (~65 over the drop trial) and the lazily built far-partner strike
 //     maps (~40).
 //
-// That is 43 (healthy) and 151 (1% drop) allocations; the bounds leave
-// 2-3x headroom for layout changes. They sit three orders of magnitude
+// That is 30 (healthy) and 136 (1% drop) allocations; the bounds leave
+// 3x headroom for layout changes. They sit three orders of magnitude
 // below one allocation per packet or per exchange: the healthy trial sends
 // ~170,000 packets and the 1%-drop trial ~210,000. The fail-stop rows keep
-// that shape: a tile killed or a link failed at cycle 900 (96 and 218
+// that shape: a tile killed or a link failed at cycle 900 (81 and 203
 // allocations for ~870,000 and ~710,000 packets), and a 2% duplication plan
-// whose copies come from the packet pool (105 for ~600,000). Before failed
-// links were read off the route walk and duplicates drawn from the pool,
-// those last two rows allocated ~1.36 million and ~12,000 objects.
+// whose copies take packet slots like any other (90 for ~600,000). Before
+// failed links were read off the route walk and duplicates drawn from the
+// packet pool, those last two rows allocated ~1.36 million and ~12,000
+// objects.
 func TestRunSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name  string

@@ -386,3 +386,19 @@ func TestOnAllocationObserver(t *testing.T) {
 		t.Fatalf("observer not notified: %v", events)
 	}
 }
+
+// TestTokenSmartHopsAllocateNothing: each hop of the circulating pool is
+// a typed kernel event, not a closure, so once the ring is running its
+// revolutions allocate nothing.
+func TestTokenSmartHopsAllocateNothing(t *testing.T) {
+	k, net, specs := testRig(8)
+	c := NewTokenSmart(k, net, specs, 400, TSConfig{})
+	c.Start()
+	c.SetTarget(1, 60)
+	c.SetTarget(5, 80)
+	k.Run(1 << 16)
+	const span = 1 << 16 // ~400 hops
+	if allocs := testing.AllocsPerRun(10, func() { k.Run(k.Now() + span) }); allocs != 0 {
+		t.Fatalf("%.1f allocations per %d cycles of token-ring hops, want 0", allocs, span)
+	}
+}

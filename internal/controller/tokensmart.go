@@ -35,6 +35,9 @@ type TokenSmart struct {
 	visitProc       sim.Cycles
 	started         bool
 	tsCfg           TSConfig
+	// opHop moves the pool to the ring position in the event's x: one
+	// typed op, so circulating the pool allocates nothing per hop.
+	opHop sim.OpCode
 }
 
 // TSConfig parameterizes TokenSmart.
@@ -81,6 +84,7 @@ func NewTokenSmart(k *sim.Kernel, net *noc.Network, specs []TileSpec, budgetMW f
 		visitProc:  cfg.VisitProcCycles,
 	}
 	c.tsCfg = cfg
+	c.opHop = k.RegisterOp(func(_ int32, next uint64) { c.hop(int(next)) })
 	return c
 }
 
@@ -154,14 +158,18 @@ func (c *TokenSmart) visit() {
 func (c *TokenSmart) scheduleHop() {
 	next := (c.pos + 1) % len(c.specs)
 	hop := c.net.UnicastLatencyLowerBound(c.specs[c.pos].Tile, c.specs[next].Tile)
-	c.kernel.Schedule(hop+c.visitProc, func() {
-		c.pos = next
-		c.visit()
-		if c.pos == len(c.specs)-1 {
-			c.endRevolution()
-		}
-		c.scheduleHop()
-	})
+	c.kernel.ScheduleOp(hop+c.visitProc, c.opHop, 0, uint64(next))
+}
+
+// hop lands the pool on ring position next, visits that tile, closes the
+// revolution at the ring's end, and sends the pool on.
+func (c *TokenSmart) hop(next int) {
+	c.pos = next
+	c.visit()
+	if c.pos == len(c.specs)-1 {
+		c.endRevolution()
+	}
+	c.scheduleHop()
 }
 
 // endRevolution runs the once-per-revolution policy: starvation accounting,

@@ -1,0 +1,55 @@
+package noc
+
+import (
+	"testing"
+
+	"blitzcoin/internal/mesh"
+	"blitzcoin/internal/rng"
+	"blitzcoin/internal/sim"
+)
+
+// BenchmarkNoCSend is the NoC layer's per-packet cost on the exchange
+// path: one coin packet sent with SendCoin and delivered on a 16x16 torus,
+// between seeded random tile pairs, reported per packet. Packets go out in
+// batches of 64 before the kernel drains them, so links and ports contend
+// as in an exchange round.
+func BenchmarkNoCSend(b *testing.B) {
+	k := &sim.Kernel{}
+	m := mesh.Square(16, true)
+	n := New(k, m, DefaultConfig())
+	for i := 0; i < m.N(); i++ {
+		n.SetHandler(i, PlanePM, func(*Packet) {})
+	}
+	src := rng.New(1)
+	pairs := make([][2]int, 1024)
+	for i := range pairs {
+		a := src.Intn(m.N())
+		pairs[i] = [2]int{a, (a + 1 + src.Intn(m.N()-1)) % m.N()}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i&(len(pairs)-1)]
+		n.SendCoin(PlanePM, KindCoinStatus, p[0], p[1], CoinMsg{Seq: uint64(i)})
+		if i&63 == 63 {
+			k.Drain()
+		}
+	}
+	k.Drain()
+}
+
+// BenchmarkSendBurst is the DMA layer's cost: one train of flits sent with
+// SendBurst corner to corner across an idle 6x6 mesh and delivered.
+func BenchmarkSendBurst(b *testing.B) {
+	b.Run("flits=256", func(b *testing.B) {
+		k := &sim.Kernel{}
+		n := New(k, mesh.New(6, 6, false), DefaultConfig())
+		n.SetHandler(35, PlaneDMA0, func(*Packet) {})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n.SendBurst(PlaneDMA0, KindOther, 0, 35, 256, nil)
+			k.Drain()
+		}
+	})
+}

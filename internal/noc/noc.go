@@ -90,7 +90,9 @@ type CoinMsg struct {
 }
 
 // Packet is a single-flit NoC message. PM messages are a few dozen bits
-// (two 7-bit coin fields plus headers) and fit one flit.
+// (two 7-bit coin fields plus headers) and fit one flit. The one exception
+// is the delivery of a SendBurst train: it is the train's last flit and
+// stands for all of them (Flits).
 type Packet struct {
 	ID       uint64
 	Plane    Plane
@@ -104,14 +106,15 @@ type Packet struct {
 	Departed  sim.Cycles // time the packet won injection arbitration
 	Delivered sim.Cycles // time the destination handler ran
 	Hops      int
+	// Flits is the number of flits the delivery stands for. The one
+	// delivery of a SendBurst train carries the train's length; SendCoin's
+	// packets, the flits of a burst under a fault injector and duplicates
+	// of those carry one. Send leaves the caller's value.
+	Flits int
 	// Dup marks a fault-injected duplicate delivery of an earlier packet.
 	// Receivers that keep in-flight accounting must not double-count it;
 	// protocol state machines still process it (that is the fault).
 	Dup bool
-	// pooled marks packets owned by the network's free list (SendCoin,
-	// SendData and injected duplicates); deliver returns them to the pool
-	// after the handler runs, so handlers must not retain them.
-	pooled bool
 }
 
 // Latency returns the injection-to-delivery latency in cycles.
@@ -188,15 +191,19 @@ type Network struct {
 	deadPorts []int
 	deadFree  []sim.Cycles
 
-	// Deliveries travel the kernel as typed (opDeliver, dst, slot) events:
-	// slots holds each in-flight packet under a small integer index, so the
+	// Deliveries travel the kernel as typed (op, dst, slot) events, so the
 	// event itself is pointer-free and no per-packet closure or interface
-	// boxing exists anywhere on the send path.
-	opDeliver sim.OpCode
-	slots     []*Packet
-	freeSlots []int32
-	// pool recycles packets created by SendCoin, refilled a slab at a time.
-	pool []*Packet
+	// boxing exists anywhere on the send path. Packets the network owns
+	// (SendCoin, SendBurst, injected duplicates) live in fixed chunks of
+	// chunkSize and are addressed by slot number: slot s is
+	// chunks[s>>chunkBits][s&chunkMask]. free lists the vacant slots. A
+	// caller-owned packet passed to Send borrows a slot number too, and
+	// owned maps that slot to it while it is in flight. Handlers must not
+	// retain a network-owned packet: its slot is reused once they return.
+	opDeliver, opOwned, opTrain sim.OpCode
+	chunks                      []*[chunkSize]Packet
+	free                        []int32
+	owned                       []*Packet
 }
 
 // planeTables is one plane's link, port and handler state.
@@ -213,11 +220,16 @@ type planeTables struct {
 	handlers []Handler
 }
 
-// poolBatch is how many packets one pool refill allocates (as a single
-// slab): the exchange workload keeps a few hundred packets in flight at
-// peak, so warming the pool costs a handful of allocations, not one per
-// packet.
-const poolBatch = 64
+// chunkSize is how many network-owned packets one allocation adds (as a
+// single array): the exchange workload keeps a few hundred packets in
+// flight at peak, so warming the chunks costs a handful of allocations,
+// not one per packet. A chunk never moves, so a packet's address is stable
+// while its slot is taken.
+const (
+	chunkBits = 6
+	chunkSize = 1 << chunkBits
+	chunkMask = chunkSize - 1
+)
 
 // New builds a network over the given mesh using kernel for timing.
 func New(k *sim.Kernel, m mesh.Mesh, cfg Config) *Network {
@@ -228,11 +240,23 @@ func New(k *sim.Kernel, m mesh.Mesh, cfg Config) *Network {
 	for i := range n.coords {
 		n.coords[i] = m.Coord(i)
 	}
+	// Each op frees its slot after the handler returns: a handler that
+	// sends must not be handed the packet it is reading.
 	n.opDeliver = k.RegisterOp(func(_ int32, x uint64) {
-		p := n.slots[x]
-		n.slots[x] = nil
-		n.freeSlots = append(n.freeSlots, int32(x))
+		n.deliver(n.packet(int32(x)))
+		n.free = append(n.free, int32(x))
+	})
+	n.opOwned = k.RegisterOp(func(_ int32, x uint64) {
+		p := n.owned[x]
+		n.owned[x] = nil
 		n.deliver(p)
+		n.free = append(n.free, int32(x))
+	})
+	n.opTrain = k.RegisterOp(func(_ int32, x uint64) {
+		p := n.packet(int32(x))
+		p.Delivered = n.kernel.Now()
+		n.handle(p)
+		n.free = append(n.free, int32(x))
 	})
 	return n
 }
@@ -253,18 +277,37 @@ func (n *Network) plane(p Plane) *planeTables {
 	return pt
 }
 
-// schedDeliver parks p in the slot table and schedules its delivery event.
-func (n *Network) schedDeliver(t sim.Cycles, p *Packet) {
-	var slot int32
-	if k := len(n.freeSlots) - 1; k >= 0 {
-		slot = n.freeSlots[k]
-		n.freeSlots = n.freeSlots[:k]
-		n.slots[slot] = p
-	} else {
-		n.slots = append(n.slots, p)
-		slot = int32(len(n.slots) - 1)
+// packet returns the network-owned packet in slot s.
+func (n *Network) packet(s int32) *Packet {
+	return &n.chunks[s>>chunkBits][s&chunkMask]
+}
+
+// takeSlot pops a vacant slot. When none is left it adds a chunk, lists
+// all but the chunk's first slot as vacant and returns the first.
+func (n *Network) takeSlot() int32 {
+	k := len(n.free) - 1
+	if k < 0 {
+		base := int32(len(n.chunks)) << chunkBits
+		n.chunks = append(n.chunks, new([chunkSize]Packet))
+		for s := base + chunkMask; s > base; s-- {
+			n.free = append(n.free, s)
+		}
+		return base
 	}
-	n.kernel.AtOp(t, n.opDeliver, int32(p.Dst), uint64(slot))
+	s := n.free[k]
+	n.free = n.free[:k]
+	return s
+}
+
+// getPooled takes a slot and returns it with its packet, header filled
+// in. The packet keeps its last occupant's other fields: each sender sets
+// Coin and Payload, send sets the IDs, timing and hops, and delivery sets
+// Delivered, so only Dup, which no sender sets, is cleared here.
+func (n *Network) getPooled(plane Plane, kind Kind, src, dst, flits int) (int32, *Packet) {
+	s := n.takeSlot()
+	p := n.packet(s)
+	p.Plane, p.Kind, p.Src, p.Dst, p.Flits, p.Dup = plane, kind, src, dst, flits, false
+	return s, p
 }
 
 // Mesh returns the topology the network routes over.
@@ -313,33 +356,46 @@ func (n *Network) Faults() *fault.Injector { return n.faults }
 // an injected fault discarded it in the fabric. It exists for conservation
 // accounting only — a real tile cannot observe an in-fabric drop, so protocol
 // logic must recover via timeouts, never by branching on this result. A
-// duplicate injected by a fault is a pooled copy of p: handlers must not
-// retain it.
+// duplicate injected by a fault is a network-owned copy of p: handlers must
+// not retain it.
 func (n *Network) Send(p *Packet) bool {
+	_, ok := n.send(p, -1, 1)
+	return ok
+}
+
+// send injects p, the network-owned packet in slot or a caller-owned one
+// when slot is -1, as the last flit of a train of flits flits leaving its
+// source this cycle; a lone packet is a train of one. Trains longer than
+// one are SendBurst's closed form, sent only on a fabric with no injector.
+// It reports whether the packet will be delivered and the cycle its first
+// flit lands.
+func (n *Network) send(p *Packet, slot int32, flits uint64) (sim.Cycles, bool) {
 	if p.Src == p.Dst {
 		panic("noc: packet addressed to its own tile")
 	}
 	if p.Plane < 0 || p.Plane >= NumPlanes {
 		panic(fmt.Sprintf("noc: invalid plane %d", p.Plane))
 	}
-	n.nextID++
+	n.nextID += flits
 	p.ID = n.nextID
 	p.Injected = n.kernel.Now()
-	n.stats.Sent++
-	n.stats.PerPlaneSent[p.Plane]++
+	n.stats.Sent += flits
+	n.stats.PerPlaneSent[p.Plane] += flits
 	if p.Kind >= 0 && p.Kind < numKinds {
-		n.stats.PerKindSent[p.Kind]++
+		n.stats.PerKindSent[p.Kind] += flits
 	}
 
 	pt := n.plane(p.Plane)
-	// Injection arbitration: the port accepts one packet per cycle.
+	// Injection arbitration: the port accepts one flit per cycle, so flit i
+	// of a train departs i cycles after flit 0 and waits i cycles longer
+	// (charged with the train's delivery below).
 	depart := p.Injected + n.cfg.RouterLatency
 	if free := pt.inject[p.Src]; free > depart {
-		n.stats.ContentionCyc += uint64(free - depart)
+		n.stats.ContentionCyc += flits * (free - depart)
 		depart = free
 	}
-	pt.inject[p.Src] = depart + 1
-	p.Departed = depart
+	pt.inject[p.Src] = depart + flits
+	p.Departed = depart + flits - 1
 
 	// Reserve each link along the XY route in order, X first, then Y — the
 	// route of mesh.NextHopXY, walked from the endpoints' coordinates with
@@ -353,29 +409,30 @@ func (n *Network) Send(p *Packet) bool {
 	for i, l := range n.deadPorts {
 		n.deadFree[i] = pt.links[l]
 	}
-	t := depart
+	t, hops := depart, 0
 	s, d := n.coords[p.Src], n.coords[p.Dst]
 	li := p.Src * mesh.NumDirections
 	if s.X != d.X {
-		hops, fwd := n.axisHops(s.X, d.X, n.mesh.W)
+		h, fwd := n.axisHops(s.X, d.X, n.mesh.W)
 		dir := mesh.West
 		if fwd {
 			dir = mesh.East
 		}
-		li, t = n.walk(pt.links, li, s.X, hops, fwd, dir, n.mesh.W, mesh.NumDirections, t)
-		p.Hops += hops
+		li, t = n.walk(pt.links, li, s.X, h, fwd, dir, n.mesh.W, mesh.NumDirections, t, flits)
+		hops = h
 	}
 	if s.Y != d.Y {
-		hops, fwd := n.axisHops(s.Y, d.Y, n.mesh.H)
+		h, fwd := n.axisHops(s.Y, d.Y, n.mesh.H)
 		// On a 2-high torus both Y ports reach the same tile and the port
 		// scan picks North, as in mesh.NextHopXY.
 		dir := mesh.North
 		if fwd && !(n.mesh.Torus && n.mesh.H == 2) {
 			dir = mesh.South
 		}
-		_, t = n.walk(pt.links, li, s.Y, hops, fwd, dir, n.mesh.H, n.mesh.W*mesh.NumDirections, t)
-		p.Hops += hops
+		_, t = n.walk(pt.links, li, s.Y, h, fwd, dir, n.mesh.H, n.mesh.W*mesh.NumDirections, t, flits)
+		hops += h
 	}
+	p.Hops = hops
 
 	var v fault.Verdict
 	if n.faults != nil {
@@ -388,7 +445,10 @@ func (n *Network) Send(p *Packet) bool {
 	if v.Drop {
 		n.stats.Dropped++
 		n.stats.PerPlaneDropped[p.Plane]++
-		return false
+		if slot >= 0 {
+			n.free = append(n.free, slot)
+		}
+		return 0, false
 	}
 	if v.ExtraDelay > 0 {
 		n.stats.Delayed++
@@ -397,29 +457,54 @@ func (n *Network) Send(p *Packet) bool {
 
 	// Ejection port serialization at the destination.
 	if free := pt.eject[p.Dst]; free > t {
-		n.stats.ContentionCyc += uint64(free - t)
+		n.stats.ContentionCyc += flits * (free - t)
 		t = free
 	}
-	pt.eject[p.Dst] = t + 1
+	pt.eject[p.Dst] = t + flits
 
-	n.schedDeliver(t, p)
+	if flits > 1 {
+		// A train is delivered once, as its last flit, and its
+		// delivery-side counters are credited now: flit i's latency is
+		// flit 0's plus i, as is its injection wait.
+		last := t + flits - 1
+		n.stats.ContentionCyc += flits * (flits - 1) / 2
+		n.stats.Delivered += flits
+		n.stats.TotalHops += flits * uint64(hops)
+		n.stats.TotalLatency += flits*(t-p.Injected) + flits*(flits-1)/2
+		if lat := last - p.Injected; lat > n.stats.MaxLatency {
+			n.stats.MaxLatency = lat
+		}
+		n.kernel.AtOp(last, n.opTrain, int32(p.Dst), uint64(slot))
+		return t, true
+	}
+	op := n.opDeliver
+	if slot < 0 {
+		slot, op = n.takeSlot(), n.opOwned
+		for int(slot) >= len(n.owned) {
+			n.owned = append(n.owned, nil)
+		}
+		n.owned[slot] = p
+	}
+	n.kernel.AtOp(t, op, int32(p.Dst), uint64(slot))
 
 	if v.Dup {
 		// The duplicate trails the original through the ejection port with
-		// the same payload; receivers see the message twice. It is a pooled
-		// copy, recycled after its delivery like any SendCoin packet.
+		// the same payload; receivers see the message twice. It is a
+		// network-owned copy, recycled after its delivery like any SendCoin
+		// packet.
 		n.stats.Duplicated++
-		dup := n.getPooled()
+		ds := n.takeSlot()
+		dup := n.packet(ds)
 		*dup = *p
-		dup.Dup, dup.pooled = true, true
+		dup.Dup = true
 		td := t + 1
 		if free := pt.eject[p.Dst]; free > td {
 			td = free
 		}
 		pt.eject[p.Dst] = td + 1
-		n.schedDeliver(td, dup)
+		n.kernel.AtOp(td, n.opDeliver, int32(p.Dst), uint64(ds))
 	}
-	return true
+	return t, true
 }
 
 // axisHops resolves one axis of the XY route from coordinate a to b on an
@@ -443,20 +528,22 @@ func (n *Network) axisHops(a, b, length int) (hops int, fwd bool) {
 }
 
 // walk reserves hops consecutive links along one axis, each leaving its tile
-// through port dir. li is the link-table base (tile*NumDirections) of the
+// through port dir, for flits flits in a row: each link stays busy flits
+// cycles from the cycle the first takes it, and every flit waits there as
+// long as the first. li is the link-table base (tile*NumDirections) of the
 // starting tile, pos its coordinate on the axis, and stride the link-table
 // distance between axis neighbors; a torus wrap moves the base by
 // length*stride. It returns the base of the tile the walk ends on and the
-// cycle the packet clears the last link.
-func (n *Network) walk(links []sim.Cycles, li, pos, hops int, fwd bool, dir mesh.Direction, length, stride int, t sim.Cycles) (int, sim.Cycles) {
+// cycle the first flit clears the last link.
+func (n *Network) walk(links []sim.Cycles, li, pos, hops int, fwd bool, dir mesh.Direction, length, stride int, t sim.Cycles, flits uint64) (int, sim.Cycles) {
 	wrap := length * stride
 	for ; hops > 0; hops-- {
 		l := li + int(dir)
 		if free := links[l]; free > t {
-			n.stats.ContentionCyc += uint64(free - t)
+			n.stats.ContentionCyc += flits * (free - t)
 			t = free
 		}
-		links[l] = t + 1
+		links[l] = t + flits
 		t += n.cfg.HopLatency
 		if fwd {
 			li += stride
@@ -474,55 +561,58 @@ func (n *Network) walk(links []sim.Cycles, li, pos, hops int, fwd bool, dir mesh
 	return li, t
 }
 
-// SendCoin injects a coin-exchange packet drawn from the network's free
-// list; the packet is recycled automatically once the destination handler
+// SendCoin injects a coin-exchange packet drawn from the network's slots;
+// the packet is recycled automatically once the destination handler
 // returns (or immediately if a fault drops it), so the per-packet allocation
 // of Send disappears from the exchange hot path. The return value matches
 // Send's: false means an injected fault discarded the packet.
 func (n *Network) SendCoin(plane Plane, kind Kind, src, dst int, msg CoinMsg) bool {
-	p := n.getPooled()
-	p.Plane, p.Kind, p.Src, p.Dst, p.Coin = plane, kind, src, dst, msg
-	ok := n.Send(p)
-	if !ok {
-		n.pool = append(n.pool, p)
-	}
+	s, p := n.getPooled(plane, kind, src, dst, 1)
+	p.Coin, p.Payload = msg, nil
+	_, ok := n.send(p, s, 1)
 	return ok
 }
 
-// SendData injects a pooled packet with an interface payload — the same
-// recycling discipline as SendCoin for non-coin traffic like DMA flits, whose
-// per-flit packets would otherwise dominate the SoC runner's allocations.
+// SendBurst sends a train of flits flits from src to dst on one plane — the
+// traffic of flits Sends made in a row this cycle — and delivers one
+// network-owned packet for it: the last flit, carrying payload and, in
+// Flits, the train's length. It returns the cycle the first flit lands:
+// flit i lands at first+i, so the delivery comes at first+flits-1.
 // Handlers must not retain the packet (the payload may be).
-func (n *Network) SendData(plane Plane, kind Kind, src, dst int, payload interface{}) bool {
-	p := n.getPooled()
-	p.Plane, p.Kind, p.Src, p.Dst, p.Payload = plane, kind, src, dst, payload
-	ok := n.Send(p)
-	if !ok {
-		n.pool = append(n.pool, p)
-	}
-	return ok
-}
-
-// getPooled returns a zeroed pooled packet, refilling the free list by slab
-// when it runs dry.
-func (n *Network) getPooled() *Packet {
-	var p *Packet
-	if k := len(n.pool) - 1; k >= 0 {
-		p = n.pool[k]
-		n.pool[k] = nil
-		n.pool = n.pool[:k]
-		*p = Packet{}
-	} else {
-		batch := make([]Packet, poolBatch)
-		p = &batch[0]
-		for i := range batch[1:] {
-			n.pool = append(n.pool, &batch[1+i])
+//
+// The reservation is closed-form because every stage passes one flit per
+// cycle. The flits leave the injection port one cycle apart, so flit i
+// takes every link and the ejection port exactly i cycles after flit 0 and
+// waits at each as long as flit 0 did; each is left free flits cycles after
+// flit 0 took it, and injection waits add flits*w0 + flits*(flits-1)/2 for
+// flit 0's wait w0. Stats grow by exactly what flits sends would add. The
+// delivery-side counters (Delivered, TotalHops, TotalLatency, MaxLatency)
+// are credited now, and match the flit loop's once the train has landed.
+//
+// With a fault injector attached, the flits go one by one through Send as
+// network-owned packets with Flits 1, so each gets its own verdict and the
+// injector's random stream is that of separate sends; SendBurst then
+// returns 0, since faults decide where each flit lands. flits < 1 sends
+// nothing.
+func (n *Network) SendBurst(plane Plane, kind Kind, src, dst, flits int, payload interface{}) sim.Cycles {
+	if n.faults != nil {
+		for i := 0; i < flits; i++ {
+			s, p := n.getPooled(plane, kind, src, dst, 1)
+			p.Coin, p.Payload = CoinMsg{}, payload
+			n.send(p, s, 1)
 		}
+		return 0
 	}
-	p.pooled = true
-	return p
+	if flits < 1 {
+		return 0
+	}
+	s, p := n.getPooled(plane, kind, src, dst, flits)
+	p.Coin, p.Payload = CoinMsg{}, payload
+	first, _ := n.send(p, s, uint64(flits))
+	return first
 }
 
+// deliver credits a packet's delivery and hands it to its handler.
 func (n *Network) deliver(p *Packet) {
 	p.Delivered = n.kernel.Now()
 	n.stats.Delivered++
@@ -531,11 +621,13 @@ func (n *Network) deliver(p *Packet) {
 	if p.Latency() > n.stats.MaxLatency {
 		n.stats.MaxLatency = p.Latency()
 	}
+	n.handle(p)
+}
+
+// handle runs the destination's handler on p, if one is registered.
+func (n *Network) handle(p *Packet) {
 	if h := n.planes[p.Plane].handlers[p.Dst]; h != nil {
 		h(p)
-	}
-	if p.pooled {
-		n.pool = append(n.pool, p)
 	}
 }
 

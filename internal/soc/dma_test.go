@@ -106,3 +106,19 @@ func TestRandomDAGPanicsOnBadParams(t *testing.T) {
 	}()
 	workload.RandomDAG(rng.New(1), 0, []string{"FFT"}, 1, 2, 1)
 }
+
+// TestDMAEventsScaleWithBursts: a DMA burst costs the kernel one event per
+// plane, not one per flit. The 4x4 CV-parallel x3 run under Static moves
+// 14,202 flits; with an event per flit it executed 14,255 events, as one
+// train per plane and burst it executes 209.
+func TestDMAEventsScaleWithBursts(t *testing.T) {
+	r := New(SoC4x4(450, SchemeStatic, 1))
+	res := r.Run(workload.Repeat(workload.ComputerVisionParallel(), 3))
+	if !res.Completed {
+		t.Fatal("run incomplete")
+	}
+	flits := res.NoC.PerPlaneSent[noc.PlaneDMA0] + res.NoC.PerPlaneSent[noc.PlaneDMA1]
+	if ev := r.Kernel().Executed(); ev >= 1000 {
+		t.Fatalf("%d kernel events for %d DMA flits, want fewer than 1000", ev, flits)
+	}
+}

@@ -36,10 +36,11 @@ type accelTile struct {
 	dead         bool // fail-stopped by an injected fault
 }
 
-// dmaTransfer tracks one DMA burst; the last delivered flit fires done.
-// ESP's loosely-coupled accelerators fetch inputs and write results back
-// through the memory tiles over the dedicated DMA planes (Sec. IV-B), so
-// every task is bracketed by NoC bursts that contend like real traffic.
+// dmaTransfer tracks one DMA burst; the delivery that lands its last flit
+// fires done. ESP's loosely-coupled accelerators fetch inputs and write
+// results back through the memory tiles over the dedicated DMA planes
+// (Sec. IV-B), so every task is bracketed by NoC bursts that contend like
+// real traffic.
 type dmaTransfer struct {
 	remaining int
 	done      func()
@@ -68,7 +69,9 @@ type Runner struct {
 
 	// UVFR settle and task completion travel the kernel as typed
 	// (op, tile, epoch) events — no per-event closures on the SoC hot path.
-	opSettle, opComplete sim.OpCode
+	// opCut is a no-op that marks where a run cut by MaxCycles stops
+	// (startDMA).
+	opSettle, opComplete, opCut sim.OpCode
 
 	graph           *workload.Graph
 	done            map[int]bool
@@ -113,6 +116,7 @@ func New(cfg Config) *Runner {
 	r.rec.Attach(cfg.Stream)
 	r.opSettle = k.RegisterOp(func(tile int32, x uint64) { r.settleDone(int(tile), int(x)) })
 	r.opComplete = k.RegisterOp(func(tile int32, x uint64) { r.completionDue(int(tile), int(x)) })
+	r.opCut = k.RegisterOp(func(int32, uint64) {})
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		r.injector = fault.NewInjector(*cfg.Faults)
 		net.AttachFaults(r.injector)
@@ -171,11 +175,13 @@ func New(cfg Config) *Runner {
 		r.apShareMW = cfg.CombinedPMaxMW() / float64(len(r.tileOrder))
 	}
 
-	// DMA flits demux by transfer (payload pointer), so one handler per
-	// (tile, plane) suffices for all concurrent bursts.
+	// DMA deliveries demux by transfer (payload pointer), so one handler per
+	// (tile, plane) suffices for all concurrent bursts. A delivery stands
+	// for p.Flits flits: a whole train on a healthy fabric, one flit when
+	// a fault injector makes every flit its own packet.
 	dmaHandler := func(p *noc.Packet) {
 		tr := p.Payload.(*dmaTransfer)
-		tr.remaining--
+		tr.remaining -= p.Flits
 		if tr.remaining == 0 {
 			tr.done()
 		}
@@ -281,8 +287,10 @@ func (r *Runner) progressTo(t *accelTile, now sim.Cycles) {
 }
 
 // startDMA launches a burst of flits between a tile and its memory tile,
-// invoking done when the last flit lands. Bursts alternate between the two
-// DMA planes, as ESP splits accelerator DMA across planes.
+// invoking done when the last flit lands. The flits alternate between the
+// two DMA planes, as ESP splits accelerator DMA across planes: the odd
+// count's extra flit rides DMA0. Each plane's share travels as one
+// noc.SendBurst train, one kernel event however many flits it carries.
 func (r *Runner) startDMA(t *accelTile, toMem bool, flits int, done func()) {
 	if t.memTile < 0 || flits <= 0 {
 		r.kernel.Schedule(1, done)
@@ -293,13 +301,41 @@ func (r *Runner) startDMA(t *accelTile, toMem bool, flits int, done func()) {
 		src, dst = t.idx, t.memTile
 	}
 	tr := &dmaTransfer{remaining: flits, done: done}
-	for i := 0; i < flits; i++ {
-		plane := noc.PlaneDMA0
-		if i%2 == 1 {
-			plane = noc.PlaneDMA1
+	k0, k1 := (flits+1)/2, flits/2
+	first0 := r.net.SendBurst(noc.PlaneDMA0, noc.KindOther, src, dst, k0, tr)
+	first1 := r.net.SendBurst(noc.PlaneDMA1, noc.KindOther, src, dst, k1, tr)
+	if r.injector == nil {
+		// Run stops after its first event at or after MaxCycles. A train
+		// is one event, its last flit's delivery (flit i lands at
+		// first+i). Where an earlier flit would have been that first
+		// event, a no-op at its cycle keeps the stop where it was. Under
+		// a fault injector every flit is its own event already.
+		cut := cutIn(first0, k0, r.cfg.MaxCycles)
+		if c := cutIn(first1, k1, r.cfg.MaxCycles); c < cut {
+			cut = c
 		}
-		r.net.SendData(plane, noc.KindOther, src, dst, tr)
+		if cut != noCut {
+			r.kernel.AtOp(cut, r.opCut, 0, 0)
+		}
 	}
+}
+
+// noCut is cutIn's answer for a train with no undelivered flit at or
+// after the deadline.
+const noCut = sim.Cycles(math.MaxUint64)
+
+// cutIn returns the first cycle at or after deadline at which a train of
+// flits flits, the first landing at first, lands a flit other than its
+// last, or noCut.
+func cutIn(first sim.Cycles, flits int, deadline sim.Cycles) sim.Cycles {
+	if flits < 2 {
+		return noCut
+	}
+	c := max(first, deadline)
+	if c > first+sim.Cycles(flits)-2 {
+		return noCut
+	}
+	return c
 }
 
 // recordPower appends the tile's current draw to its trace series.
