@@ -6,9 +6,9 @@ SHORTSHA := $(shell git rev-parse --short HEAD)
 # the same machine. A change cannot name its own commit, so the change
 # after one that intentionally shifts performance re-pins to it (see
 # BENCHMARKING.md).
-BENCH_BASE_REF ?= 5cd5139ef9fced3bda6b0608862fd98987a8244d
+BENCH_BASE_REF ?= 7c59479acab575fee46dbde08f4ca9d36e0dc935
 
-.PHONY: build test vet race verify bench benchcheck bench-report figures \
+.PHONY: build test vet race verify bench bench-base benchcheck bench-report figures \
 	server-smoke cluster-smoke chaos-smoke stream-smoke tenant-smoke \
 	lint fmtcheck blitzlint lint-update lint-smoke
 
@@ -94,20 +94,33 @@ tenant-smoke:
 
 # bench snapshots the whole benchmark suite (3 samples each) — the root
 # package's figure and engine benchmarks plus the NoC (packet send, DMA
-# burst), ledger, serving-layer (scrape, memory, disk and shard hits,
-# misses, coalesced followers), metrics-primitive, admission and trace-bus
-# ones — into BENCH_<sha>.json, stamped with the machine's cohort (CPU
-# model, nproc, GOMAXPROCS, Go version); commit the file to extend the
-# perf trajectory. Each sample of an engine, NoC, ledger, serving,
-# metrics, admission or bus benchmark covers ~1 s of work; the root figure
-# benchmarks measure experiment cost, so they run once per sample.
+# burst), event-kernel (one typed op), ledger, serving-layer (scrape,
+# memory, disk and shard hits, misses, coalesced followers),
+# metrics-primitive, admission and trace-bus ones — into BENCH_<sha>.json,
+# stamped with the machine's cohort (CPU model, nproc, GOMAXPROCS, Go
+# version); commit the file to extend the perf trajectory. Each sample of
+# an engine, NoC, kernel, ledger, serving, metrics, admission or bus
+# benchmark covers ~1 s of work; the root figure benchmarks measure
+# experiment cost, so they run once per sample.
+#
+# bench-base runs the same suite on a `git archive` of BENCH_BASE_REF (as
+# scripts/benchcheck.sh extracts it) and writes BENCH_<pin>.json, stamped
+# with the pin's sha and this machine's cohort. A change cannot snapshot
+# its own commit, so each re-pin commits the snapshot of the commit it
+# pins. Needs BENCH_BASE_REF in the local history.
 FIGURE_BENCH := ^Benchmark(Fig|Table|Ablation|ContentionRobustness|NoPMOverhead)
 ENGINE_BENCH := ^Benchmark(ExchangeThroughput|ExchangeThroughput64x64|SoCRunThroughput|SoCRunCentralized)$$
-bench:
-	{ $(GO) test -bench='$(FIGURE_BENCH)' -benchmem -run=^$$ -count=3 -benchtime=1x . && \
+bench bench-base:
+	sha=$(SHORTSHA) dir=.; \
+	if [ $@ = bench-base ]; then \
+		sha=$$(git rev-parse --short '$(BENCH_BASE_REF)^{commit}') && dir=$$(mktemp -d) && \
+		trap 'rm -rf "$$dir"' EXIT && git archive "$$sha" | tar -x -C "$$dir" || exit 1; \
+	fi; \
+	( cd "$$dir" && \
+	  $(GO) test -bench='$(FIGURE_BENCH)' -benchmem -run=^$$ -count=3 -benchtime=1x . && \
 	  $(GO) test -bench='$(ENGINE_BENCH)' -benchmem -run=^$$ -count=3 -benchtime=1s . && \
-	  $(GO) test -bench=. -benchmem -run=^$$ -count=3 -benchtime=1s ./internal/noc ./internal/ledger ./internal/server ./internal/metrics ./internal/tenant ./internal/trace; } \
-		| $(GO) run ./cmd/benchjson -sha $(SHORTSHA) -goversion "$$($(GO) env GOVERSION)" -out BENCH_$(SHORTSHA).json
+	  $(GO) test -bench=. -benchmem -run=^$$ -count=3 -benchtime=1s ./internal/noc ./internal/sim ./internal/ledger ./internal/server ./internal/metrics ./internal/tenant ./internal/trace ) \
+		| $(GO) run ./cmd/benchjson -sha "$$sha" -goversion "$$($(GO) env GOVERSION)" -out "BENCH_$$sha.json"
 
 # benchcheck builds the root test binary at BENCH_BASE_REF and from the
 # working tree, alternates 5 pairs of the two hot-path benchmarks — the

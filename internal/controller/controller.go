@@ -35,15 +35,11 @@ type Controller interface {
 	// SetTarget reports an activity change on a tile: the tile now wants
 	// the given power target in mW (0 = inactive, relinquish allocation).
 	SetTarget(tile int, mw float64)
-	// AllocationMW returns the tile's current allocation.
-	AllocationMW(tile int) float64
 	// OnAllocation registers the observer invoked on allocation changes.
 	OnAllocation(fn func(tile int, mw float64))
-	// LastResponseCycles returns the scheme-defined response time of the
-	// most recently completed reallocation: the time from the triggering
-	// activity change until the allocation of every tile was adjusted.
-	LastResponseCycles() sim.Cycles
-	// ResponseSamples returns every recorded response time, in order.
+	// ResponseSamples returns every recorded response time, in order: the
+	// scheme-defined time from a triggering activity change until the
+	// allocation of every tile was adjusted.
 	ResponseSamples() []sim.Cycles
 	// BudgetMW returns the global cap the controller enforces.
 	BudgetMW() float64
@@ -61,7 +57,6 @@ type base struct {
 
 	onAlloc      func(tile int, mw float64)
 	lastChangeAt sim.Cycles
-	lastResponse sim.Cycles
 	responses    []sim.Cycles
 }
 
@@ -98,11 +93,19 @@ func (b *base) BudgetMW() float64 { return b.budget }
 
 func (b *base) OnAllocation(fn func(tile int, mw float64)) { b.onAlloc = fn }
 
+// AllocationMW returns the tile's current allocation.
 func (b *base) AllocationMW(tile int) float64 {
 	return b.allocs[b.mustIndex(tile)]
 }
 
-func (b *base) LastResponseCycles() sim.Cycles { return b.lastResponse }
+// LastResponseCycles returns the most recent response time, 0 before the
+// first.
+func (b *base) LastResponseCycles() sim.Cycles {
+	if len(b.responses) == 0 {
+		return 0
+	}
+	return b.responses[len(b.responses)-1]
+}
 
 func (b *base) mustIndex(tile int) int {
 	i, ok := b.byTile[tile]
@@ -129,32 +132,22 @@ func (b *base) markChange() { b.lastChangeAt = b.kernel.Now() }
 // markResponded records completion of the reallocation triggered by the
 // last change.
 func (b *base) markResponded() {
-	b.lastResponse = b.kernel.Now() - b.lastChangeAt
-	b.responses = append(b.responses, b.lastResponse)
+	b.responses = append(b.responses, b.kernel.Now()-b.lastChangeAt)
 }
 
 // ResponseSamples returns every recorded response time, in order.
 func (b *base) ResponseSamples() []sim.Cycles { return b.responses }
-
-// TotalAllocationMW returns the current sum of allocations, which every
-// scheme must keep at or below the budget.
-func (b *base) TotalAllocationMW() float64 {
-	var t float64
-	for _, a := range b.allocs {
-		t += a
-	}
-	return t
-}
 
 // proportionalShares computes each active tile's share of the budget in
 // proportion to its target, capped at the tile's PMax; freed headroom from
 // capped tiles is re-spread over the rest. This is the allocation rule both
 // BlitzCoin and BC-C implement (Sec. V-C: "the frequency of each tile is set
 // in proportion to the ratio of the tile's target power to the whole SoC's
-// power").
-func proportionalShares(specs []TileSpec, targets []float64, budget float64) []float64 {
-	out := make([]float64, len(specs))
-	capped := make([]bool, len(specs))
+// power"). The shares go into out; capped is scratch. Both are the caller's
+// and as long as specs.
+func proportionalShares(out []float64, capped []bool, specs []TileSpec, targets []float64, budget float64) {
+	clear(out)
+	clear(capped)
 	remaining := budget
 	for {
 		var sumT float64
@@ -188,5 +181,4 @@ func proportionalShares(specs []TileSpec, targets []float64, budget float64) []f
 			break
 		}
 	}
-	return out
 }

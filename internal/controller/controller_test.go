@@ -25,7 +25,10 @@ func testRig(n int) (*sim.Kernel, *noc.Network, []TileSpec) {
 	return k, net, specs
 }
 
-func sumAlloc(c Controller, specs []TileSpec) float64 {
+// allocator reads a controller's current allocation per tile.
+type allocator interface{ AllocationMW(tile int) float64 }
+
+func sumAlloc(c allocator, specs []TileSpec) float64 {
 	var t float64
 	for _, s := range specs {
 		t += c.AllocationMW(s.Tile)
@@ -33,9 +36,16 @@ func sumAlloc(c Controller, specs []TileSpec) float64 {
 	return t
 }
 
+// shares runs proportionalShares into fresh buffers.
+func shares(specs []TileSpec, targets []float64, budget float64) []float64 {
+	out := make([]float64, len(specs))
+	proportionalShares(out, make([]bool, len(specs)), specs, targets, budget)
+	return out
+}
+
 func TestProportionalSharesBasic(t *testing.T) {
 	specs := []TileSpec{{Tile: 0, PMaxMW: 100}, {Tile: 1, PMaxMW: 100}}
-	got := proportionalShares(specs, []float64{60, 30}, 90)
+	got := shares(specs, []float64{60, 30}, 90)
 	if math.Abs(got[0]-60) > 1e-9 || math.Abs(got[1]-30) > 1e-9 {
 		t.Fatalf("shares = %v", got)
 	}
@@ -43,7 +53,7 @@ func TestProportionalSharesBasic(t *testing.T) {
 
 func TestProportionalSharesScalesDown(t *testing.T) {
 	specs := []TileSpec{{Tile: 0, PMaxMW: 100}, {Tile: 1, PMaxMW: 100}}
-	got := proportionalShares(specs, []float64{80, 40}, 60)
+	got := shares(specs, []float64{80, 40}, 60)
 	if math.Abs(got[0]-40) > 1e-9 || math.Abs(got[1]-20) > 1e-9 {
 		t.Fatalf("shares = %v", got)
 	}
@@ -52,7 +62,7 @@ func TestProportionalSharesScalesDown(t *testing.T) {
 func TestProportionalSharesWaterFilling(t *testing.T) {
 	// A capped tile's overflow is re-spread over the rest.
 	specs := []TileSpec{{Tile: 0, PMaxMW: 30}, {Tile: 1, PMaxMW: 200}}
-	got := proportionalShares(specs, []float64{100, 100}, 120)
+	got := shares(specs, []float64{100, 100}, 120)
 	if math.Abs(got[0]-30) > 1e-9 {
 		t.Fatalf("capped share = %v, want 30", got[0])
 	}
@@ -63,7 +73,7 @@ func TestProportionalSharesWaterFilling(t *testing.T) {
 
 func TestProportionalSharesAllInactive(t *testing.T) {
 	specs := []TileSpec{{Tile: 0, PMaxMW: 30}}
-	got := proportionalShares(specs, []float64{0}, 100)
+	got := shares(specs, []float64{0}, 100)
 	if got[0] != 0 {
 		t.Fatalf("inactive share = %v", got[0])
 	}
@@ -71,7 +81,7 @@ func TestProportionalSharesAllInactive(t *testing.T) {
 
 func TestBCCAllocatesProportionallyAfterRound(t *testing.T) {
 	k, net, specs := testRig(4)
-	c := NewBCC(k, net, specs, 100, BCCConfig{CtrlTile: 0})
+	c := NewBCC(k, net, specs, 100, 0)
 	c.Start()
 	c.SetTarget(1, 60)
 	c.SetTarget(2, 30)
@@ -92,7 +102,7 @@ func TestBCCResponseScalesWithN(t *testing.T) {
 	// BC-C is O(N): doubling tiles roughly doubles the response time.
 	resp := func(n int) float64 {
 		k, net, specs := testRig(n)
-		c := NewBCC(k, net, specs, 1000, BCCConfig{CtrlTile: 0})
+		c := NewBCC(k, net, specs, 1000, 0)
 		c.Start()
 		c.SetTarget(1, 50)
 		k.Run(1 << 22)
@@ -107,7 +117,7 @@ func TestBCCResponseScalesWithN(t *testing.T) {
 func TestBCCResponseMicrosecondBand(t *testing.T) {
 	// Table I: BC-C response 3.8-8.0 us at N=13.
 	k, net, specs := testRig(13)
-	c := NewBCC(k, net, specs, 1000, BCCConfig{CtrlTile: 0})
+	c := NewBCC(k, net, specs, 1000, 0)
 	c.Start()
 	c.SetTarget(1, 50)
 	k.Run(1 << 22)
@@ -119,7 +129,7 @@ func TestBCCResponseMicrosecondBand(t *testing.T) {
 
 func TestBCCRerunCoalescesMidRoundChanges(t *testing.T) {
 	k, net, specs := testRig(4)
-	c := NewBCC(k, net, specs, 100, BCCConfig{CtrlTile: 0})
+	c := NewBCC(k, net, specs, 100, 0)
 	c.Start()
 	c.SetTarget(1, 60)
 	// Mid-round second change: must still end with both targets served.
@@ -135,7 +145,7 @@ func TestCRRGreedyGrantsUnderCap(t *testing.T) {
 	k, net, specs := testRig(4)
 	// Budget fits one full Pmax grant, a partial greedy grant, and two
 	// Pmin floors: floors 4x10 = 40, then greedily +90 and +10.
-	c := NewCRR(k, net, specs, 140, CRRConfig{CtrlTile: 0})
+	c := NewCRR(k, net, specs, 140, 0)
 	c.Start()
 	for i := 1; i <= 4; i++ {
 		c.SetTarget(i, 100)
@@ -164,7 +174,7 @@ func TestCRRGreedyGrantsUnderCap(t *testing.T) {
 
 func TestCRRRotationMovesGrant(t *testing.T) {
 	k, net, specs := testRig(3)
-	c := NewCRR(k, net, specs, 120, CRRConfig{CtrlTile: 0, RotationCycles: 10000})
+	c := NewCRR(k, net, specs, 120, 0)
 	c.Start()
 	for i := 1; i <= 3; i++ {
 		c.SetTarget(i, 100)
@@ -234,7 +244,7 @@ func TestTokenSmartReleasesOnDeactivation(t *testing.T) {
 
 func TestTokenSmartFairModeOnStarvation(t *testing.T) {
 	k, net, specs := testRig(3)
-	c := NewTokenSmart(k, net, specs, 90, TSConfig{StarveRevolutions: 2, FairRevolutions: 2})
+	c := NewTokenSmart(k, net, specs, 90, TSConfig{})
 	c.Start()
 	// Tile 1 grabs everything; then tiles 2 and 3 demand more than
 	// remains, starving them into fair mode.
@@ -273,7 +283,7 @@ func TestTokenSmartResponseScalesWithN(t *testing.T) {
 func TestPriceTheoryAllocatesAtClearing(t *testing.T) {
 	k, net, specs := testRig(9)
 	// Scarce budget (120 < 150 demand) so proportional favoring is visible.
-	c := NewPriceTheory(k, net, specs, 120, PTConfig{MarketTile: 0})
+	c := NewPriceTheory(k, net, specs, 120, 0)
 	c.Start()
 	c.SetTarget(1, 100)
 	c.SetTarget(5, 50)
@@ -301,13 +311,13 @@ func TestPriceTheorySlowerThanBCC(t *testing.T) {
 	// centralized controller at small N (Table I context).
 	n := 13
 	k1, net1, specs1 := testRig(n)
-	bcc := NewBCC(k1, net1, specs1, 1000, BCCConfig{CtrlTile: 0})
+	bcc := NewBCC(k1, net1, specs1, 1000, 0)
 	bcc.Start()
 	bcc.SetTarget(1, 50)
 	k1.Run(1 << 22)
 
 	k2, net2, specs2 := testRig(n)
-	pt := NewPriceTheory(k2, net2, specs2, 1000, PTConfig{MarketTile: 0})
+	pt := NewPriceTheory(k2, net2, specs2, 1000, 0)
 	pt.Start()
 	pt.SetTarget(1, 50)
 	k2.Run(1 << 22)
@@ -376,7 +386,7 @@ func TestBaseValidation(t *testing.T) {
 
 func TestOnAllocationObserver(t *testing.T) {
 	k, net, specs := testRig(3)
-	c := NewBCC(k, net, specs, 100, BCCConfig{CtrlTile: 0})
+	c := NewBCC(k, net, specs, 100, 0)
 	events := map[int]float64{}
 	c.OnAllocation(func(tile int, mw float64) { events[tile] = mw })
 	c.Start()
@@ -400,5 +410,52 @@ func TestTokenSmartHopsAllocateNothing(t *testing.T) {
 	const span = 1 << 16 // ~400 hops
 	if allocs := testing.AllocsPerRun(10, func() { k.Run(k.Now() + span) }); allocs != 0 {
 		t.Fatalf("%.1f allocations per %d cycles of token-ring hops, want 0", allocs, span)
+	}
+}
+
+// TestControllerRoundsAllocateNothing: C-RR's and BC-C's rounds and PT's
+// clearings are typed kernel events over buffers the controllers own, so
+// once warm a round allocates nothing.
+func TestControllerRoundsAllocateNothing(t *testing.T) {
+	const span = 1 << 17
+	for _, tc := range []struct {
+		name string
+		step func() func() // warms the controller up, returns one measured step
+	}{
+		{"C-RR rotation rounds", func() func() {
+			k, net, specs := testRig(8)
+			c := NewCRR(k, net, specs, 400, 0)
+			c.Start()
+			for _, s := range specs {
+				c.SetTarget(s.Tile, 90)
+			}
+			k.Run(span)
+			return func() { k.Run(k.Now() + span) }
+		}},
+		{"BC-C change rounds", func() func() {
+			k, net, specs := testRig(8)
+			c := NewBCC(k, net, specs, 400, 0)
+			c.responses = make([]sim.Cycles, 0, 64)
+			c.Start()
+			mw := 10.0
+			return func() {
+				mw = 110 - mw
+				c.SetTarget(1, mw)
+				k.Run(k.Now() + 1<<14)
+			}
+		}},
+		{"PT clearings", func() func() {
+			k, net, specs := testRig(9)
+			c := NewPriceTheory(k, net, specs, 400, 0)
+			c.Start()
+			c.SetTarget(1, 60)
+			c.SetTarget(5, 80)
+			k.Run(span)
+			return func() { k.Run(k.Now() + span) }
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(10, tc.step()); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per step, want 0", tc.name, allocs)
+		}
 	}
 }

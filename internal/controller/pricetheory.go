@@ -18,67 +18,57 @@ import (
 // times slower than BlitzCoin even after hardware-implementation scaling.
 type PriceTheory struct {
 	base
-	net *noc.Network
 
-	clusters   [][]int // specs indices per cluster
-	mgrs       []int   // manager tile (mesh index) per cluster
-	marketTile int
-	procCycles sim.Cycles
-	epoch      sim.Cycles
+	// size is the tiles per cluster: consecutive specs form a cluster,
+	// and its first tile hosts the cluster manager.
+	size int
+	// latency is one full market clearing, fixed at construction because
+	// it depends only on the mesh.
+	latency sim.Cycles
+	// Buffers every clearing reuses: per-cluster demand bids, per-tile
+	// shares, and proportionalShares' scratch.
+	demands []float64
+	shares  []float64
+	capped  []bool
 
 	pendingResponse bool
 	started         bool
+	// opClear starts a clearing and opApply lands its allocation.
+	opClear, opApply sim.OpCode
 }
 
-// PTConfig parameterizes the scheme.
-type PTConfig struct {
-	// ClusterSize groups consecutive specs; zero selects ceil(sqrt(N)), the
-	// balanced two-level hierarchy.
-	ClusterSize int
-	// MarketTile hosts the central market (the controller CPU tile).
-	MarketTile int
-	// ProcCycles is the per-message software handling cost at the managers
-	// and market; zero selects 400 cycles (0.5 us), calibrated to the
-	// hardware-scaled response times the paper derives from [81].
-	ProcCycles sim.Cycles
-	// EpochCycles separates market clearings; zero selects twice the
-	// clearing latency (the market runs back-to-back with slack).
-	EpochCycles sim.Cycles
-}
+// ptProcCycles is the per-message software handling cost at the managers
+// and market: 400 cycles (0.5 us), calibrated to the hardware-scaled
+// response times the paper derives from [81]. Clusters hold ceil(sqrt(N))
+// tiles, the balanced two-level hierarchy, and clearings start every two
+// clearing latencies, so the market runs back to back with slack.
+const ptProcCycles sim.Cycles = 400
 
-// NewPriceTheory builds the hierarchical controller.
-func NewPriceTheory(k *sim.Kernel, net *noc.Network, specs []TileSpec, budgetMW float64, cfg PTConfig) *PriceTheory {
+// NewPriceTheory builds the hierarchical controller with its central market
+// on mesh tile marketTile (the controller CPU tile).
+func NewPriceTheory(k *sim.Kernel, net *noc.Network, specs []TileSpec, budgetMW float64, marketTile int) *PriceTheory {
+	n := len(specs)
+	size := int(math.Ceil(math.Sqrt(float64(n))))
 	c := &PriceTheory{
-		base:       newBase("PT", k, specs, budgetMW),
-		net:        net,
-		marketTile: cfg.MarketTile,
-		procCycles: cfg.ProcCycles,
-		epoch:      cfg.EpochCycles,
+		base:    newBase("PT", k, specs, budgetMW),
+		size:    size,
+		demands: make([]float64, (n+size-1)/size),
+		shares:  make([]float64, n),
+		capped:  make([]bool, n),
 	}
-	if c.procCycles == 0 {
-		c.procCycles = 400
-	}
-	size := cfg.ClusterSize
-	if size == 0 {
-		size = int(math.Ceil(math.Sqrt(float64(len(specs)))))
-	}
-	for start := 0; start < len(specs); start += size {
-		end := start + size
-		if end > len(specs) {
-			end = len(specs)
-		}
-		idxs := make([]int, 0, end-start)
-		for i := start; i < end; i++ {
-			idxs = append(idxs, i)
-		}
-		c.clusters = append(c.clusters, idxs)
-		// The first tile of each cluster hosts its manager.
-		c.mgrs = append(c.mgrs, specs[start].Tile)
-	}
-	if c.epoch == 0 {
-		c.epoch = 2 * c.clearingLatency()
-	}
+	c.latency = c.clearingLatency(net, marketTile)
+	c.opClear = k.RegisterOp(func(int32, uint64) {
+		c.kernel.ScheduleOp(c.latency, c.opApply, 0, 0)
+		c.kernel.ScheduleOp(2*c.latency, c.opClear, 0, 0)
+	})
+	c.opApply = k.RegisterOp(func(int32, uint64) { c.apply() })
 	return c
+}
+
+// cluster returns the specs range [lo, hi) of cluster ci.
+func (c *PriceTheory) cluster(ci int) (lo, hi int) {
+	lo = ci * c.size
+	return lo, min(lo+c.size, len(c.specs))
 }
 
 // clearingLatency models one full market clearing:
@@ -92,22 +82,17 @@ func NewPriceTheory(k *sim.Kernel, net *noc.Network, specs []TileSpec, budgetMW 
 //
 // With ~sqrt(N) clusters of ~sqrt(N) tiles this is O(sqrt(N)) like
 // BlitzCoin, but with software-scale constants and a serialized market.
-func (c *PriceTheory) clearingLatency() sim.Cycles {
-	var gather sim.Cycles
-	for ci, idxs := range c.clusters {
+func (c *PriceTheory) clearingLatency(net *noc.Network, marketTile int) sim.Cycles {
+	var gather, market sim.Cycles
+	for ci := range c.demands {
+		lo, hi := c.cluster(ci)
+		mgr := c.specs[lo].Tile
 		var t sim.Cycles
-		for _, i := range idxs {
-			rt := 2 * c.net.UnicastLatencyLowerBound(c.mgrs[ci], c.specs[i].Tile)
-			t += rt + c.procCycles
+		for i := lo; i < hi; i++ {
+			t += 2*net.UnicastLatencyLowerBound(mgr, c.specs[i].Tile) + ptProcCycles
 		}
-		if t > gather {
-			gather = t
-		}
-	}
-	var market sim.Cycles
-	for ci := range c.clusters {
-		rt := 2 * c.net.UnicastLatencyLowerBound(c.marketTile, c.mgrs[ci])
-		market += rt + c.procCycles
+		gather = max(gather, t)
+		market += 2*net.UnicastLatencyLowerBound(marketTile, mgr) + ptProcCycles
 	}
 	scatter := gather // symmetric distribution pass
 	return gather + market + scatter
@@ -119,19 +104,7 @@ func (c *PriceTheory) Start() {
 		return
 	}
 	c.started = true
-	var clear func()
-	clear = func() {
-		lat := c.clearingLatency()
-		c.kernel.Schedule(lat, func() {
-			c.apply()
-			if c.pendingResponse {
-				c.markResponded()
-				c.pendingResponse = false
-			}
-		})
-		c.kernel.Schedule(c.epoch, clear)
-	}
-	c.kernel.Schedule(1, clear)
+	c.kernel.ScheduleOp(1, c.opClear, 0, 0)
 }
 
 // SetTarget registers a bid change; it takes effect at the next clearing.
@@ -141,37 +114,34 @@ func (c *PriceTheory) SetTarget(tile int, mw float64) {
 	c.pendingResponse = true
 }
 
-// apply performs the two-level proportional allocation.
+// apply lands a clearing: the two-level proportional allocation, which
+// completes the response to any bid change made before it.
 func (c *PriceTheory) apply() {
-	// Cluster demands.
-	demands := make([]float64, len(c.clusters))
 	var total float64
-	for ci, idxs := range c.clusters {
-		for _, i := range idxs {
-			demands[ci] += c.targets[i]
+	for ci := range c.demands {
+		lo, hi := c.cluster(ci)
+		c.demands[ci] = 0
+		for i := lo; i < hi; i++ {
+			c.demands[ci] += c.targets[i]
 		}
-		total += demands[ci]
+		total += c.demands[ci]
 	}
-	if total == 0 {
-		for i := range c.specs {
-			c.setAlloc(i, 0)
+	for ci, d := range c.demands {
+		lo, hi := c.cluster(ci)
+		if total == 0 {
+			clear(c.shares[lo:hi])
+		} else {
+			proportionalShares(c.shares[lo:hi], c.capped[lo:hi], c.specs[lo:hi], c.targets[lo:hi], c.budget*d/total)
 		}
-		return
+		for i := lo; i < hi; i++ {
+			c.setAlloc(i, c.shares[i])
+		}
 	}
-	for ci, idxs := range c.clusters {
-		clusterBudget := c.budget * demands[ci] / total
-		sub := make([]TileSpec, len(idxs))
-		subT := make([]float64, len(idxs))
-		for k, i := range idxs {
-			sub[k] = c.specs[i]
-			subT[k] = c.targets[i]
-		}
-		shares := proportionalShares(sub, subT, clusterBudget)
-		for k, i := range idxs {
-			c.setAlloc(i, shares[k])
-		}
+	if c.pendingResponse {
+		c.markResponded()
+		c.pendingResponse = false
 	}
 }
 
 // NumClusters returns the hierarchy width, for tests.
-func (c *PriceTheory) NumClusters() int { return len(c.clusters) }
+func (c *PriceTheory) NumClusters() int { return len(c.demands) }

@@ -34,7 +34,6 @@ type TokenSmart struct {
 	eligibleRev     uint64 // first revolution allowed to complete a response
 	visitProc       sim.Cycles
 	started         bool
-	tsCfg           TSConfig
 	// opHop moves the pool to the ring position in the event's x: one
 	// typed op, so circulating the pool allocates nothing per hop.
 	opHop sim.OpCode
@@ -47,11 +46,15 @@ type TSConfig struct {
 	// VisitProcCycles is the per-tile token-handling time; zero selects
 	// 150 cycles, landing the N=13 response near the measured 2.9 us.
 	VisitProcCycles sim.Cycles
-	// StarveRevolutions triggers fair mode; zero selects 2.
-	StarveRevolutions int
-	// FairRevolutions is how long fair mode lasts; zero selects 4.
-	FairRevolutions int
 }
+
+// TokenSmart's greedy/fair switch: a tile starved for tsStarveRevolutions
+// consecutive revolutions triggers fair mode, which lasts
+// tsFairRevolutions revolutions.
+const (
+	tsStarveRevolutions = 2
+	tsFairRevolutions   = 4
+)
 
 func (c *TSConfig) defaults() {
 	if c.TotalTokens == 0 {
@@ -59,12 +62,6 @@ func (c *TSConfig) defaults() {
 	}
 	if c.VisitProcCycles == 0 {
 		c.VisitProcCycles = 150
-	}
-	if c.StarveRevolutions == 0 {
-		c.StarveRevolutions = 2
-	}
-	if c.FairRevolutions == 0 {
-		c.FairRevolutions = 4
 	}
 }
 
@@ -83,7 +80,6 @@ func NewTokenSmart(k *sim.Kernel, net *noc.Network, specs []TileSpec, budgetMW f
 		starve:     make([]int, len(specs)),
 		visitProc:  cfg.VisitProcCycles,
 	}
-	c.tsCfg = cfg
 	c.opHop = k.RegisterOp(func(_ int32, next uint64) { c.hop(int(next)) })
 	return c
 }
@@ -179,7 +175,7 @@ func (c *TokenSmart) endRevolution() {
 	for i := range c.specs {
 		if c.targets[i] > 0 && c.held[i] < c.needTokens(i) {
 			c.starve[i]++
-			if c.starve[i] >= c.tsCfg.StarveRevolutions {
+			if c.starve[i] >= tsStarveRevolutions {
 				anyStarved = true
 			}
 		} else {
@@ -197,7 +193,7 @@ func (c *TokenSmart) endRevolution() {
 		}
 	case anyStarved:
 		c.fair = true
-		c.fairLeft = c.tsCfg.FairRevolutions
+		c.fairLeft = tsFairRevolutions
 	}
 	c.revCount++
 	if c.pendingResponse && c.revCount >= c.eligibleRev && !c.movedInRev && !c.fair {

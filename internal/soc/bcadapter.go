@@ -131,27 +131,9 @@ func (a *bcAdapter) SetTarget(tile int, mw float64) {
 	a.emu.SetMax(tile, coins)
 }
 
-// AllocationMW returns the tile's current coin holding in mW.
-func (a *bcAdapter) AllocationMW(tile int) float64 {
-	if _, ok := a.byTile[tile]; !ok {
-		panic("soc: AllocationMW on unmanaged tile")
-	}
-	return float64(a.emu.Has(tile)) * a.mWPerCoin
-}
-
 func (a *bcAdapter) OnAllocation(fn func(tile int, mw float64)) { a.onAlloc = fn }
 
-func (a *bcAdapter) LastResponseCycles() sim.Cycles {
-	if len(a.responses) == 0 {
-		return 0
-	}
-	return a.responses[len(a.responses)-1]
-}
-
 func (a *bcAdapter) ResponseSamples() []sim.Cycles { return a.responses }
-
-// MWPerCoin exposes the coin value for the harness's LUT construction.
-func (a *bcAdapter) MWPerCoin() float64 { return a.mWPerCoin }
 
 // attachFaults hardens the exchange fabric against the runner's fault
 // injector: the emulator registers its kill/stuck/slow reactions and enables

@@ -197,16 +197,13 @@ func New(cfg Config) *Runner {
 		r.ctrl = newBCAdapter(k, net, specs, cfg.BudgetMW, src.Split(),
 			cfg.CoinRefreshInterval, cfg.ConvergenceThreshold)
 	case SchemeBCC:
-		r.ctrl = controller.NewBCC(k, net, specs, cfg.BudgetMW,
-			controller.BCCConfig{CtrlTile: cfg.CPUTile()})
+		r.ctrl = controller.NewBCC(k, net, specs, cfg.BudgetMW, cfg.CPUTile())
 	case SchemeCRR:
-		r.ctrl = controller.NewCRR(k, net, specs, cfg.BudgetMW,
-			controller.CRRConfig{CtrlTile: cfg.CPUTile()})
+		r.ctrl = controller.NewCRR(k, net, specs, cfg.BudgetMW, cfg.CPUTile())
 	case SchemeTS:
 		r.ctrl = controller.NewTokenSmart(k, net, specs, cfg.BudgetMW, controller.TSConfig{})
 	case SchemePT:
-		r.ctrl = controller.NewPriceTheory(k, net, specs, cfg.BudgetMW,
-			controller.PTConfig{MarketTile: cfg.CPUTile()})
+		r.ctrl = controller.NewPriceTheory(k, net, specs, cfg.BudgetMW, cfg.CPUTile())
 	case SchemeStatic:
 		r.ctrl = controller.NewStatic(k, specs, cfg.BudgetMW)
 	default:
