@@ -93,15 +93,16 @@ tenant-smoke:
 	sh scripts/tenant_smoke.sh
 
 # bench snapshots the whole benchmark suite (3 samples each) — the root
-# package's figure and engine benchmarks plus the NoC (packet send, DMA
-# burst), event-kernel (one typed op), ledger, serving-layer (scrape,
-# memory, disk and shard hits, misses, coalesced followers),
-# metrics-primitive, admission and trace-bus ones — into BENCH_<sha>.json,
-# stamped with the machine's cohort (CPU model, nproc, GOMAXPROCS, Go
-# version); commit the file to extend the perf trajectory. Each sample of
-# an engine, NoC, kernel, ledger, serving, metrics, admission or bus
-# benchmark covers ~1 s of work; the root figure benchmarks measure
-# experiment cost, so they run once per sample.
+# package's figure and engine benchmarks plus the NoC (message send, DMA
+# burst), event-kernel (one typed op), coin-exchange round, SoC settle,
+# sweep fan-out, ledger, serving-layer (scrape, memory, disk and shard
+# hits, misses, coalesced followers), metrics-primitive, admission and
+# trace-bus ones — into BENCH_<sha>.json, stamped with the machine's cohort
+# (CPU model, nproc, GOMAXPROCS, Go version); commit the file to extend the
+# perf trajectory. Each sample of an engine, NoC, kernel, exchange-round,
+# settle, fan-out, ledger, serving, metrics, admission or bus benchmark
+# covers ~1 s of work; the root figure benchmarks measure experiment cost,
+# so they run once per sample.
 #
 # bench-base runs the same suite on a `git archive` of BENCH_BASE_REF (as
 # scripts/benchcheck.sh extracts it) and writes BENCH_<pin>.json, stamped
@@ -119,7 +120,7 @@ bench bench-base:
 	( cd "$$dir" && \
 	  $(GO) test -bench='$(FIGURE_BENCH)' -benchmem -run=^$$ -count=3 -benchtime=1x . && \
 	  $(GO) test -bench='$(ENGINE_BENCH)' -benchmem -run=^$$ -count=3 -benchtime=1s . && \
-	  $(GO) test -bench=. -benchmem -run=^$$ -count=3 -benchtime=1s ./internal/noc ./internal/sim ./internal/ledger ./internal/server ./internal/metrics ./internal/tenant ./internal/trace ) \
+	  $(GO) test -bench=. -benchmem -run=^$$ -count=3 -benchtime=1s ./internal/noc ./internal/sim ./internal/coin ./internal/soc ./internal/sweep ./internal/ledger ./internal/server ./internal/metrics ./internal/tenant ./internal/trace ) \
 		| $(GO) run ./cmd/benchjson -sha "$$sha" -goversion "$$($(GO) env GOVERSION)" -out "BENCH_$$sha.json"
 
 # benchcheck builds the root test binary at BENCH_BASE_REF and from the

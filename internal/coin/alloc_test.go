@@ -40,31 +40,32 @@ func runAllocs(t *testing.T, fc *fault.Config) (uint64, Result) {
 	return after.Mallocs - before.Mallocs, res
 }
 
-// The exchange steady state allocates nothing: per-packet routing, the
+// The exchange steady state allocates nothing: per-message routing, the
 // fault verdict (failed links included) and the 4-way group split all run
 // on tables built at construction or at a fault's activation. What Run
 // still allocates grows with the run's peak and its audit rounds, not with
-// its packets. An allocation profile of the first two trials attributes
-// it to:
+// its messages. An allocation profile of the five trials attributes it to:
 //
-//   - the NoC's packet chunks of 64 packets, addressed by slot number,
-//     with the chunk list and the slot free list grown by append (~17);
-//   - the kernel's event arena (~9);
+//   - the emulator's message records (a sim.Slots: chunks of 64 addressed
+//     by index, the chunk list grown by append, the free list's capacity
+//     kept ahead of the record count) (~10);
+//   - the kernel's event arena (~10);
+//   - the NoC's PM-plane tables, built on the first message (2);
 //   - the end-of-run snapshots (4);
 //   - hardened runs only: each audit round's candidate list and sort
 //     (~65 over the drop trial) and the lazily built far-partner strike
 //     maps (~40).
 //
-// That is 30 (healthy) and 136 (1% drop) allocations; the bounds leave
+// That is 26 (healthy) and 132 (1% drop) allocations; the bounds leave
 // 3x headroom for layout changes. They sit three orders of magnitude
-// below one allocation per packet or per exchange: the healthy trial sends
-// ~170,000 packets and the 1%-drop trial ~210,000. The fail-stop rows keep
-// that shape: a tile killed or a link failed at cycle 900 (81 and 203
-// allocations for ~870,000 and ~710,000 packets), and a 2% duplication plan
-// whose copies take packet slots like any other (90 for ~600,000). Before
-// failed links were read off the route walk and duplicates drawn from the
-// packet pool, those last two rows allocated ~1.36 million and ~12,000
-// objects.
+// below one allocation per message or per exchange: the healthy trial
+// sends ~170,000 messages and the 1%-drop trial ~210,000. The fail-stop
+// rows keep that shape: a tile killed or a link failed at cycle 900 (76
+// and 198 allocations for ~870,000 and ~710,000 messages), and a 2%
+// duplication plan whose copies take message records like any other (85
+// for ~600,000). Before failed links were read off the route walk and
+// duplicates drawn from a pool, those last two rows allocated ~1.36
+// million and ~12,000 objects.
 func TestRunSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -86,6 +87,17 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 		if allocs > c.bound {
 			t.Errorf("%s: Run allocated %d objects for %d packets, bound %d",
 				c.name, allocs, res.TotalPackets, c.bound)
+		}
+	}
+}
+
+// One exchange round, 1-way or 4-way (BenchmarkExchangeRound's), allocates
+// nothing once warm: its messages reuse the emulator's records and its
+// events the kernel's arena.
+func TestExchangeRoundAllocatesNothing(t *testing.T) {
+	for _, mode := range []Mode{OneWay, FourWay} {
+		if a := testing.AllocsPerRun(100, warmRound(mode)); a != 0 {
+			t.Errorf("%v round: %v allocations, want 0", mode, a)
 		}
 	}
 }

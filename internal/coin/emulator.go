@@ -1,7 +1,6 @@
 package coin
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
@@ -12,8 +11,10 @@ import (
 	"blitzcoin/internal/sim"
 )
 
-// The coin message types travel as noc.CoinMsg, stored inline in the packet
-// (no payload boxing):
+// CoinMsg is the payload of the three coin-exchange message kinds. The
+// fields mirror the few-dozen-bit hardware message: coin state (Has, Max),
+// a coin movement (Delta), protocol flags, and the exchange sequence number
+// used to pair replies with requests:
 //
 //   - request (KindCoinRequest): a 4-way center asks a neighbor for status.
 //     Seq identifies the center's attempt so late replies to a timed-out
@@ -31,6 +32,30 @@ import (
 //     to a 4-way delta push (which also releases the responder's
 //     participation lock); Seq lets a hardened initiator ignore an ack for an
 //     exchange it already timed out.
+type CoinMsg struct {
+	Has   int64  // sender's coin count (status)
+	Max   int64  // sender's max additional coins it can absorb (status)
+	Delta int64  // coins moved, positive toward the receiver (update)
+	Seq   uint64 // exchange sequence number
+	Reply bool   // status sent in response to a request
+	Nack  bool   // status declines the exchange (locked/busy)
+	Ack   bool   // update acknowledges a received update
+}
+
+// message is one coin message in flight on the PM plane: its kind and
+// payload, the tile that sent it, and the send cycle and hop count the NoC
+// credits its arrival with. The NoC only routes it; the emulator keeps the
+// record until the message lands. dup marks a fault-injected duplicate of
+// an earlier message: receivers that keep in-flight accounting must not
+// double-count it, while protocol state machines still process it (that is
+// the fault).
+type message struct {
+	msg       CoinMsg
+	injected  sim.Cycles
+	src, hops int32
+	kind      noc.Kind
+	dup       bool
+}
 
 // maxNbrs is the mesh degree: a tile has at most four distinct neighbors, so
 // all per-neighbor state lives in fixed-size slot ranges indexed by the
@@ -120,7 +145,7 @@ func (r Result) ConvergenceMicros() float64 {
 // touches) instead of striding across fat per-tile structs, and the arrays
 // of one element type share a single slab allocation. Events reach the
 // emulator as typed kernel ops carrying (tile, x) — no per-event closures
-// anywhere on the tick/timeout/watchdog chains.
+// anywhere on the tick/timeout/watchdog chains or on a message's arrival.
 type Emulator struct {
 	cfg    Config
 	kernel *sim.Kernel
@@ -171,7 +196,7 @@ type Emulator struct {
 	nbrs       []int32
 	nbrHas     []int64
 	nbrFailCnt []int32
-	pend       []noc.CoinMsg
+	pend       []CoinMsg
 
 	// Far-partner liveness (random pairing can strike non-neighbor
 	// partners): lazy per-tile maps, nil until a failure is recorded, so
@@ -232,12 +257,17 @@ type Emulator struct {
 	// response time since the triggering activity change (or Init).
 	onConverged func(response sim.Cycles)
 
-	// Typed kernel ops: every exchange tick, retry timeout, lock watchdog,
-	// and audit travels the event queue as a 16-byte (op, tile, x) event —
-	// no per-event closure allocation, no indirect interface call. The
-	// hardened trio is registered lazily (registerHardenedOps) so healthy
-	// runs don't pay for handlers that are never scheduled.
-	opTick, opTimeout, opWatchdog, opAudit sim.OpCode
+	// Typed kernel ops: every exchange tick, message arrival, retry
+	// timeout, lock watchdog, and audit travels the event queue as a
+	// 16-byte (op, tile, x) event — no per-event closure allocation, no
+	// indirect interface call. The hardened trio is registered lazily
+	// (registerHardenedOps) so healthy runs don't pay for handlers that are
+	// never scheduled.
+	opTick, opArrive, opTimeout, opWatchdog, opAudit sim.OpCode
+
+	// msgs holds the coin messages in flight; a message's arrival is the
+	// event (opArrive, destination, record index).
+	msgs sim.Slots[message]
 
 	// split is the 4-way group split's fixed scratch: the gathered has and
 	// max of the center (index 0) and its joined neighbors, the new
@@ -262,8 +292,9 @@ func NewEmulator(cfg Config, src *rng.Source) *Emulator {
 
 // NewEmulatorOn builds an emulator over an existing kernel and network, for
 // harnesses (like the full-SoC simulator) that share the clock with other
-// models. The network's mesh must match cfg.Mesh, and the emulator claims
-// the PM-plane handler of every tile.
+// models. The network's mesh must match cfg.Mesh. The emulator's messages
+// contend for the PM plane with any other traffic on it, but it registers
+// no handler there: its messages land through its own arrival op.
 func NewEmulatorOn(k *sim.Kernel, net *noc.Network, cfg Config, src *rng.Source) *Emulator {
 	cfg = cfg.withDefaults()
 	if net.Mesh() != cfg.Mesh {
@@ -318,9 +349,8 @@ func NewEmulatorOn(k *sim.Kernel, net *noc.Network, cfg Config, src *rng.Source)
 	e.slow = f64[:n:n]
 	e.errTerms = f64[n:]
 
-	e.pend = make([]noc.CoinMsg, maxNbrs*n)
+	e.pend = make([]CoinMsg, maxNbrs*n)
 
-	handler := func(p *noc.Packet) { e.onPacket(p.Dst, p) }
 	var nbuf [maxNbrs]int
 	for i := 0; i < n; i++ {
 		for _, nb := range cfg.Mesh.AppendDistinctNeighbors(i, nbuf[:0]) {
@@ -330,9 +360,9 @@ func NewEmulatorOn(k *sim.Kernel, net *noc.Network, cfg Config, src *rng.Source)
 		e.liveNbrs[i] = e.nbrCount[i]
 		e.interval[i] = cfg.RefreshInterval
 		e.srOffset[i] = 1
-		e.net.SetHandler(i, noc.PlanePM, handler)
 	}
 	e.opTick = k.RegisterOp(func(tile int32, _ uint64) { e.tick(int(tile)) })
+	e.opArrive = k.RegisterOp(func(tile int32, x uint64) { e.arrive(int(tile), int32(x)) })
 	e.hardened = cfg.Harden
 	if e.hardened {
 		e.registerHardenedOps()
@@ -732,13 +762,45 @@ func (e *Emulator) effInterval(i int) sim.Cycles {
 	return e.interval[i]
 }
 
-// sendUpdate emits a coin-update packet and tracks nonzero deltas in flight.
-// Only packets the fabric actually carries are counted: this accounting is
-// the simulator's omniscient view (used for quiescence detection and the
-// conservation audit), not information available to any tile's FSM.
+// send puts one coin message from src to dst on the PM plane. The NoC
+// routes it; the emulator keeps it in a record until its arrival op runs,
+// and an injected duplicate gets a second record, flagged dup, that lands
+// after the original. It reports whether the fabric will deliver the
+// message, which only the in-flight accounting may use.
+func (e *Emulator) send(kind noc.Kind, src, dst int, msg CoinMsg) bool {
+	at, dupAt, hops, ok := e.net.Route(noc.PlanePM, kind, src, dst)
+	if !ok {
+		return false
+	}
+	r, m := e.msgs.Take()
+	*m = message{msg: msg, injected: e.kernel.Now(), src: int32(src), hops: int32(hops), kind: kind}
+	e.kernel.AtOp(at, e.opArrive, int32(dst), uint64(r))
+	if dupAt > 0 {
+		d, dm := e.msgs.Take()
+		*dm = *m
+		dm.dup = true
+		e.kernel.AtOp(dupAt, e.opArrive, int32(dst), uint64(d))
+	}
+	return true
+}
+
+// arrive lands the message in record r at tile: the NoC credits its
+// delivery and the tile handles it. The record is freed only after the
+// handler returns, since the handler sends messages of its own.
+func (e *Emulator) arrive(tile int, r int32) {
+	m := e.msgs.At(r)
+	e.net.Arrive(m.injected, int(m.hops))
+	e.onMessage(tile, m)
+	e.msgs.Free(r)
+}
+
+// sendUpdate emits a coin-update message and tracks nonzero deltas in
+// flight. Only messages the fabric actually carries are counted: this
+// accounting is the simulator's omniscient view (used for quiescence
+// detection and the conservation audit), not information available to any
+// tile's FSM.
 func (e *Emulator) sendUpdate(src, dst int, delta int64, ack bool, seq uint64) {
-	sent := e.net.SendCoin(noc.PlanePM, noc.KindCoinUpdate, src, dst,
-		noc.CoinMsg{Delta: delta, Ack: ack, Seq: seq})
+	sent := e.send(noc.KindCoinUpdate, src, dst, CoinMsg{Delta: delta, Ack: ack, Seq: seq})
 	if sent && delta != 0 {
 		e.nonzeroInFlight++
 		e.inFlightDelta += delta
@@ -803,8 +865,7 @@ func (e *Emulator) startOneWay(i, partner int) {
 	e.busyCount++
 	e.seqNo[i]++
 	e.curPartner[i] = int32(partner)
-	e.net.SendCoin(noc.PlanePM, noc.KindCoinStatus, i, partner,
-		noc.CoinMsg{Has: e.has[i], Max: e.max[i], Seq: e.seqNo[i]})
+	e.send(noc.KindCoinStatus, i, partner, CoinMsg{Has: e.has[i], Max: e.max[i], Seq: e.seqNo[i]})
 	e.armExchangeTimeout(i)
 }
 
@@ -820,8 +881,7 @@ func (e *Emulator) startFourWay(i int) {
 	base := i * maxNbrs
 	for s := 0; s < int(e.nbrCount[i]); s++ {
 		if e.nbrDeadMask[i]&(1<<s) == 0 {
-			e.net.SendCoin(noc.PlanePM, noc.KindCoinRequest, i, int(e.nbrs[base+s]),
-				noc.CoinMsg{Seq: e.seqNo[i]})
+			e.send(noc.KindCoinRequest, i, int(e.nbrs[base+s]), CoinMsg{Seq: e.seqNo[i]})
 		}
 	}
 	e.armExchangeTimeout(i)
@@ -922,44 +982,44 @@ func (e *Emulator) strikePartner(i, partner int) {
 	}
 }
 
-// onPacket dispatches a delivered PM-plane packet.
-func (e *Emulator) onPacket(tile int, p *noc.Packet) {
-	// A packet can be in flight when its destination fail-stops: the dead
+// onMessage handles a coin message landing at tile.
+func (e *Emulator) onMessage(tile int, m *message) {
+	from := int(m.src)
+	// A message can be in flight when its destination fail-stops: the dead
 	// tile absorbs it. The omniscient in-flight accounting still settles —
 	// the coins it carried are gone, which the audit detects and re-mints.
 	if e.flags[tile]&fDead != 0 {
-		if p.Kind == noc.KindCoinUpdate {
-			if d := p.Coin.Delta; d != 0 && !p.Dup {
+		if m.kind == noc.KindCoinUpdate {
+			if d := m.msg.Delta; d != 0 && !m.dup {
 				e.nonzeroInFlight--
 				e.inFlightDelta -= d
 			}
 		}
 		return
 	}
-	switch p.Kind {
+	switch m.kind {
 	case noc.KindCoinRequest:
-		seq := p.Coin.Seq
+		seq := m.msg.Seq
 		// 4-way: join the center's group if free, else refuse. Joining
 		// freezes our coin count until the center's update releases us.
 		if e.flags[tile]&(fBusy|fLocked) != 0 {
-			e.net.SendCoin(noc.PlanePM, noc.KindCoinStatus, tile, p.Src,
-				noc.CoinMsg{Reply: true, Nack: true, Seq: seq})
+			e.send(noc.KindCoinStatus, tile, from, CoinMsg{Reply: true, Nack: true, Seq: seq})
 			return
 		}
-		e.lockTile(tile, p.Src)
-		e.net.SendCoin(noc.PlanePM, noc.KindCoinStatus, tile, p.Src,
-			noc.CoinMsg{Has: e.has[tile], Max: e.max[tile], Reply: true, Seq: seq})
+		e.lockTile(tile, from)
+		e.send(noc.KindCoinStatus, tile, from,
+			CoinMsg{Has: e.has[tile], Max: e.max[tile], Reply: true, Seq: seq})
 	case noc.KindCoinStatus:
-		if p.Coin.Reply {
-			e.onFourWayStatus(tile, p.Src, p.Coin)
+		if m.msg.Reply {
+			e.onFourWayStatus(tile, from, m.msg)
 		} else {
-			e.onOneWayInitiate(tile, p.Src, p.Coin)
+			e.onOneWayInitiate(tile, from, m.msg)
 		}
 	case noc.KindCoinUpdate:
-		msg := p.Coin
+		msg := m.msg
 		// A fault-injected duplicate applies its delta twice — that IS the
 		// fault — but the fabric accounting settles only once.
-		if msg.Delta != 0 && !p.Dup {
+		if msg.Delta != 0 && !m.dup {
 			e.nonzeroInFlight--
 			e.inFlightDelta -= msg.Delta
 		}
@@ -971,10 +1031,10 @@ func (e *Emulator) onPacket(tile int, p *noc.Packet) {
 			if e.flags[tile]&fBusy != 0 && e.flags[tile]&fPendActive == 0 && msg.Seq == e.seqNo[tile] {
 				e.flags[tile] &^= fBusy
 				e.busyCount--
-				if s := e.slotOf(tile, p.Src); s >= 0 {
+				if s := e.slotOf(tile, from); s >= 0 {
 					e.nbrFailCnt[tile*maxNbrs+s] = 0
 				} else if e.farFail != nil && e.farFail[tile] != nil {
-					delete(e.farFail[tile], p.Src)
+					delete(e.farFail[tile], from)
 				}
 				e.adjustTiming(tile, msg.Delta)
 			}
@@ -984,17 +1044,11 @@ func (e *Emulator) onPacket(tile int, p *noc.Packet) {
 			// ripple propagates at full speed (Sec. III-D). Hardened: only
 			// the lock's owner may release it, so a straggler push from a
 			// center we already gave up on can't break a newer lock.
-			if !e.hardened || e.flags[tile]&fLocked == 0 || int(e.lockFrom[tile]) == p.Src {
+			if !e.hardened || e.flags[tile]&fLocked == 0 || int(e.lockFrom[tile]) == from {
 				e.unlockTile(tile)
 			}
 			e.adjustTiming(tile, msg.Delta)
 		}
-	case noc.KindRegAccess, noc.KindInterrupt, noc.KindOther:
-		// Non-coin plane-5 traffic (CSR accesses, interrupts) shares the
-		// plane but is handled by the NoC-domain socket, not the FSM; it
-		// only contends for bandwidth.
-	default:
-		panic(fmt.Sprintf("coin: unexpected packet kind %v", p.Kind))
 	}
 }
 
@@ -1034,7 +1088,7 @@ func (e *Emulator) lockWatchdog(i int, lockSeq uint64) {
 
 // onOneWayInitiate runs the receiver side of Algorithm 2: split against the
 // initiator's reported state, apply our half, return theirs as a delta.
-func (e *Emulator) onOneWayInitiate(i, from int, msg noc.CoinMsg) {
+func (e *Emulator) onOneWayInitiate(i, from int, msg CoinMsg) {
 	// A locked tile's coins are spoken for by a 4-way center; refuse the
 	// exchange with a zero-coin ack so the initiator completes cleanly.
 	if e.flags[i]&fLocked != 0 {
@@ -1086,7 +1140,7 @@ func (e *Emulator) onOneWayInitiate(i, from int, msg noc.CoinMsg) {
 
 // onFourWayStatus collects a neighbor's reply; when all polled neighbors
 // have answered, compute the group split and push each neighbor's delta.
-func (e *Emulator) onFourWayStatus(i, from int, msg noc.CoinMsg) {
+func (e *Emulator) onFourWayStatus(i, from int, msg CoinMsg) {
 	slot := e.slotOf(i, from)
 	if e.flags[i]&fPendActive == 0 || msg.Seq != e.seqNo[i] || slot < 0 {
 		// Stale reply: the attempt it answers was completed, aborted, or

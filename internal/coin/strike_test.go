@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"blitzcoin/internal/mesh"
-	"blitzcoin/internal/noc"
 	"blitzcoin/internal/rng"
 )
 
@@ -65,8 +64,8 @@ func TestTimeoutPartialAnswersStrikeOnlySilent(t *testing.T) {
 	e.startFourWay(center)
 	base := center * maxNbrs
 	joined, nacked := int(e.nbrs[base]), int(e.nbrs[base+1])
-	e.onFourWayStatus(center, joined, noc.CoinMsg{Has: 3, Max: 8, Reply: true, Seq: e.seqNo[center]})
-	e.onFourWayStatus(center, nacked, noc.CoinMsg{Reply: true, Nack: true, Seq: e.seqNo[center]})
+	e.onFourWayStatus(center, joined, CoinMsg{Has: 3, Max: 8, Reply: true, Seq: e.seqNo[center]})
+	e.onFourWayStatus(center, nacked, CoinMsg{Reply: true, Nack: true, Seq: e.seqNo[center]})
 
 	sentBefore := e.net.Stats().Sent
 	e.exchangeTimeout(center, e.seqNo[center])

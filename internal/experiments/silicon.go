@@ -264,10 +264,9 @@ func ContentionStudy(ctx context.Context, d int, rates []int, trials int, seed u
 			// Background traffic: each tile injects register accesses to
 			// random destinations at the given rate. The packets share
 			// plane 5 with the coin messages, creating real link and
-			// ejection contention. (Handlers are owned by the emulator;
-			// background packets are addressed to it but carry KindOther
-			// semantics — the emulator must tolerate them, like the real
-			// FSM ignores non-coin register traffic.)
+			// ejection contention. No plane-5 handler is registered (coin
+			// messages land through the emulator's own op), so they reach
+			// no FSM, as the real FSM ignores non-coin register traffic.
 			bgsrc := src.Split()
 			n := cfg.Mesh.N()
 			if rate > 0 {

@@ -8,18 +8,18 @@ import (
 	"blitzcoin/internal/sim"
 )
 
-// BenchmarkNoCSend is the NoC layer's per-packet cost on the exchange
-// path: one coin packet sent with SendCoin and delivered on a 16x16 torus,
-// between seeded random tile pairs, reported per packet. Packets go out in
-// batches of 64 before the kernel drains them, so links and ports contend
-// as in an exchange round.
+// BenchmarkNoCSend is the NoC layer's per-message cost on the exchange
+// path: one coin message routed with Route on a 16x16 torus, between
+// seeded random tile pairs, its landing scheduled as a typed op that
+// credits it with Arrive, as the coin emulator does; reported per message.
+// Messages go out in batches of 64 before the kernel drains them, so links
+// and ports contend as in an exchange round.
 func BenchmarkNoCSend(b *testing.B) {
 	k := &sim.Kernel{}
 	m := mesh.Square(16, true)
 	n := New(k, m, DefaultConfig())
-	for i := 0; i < m.N(); i++ {
-		n.SetHandler(i, PlanePM, func(*Packet) {})
-	}
+	// The landing op's x packs the send cycle above the hop count.
+	arrive := k.RegisterOp(func(_ int32, x uint64) { n.Arrive(x>>16, int(x&0xffff)) })
 	src := rng.New(1)
 	pairs := make([][2]int, 1024)
 	for i := range pairs {
@@ -30,7 +30,8 @@ func BenchmarkNoCSend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i&(len(pairs)-1)]
-		n.SendCoin(PlanePM, KindCoinStatus, p[0], p[1], CoinMsg{Seq: uint64(i)})
+		at, _, hops, _ := n.Route(PlanePM, KindCoinStatus, p[0], p[1])
+		k.AtOp(at, arrive, int32(p[1]), k.Now()<<16|uint64(hops))
 		if i&63 == 63 {
 			k.Drain()
 		}

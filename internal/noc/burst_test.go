@@ -30,12 +30,10 @@ type burstSend struct {
 	flits    int
 }
 
-// randomBurstCase draws a mesh (every eighth case one of the degenerate
-// shapes: 1xN, Nx1, 2-wide and 2-high tori), timing knobs, earlier traffic
-// that often shares the burst's source, destination or route, and a train
-// of 1 to 64 flits.
-func randomBurstCase(src *rng.Source) burstCase {
-	var c burstCase
+// randomFabric draws a mesh of at least two tiles, open or torus, every
+// eighth one of the degenerate shapes (1xN, Nx1, 2-wide and 2-high tori),
+// and random hop and router latencies.
+func randomFabric(src *rng.Source) (mesh.Mesh, Config) {
 	w, h, torus := 1+src.Intn(6), 1+src.Intn(6), src.Bool()
 	if src.Intn(8) == 0 {
 		shapes := [][2]int{{1, 1 + src.Intn(6)}, {1 + src.Intn(6), 1}, {2, 1 + src.Intn(5)}, {1 + src.Intn(5), 2}}
@@ -45,8 +43,14 @@ func randomBurstCase(src *rng.Source) burstCase {
 	for w*h < 2 {
 		w++
 	}
-	c.m = mesh.New(w, h, torus)
-	c.cfg = Config{HopLatency: sim.Cycles(1 + src.Intn(3)), RouterLatency: sim.Cycles(src.Intn(4))}
+	return mesh.New(w, h, torus), Config{HopLatency: sim.Cycles(1 + src.Intn(3)), RouterLatency: sim.Cycles(src.Intn(4))}
+}
+
+// randomBurstCase draws a fabric, earlier traffic that often shares the
+// burst's source, destination or route, and a train of 1 to 64 flits.
+func randomBurstCase(src *rng.Source) burstCase {
+	var c burstCase
+	c.m, c.cfg = randomFabric(src)
 	c.plane = []Plane{PlaneDMA0, PlaneDMA1, PlanePM}[src.Intn(3)]
 	pair := func() (int, int) {
 		a := src.Intn(c.m.N())

@@ -74,21 +74,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// CoinMsg is the payload of the three coin-exchange message kinds, stored
-// inline in the Packet so the PM hot path never boxes a payload into an
-// interface. The fields mirror the few-dozen-bit hardware message: coin
-// state (Has, Max), a coin movement (Delta), protocol flags, and the
-// exchange sequence number used to pair replies with requests.
-type CoinMsg struct {
-	Has   int64  // sender's coin count (status)
-	Max   int64  // sender's max additional coins it can absorb (status)
-	Delta int64  // coins moved, positive toward the receiver (update)
-	Seq   uint64 // exchange sequence number
-	Reply bool   // status sent in response to a request
-	Nack  bool   // status declines the exchange (locked/busy)
-	Ack   bool   // update acknowledges a received update
-}
-
 // Packet is a single-flit NoC message. PM messages are a few dozen bits
 // (two 7-bit coin fields plus headers) and fit one flit. The one exception
 // is the delivery of a SendBurst train: it is the train's last flit and
@@ -98,18 +83,15 @@ type Packet struct {
 	Plane    Plane
 	Kind     Kind
 	Src, Dst int
-	// Coin carries the payload of coin-exchange kinds inline; Payload is the
-	// escape hatch for every other message class.
-	Coin      CoinMsg
+	// Payload is the message's content, opaque to the network.
 	Payload   interface{}
 	Injected  sim.Cycles // time Send was called
-	Departed  sim.Cycles // time the packet won injection arbitration
 	Delivered sim.Cycles // time the destination handler ran
 	Hops      int
 	// Flits is the number of flits the delivery stands for. The one
-	// delivery of a SendBurst train carries the train's length; SendCoin's
-	// packets, the flits of a burst under a fault injector and duplicates
-	// of those carry one. Send leaves the caller's value.
+	// delivery of a SendBurst train carries the train's length; the flits
+	// of a burst under a fault injector and duplicates of those carry one.
+	// Send leaves the caller's value.
 	Flits int
 	// Dup marks a fault-injected duplicate delivery of an earlier packet.
 	// Receivers that keep in-flight accounting must not double-count it;
@@ -194,15 +176,14 @@ type Network struct {
 	// Deliveries travel the kernel as typed (op, dst, slot) events, so the
 	// event itself is pointer-free and no per-packet closure or interface
 	// boxing exists anywhere on the send path. Packets the network owns
-	// (SendCoin, SendBurst, injected duplicates) live in fixed chunks of
-	// chunkSize and are addressed by slot number: slot s is
-	// chunks[s>>chunkBits][s&chunkMask]. free lists the vacant slots. A
-	// caller-owned packet passed to Send borrows a slot number too, and
-	// owned maps that slot to it while it is in flight. Handlers must not
-	// retain a network-owned packet: its slot is reused once they return.
+	// (SendBurst trains and flits, injected duplicates) live in pool, a
+	// sim.Slots, addressed by slot number. A caller-owned packet passed to
+	// Send borrows a slot number too, and owned maps that slot to it while
+	// it is in flight. Handlers must not retain a network-owned packet: its
+	// slot is reused once they return. Messages sent with Route stay with
+	// their sender and take no slot.
 	opDeliver, opOwned, opTrain sim.OpCode
-	chunks                      []*[chunkSize]Packet
-	free                        []int32
+	pool                        sim.Slots[Packet]
 	owned                       []*Packet
 }
 
@@ -220,17 +201,6 @@ type planeTables struct {
 	handlers []Handler
 }
 
-// chunkSize is how many network-owned packets one allocation adds (as a
-// single array): the exchange workload keeps a few hundred packets in
-// flight at peak, so warming the chunks costs a handful of allocations,
-// not one per packet. A chunk never moves, so a packet's address is stable
-// while its slot is taken.
-const (
-	chunkBits = 6
-	chunkSize = 1 << chunkBits
-	chunkMask = chunkSize - 1
-)
-
 // New builds a network over the given mesh using kernel for timing.
 func New(k *sim.Kernel, m mesh.Mesh, cfg Config) *Network {
 	if cfg.HopLatency == 0 {
@@ -243,20 +213,20 @@ func New(k *sim.Kernel, m mesh.Mesh, cfg Config) *Network {
 	// Each op frees its slot after the handler returns: a handler that
 	// sends must not be handed the packet it is reading.
 	n.opDeliver = k.RegisterOp(func(_ int32, x uint64) {
-		n.deliver(n.packet(int32(x)))
-		n.free = append(n.free, int32(x))
+		n.deliver(n.pool.At(int32(x)))
+		n.pool.Free(int32(x))
 	})
 	n.opOwned = k.RegisterOp(func(_ int32, x uint64) {
 		p := n.owned[x]
 		n.owned[x] = nil
 		n.deliver(p)
-		n.free = append(n.free, int32(x))
+		n.pool.Free(int32(x))
 	})
 	n.opTrain = k.RegisterOp(func(_ int32, x uint64) {
-		p := n.packet(int32(x))
+		p := n.pool.At(int32(x))
 		p.Delivered = n.kernel.Now()
 		n.handle(p)
-		n.free = append(n.free, int32(x))
+		n.pool.Free(int32(x))
 	})
 	return n
 }
@@ -277,35 +247,12 @@ func (n *Network) plane(p Plane) *planeTables {
 	return pt
 }
 
-// packet returns the network-owned packet in slot s.
-func (n *Network) packet(s int32) *Packet {
-	return &n.chunks[s>>chunkBits][s&chunkMask]
-}
-
-// takeSlot pops a vacant slot. When none is left it adds a chunk, lists
-// all but the chunk's first slot as vacant and returns the first.
-func (n *Network) takeSlot() int32 {
-	k := len(n.free) - 1
-	if k < 0 {
-		base := int32(len(n.chunks)) << chunkBits
-		n.chunks = append(n.chunks, new([chunkSize]Packet))
-		for s := base + chunkMask; s > base; s-- {
-			n.free = append(n.free, s)
-		}
-		return base
-	}
-	s := n.free[k]
-	n.free = n.free[:k]
-	return s
-}
-
 // getPooled takes a slot and returns it with its packet, header filled
 // in. The packet keeps its last occupant's other fields: each sender sets
-// Coin and Payload, send sets the IDs, timing and hops, and delivery sets
-// Delivered, so only Dup, which no sender sets, is cleared here.
+// Payload, send sets the ID, timing and hops, and delivery sets Delivered,
+// so only Dup, which no sender sets, is cleared here.
 func (n *Network) getPooled(plane Plane, kind Kind, src, dst, flits int) (int32, *Packet) {
-	s := n.takeSlot()
-	p := n.packet(s)
+	s, p := n.pool.Take()
 	p.Plane, p.Kind, p.Src, p.Dst, p.Flits, p.Dup = plane, kind, src, dst, flits, false
 	return s, p
 }
@@ -317,12 +264,14 @@ func (n *Network) Mesh() mesh.Mesh { return n.mesh }
 func (n *Network) Stats() Stats { return n.stats }
 
 // SetHandler registers the delivery callback for (tile, plane). Passing nil
-// drops packets silently, which models a tile with that service disabled.
+// drops packets silently, which models a tile with that service disabled;
+// a tile with no handler registered does the same.
 func (n *Network) SetHandler(tile int, plane Plane, h Handler) {
 	n.plane(plane).handlers[tile] = h
 }
 
-// AttachFaults connects a fault injector; every subsequent Send consults it.
+// AttachFaults connects a fault injector; every subsequent Send, Route
+// and SendBurst consults it.
 // Attach before any traffic flows so the fault schedule is reproducible.
 func (n *Network) AttachFaults(in *fault.Injector) {
 	n.faults = in
@@ -333,7 +282,7 @@ func (n *Network) AttachFaults(in *fault.Injector) {
 // ways. On a 2-wide or 2-high torus two ports of a tile reach the same
 // neighbor; both are marked, so the check does not depend on which one
 // the route takes. A link failed twice lists its ports twice, which only
-// repeats a comparison in Send.
+// repeats a comparison in route.
 func (n *Network) failLink(a, b int) {
 	for _, e := range [2][2]int{{a, b}, {b, a}} {
 		for d := mesh.North; int(d) < mesh.NumDirections; d++ {
@@ -370,32 +319,110 @@ func (n *Network) Send(p *Packet) bool {
 // It reports whether the packet will be delivered and the cycle its first
 // flit lands.
 func (n *Network) send(p *Packet, slot int32, flits uint64) (sim.Cycles, bool) {
-	if p.Src == p.Dst {
+	t, dupAt, hops, ok := n.route(p.Plane, p.Kind, p.Src, p.Dst, flits)
+	p.ID, p.Injected, p.Hops = n.nextID, n.kernel.Now(), hops
+	if !ok {
+		if slot >= 0 {
+			n.pool.Free(slot)
+		}
+		return 0, false
+	}
+	if flits > 1 {
+		// A train is delivered once, as its last flit, and its
+		// delivery-side counters are credited now: flit i's latency is
+		// flit 0's plus i, as is its injection wait.
+		last := t + flits - 1
+		n.stats.ContentionCyc += flits * (flits - 1) / 2
+		n.stats.Delivered += flits
+		n.stats.TotalHops += flits * uint64(hops)
+		n.stats.TotalLatency += flits*(t-p.Injected) + flits*(flits-1)/2
+		if lat := last - p.Injected; lat > n.stats.MaxLatency {
+			n.stats.MaxLatency = lat
+		}
+		n.kernel.AtOp(last, n.opTrain, int32(p.Dst), uint64(slot))
+		return t, true
+	}
+	op := n.opDeliver
+	if slot < 0 {
+		slot, _ = n.pool.Take()
+		op = n.opOwned
+		for int(slot) >= len(n.owned) {
+			n.owned = append(n.owned, nil)
+		}
+		n.owned[slot] = p
+	}
+	n.kernel.AtOp(t, op, int32(p.Dst), uint64(slot))
+	if dupAt > 0 {
+		// The duplicate carries the same payload; receivers see the
+		// message twice. It is a network-owned copy, recycled after its
+		// delivery like any pooled packet.
+		ds, dup := n.pool.Take()
+		*dup = *p
+		dup.Dup = true
+		n.kernel.AtOp(dupAt, n.opDeliver, int32(p.Dst), uint64(ds))
+	}
+	return t, true
+}
+
+// Route sends one single-flit message from src to dst on plane for a
+// sender that keeps the message itself, as the coin emulator does: it
+// takes a packet ID and makes every reservation, fault verdict and
+// send-side Stats entry Send makes for a packet with this header, and
+// schedules nothing. It returns the cycle the message lands, the cycle an
+// injected duplicate lands after it (0 when there is none) and the route's
+// hop count. ok false means an injected fault discarded the message; as
+// with Send, only the simulator's own accounting may branch on that. The
+// sender schedules each landing, the original's before the duplicate's,
+// and calls Arrive as each one lands.
+func (n *Network) Route(plane Plane, kind Kind, src, dst int) (at, dupAt sim.Cycles, hops int, ok bool) {
+	return n.route(plane, kind, src, dst, 1)
+}
+
+// Arrive credits the delivery-side Stats of a message landing now:
+// Delivered, TotalHops, TotalLatency and MaxLatency. injected is the cycle
+// it was sent and hops its route's hop count. A routed message's duplicate
+// is credited when it lands too, as Send's duplicates are.
+func (n *Network) Arrive(injected sim.Cycles, hops int) {
+	lat := n.kernel.Now() - injected
+	n.stats.Delivered++
+	n.stats.TotalHops += uint64(hops)
+	n.stats.TotalLatency += lat
+	if lat > n.stats.MaxLatency {
+		n.stats.MaxLatency = lat
+	}
+}
+
+// route reserves the fabric for a train of flits flits leaving src for dst
+// on plane this cycle, takes their packet IDs and adds their send-side
+// Stats; a lone message is a train of one. It returns the cycle the first
+// flit lands, the cycle an injected duplicate lands (0 when there is none)
+// and the route's hop count; ok is false when an injected fault dropped
+// the message. Trains longer than one are routed only on a fabric with no
+// injector, so only a lone message can be delayed or duplicated.
+func (n *Network) route(plane Plane, kind Kind, src, dst int, flits uint64) (at, dupAt sim.Cycles, hops int, ok bool) {
+	if src == dst {
 		panic("noc: packet addressed to its own tile")
 	}
-	if p.Plane < 0 || p.Plane >= NumPlanes {
-		panic(fmt.Sprintf("noc: invalid plane %d", p.Plane))
+	if plane < 0 || plane >= NumPlanes {
+		panic(fmt.Sprintf("noc: invalid plane %d", plane))
 	}
 	n.nextID += flits
-	p.ID = n.nextID
-	p.Injected = n.kernel.Now()
 	n.stats.Sent += flits
-	n.stats.PerPlaneSent[p.Plane] += flits
-	if p.Kind >= 0 && p.Kind < numKinds {
-		n.stats.PerKindSent[p.Kind] += flits
+	n.stats.PerPlaneSent[plane] += flits
+	if kind >= 0 && kind < numKinds {
+		n.stats.PerKindSent[kind] += flits
 	}
 
-	pt := n.plane(p.Plane)
+	pt := n.plane(plane)
 	// Injection arbitration: the port accepts one flit per cycle, so flit i
 	// of a train departs i cycles after flit 0 and waits i cycles longer
-	// (charged with the train's delivery below).
-	depart := p.Injected + n.cfg.RouterLatency
-	if free := pt.inject[p.Src]; free > depart {
+	// (charged with the train's delivery by send).
+	depart := n.kernel.Now() + n.cfg.RouterLatency
+	if free := pt.inject[src]; free > depart {
 		n.stats.ContentionCyc += flits * (free - depart)
 		depart = free
 	}
-	pt.inject[p.Src] = depart + flits
-	p.Departed = depart + flits - 1
+	pt.inject[src] = depart + flits
 
 	// Reserve each link along the XY route in order, X first, then Y — the
 	// route of mesh.NextHopXY, walked from the endpoints' coordinates with
@@ -409,9 +436,9 @@ func (n *Network) send(p *Packet, slot int32, flits uint64) (sim.Cycles, bool) {
 	for i, l := range n.deadPorts {
 		n.deadFree[i] = pt.links[l]
 	}
-	t, hops := depart, 0
-	s, d := n.coords[p.Src], n.coords[p.Dst]
-	li := p.Src * mesh.NumDirections
+	t := depart
+	s, d := n.coords[src], n.coords[dst]
+	li := src * mesh.NumDirections
 	if s.X != d.X {
 		h, fwd := n.axisHops(s.X, d.X, n.mesh.W)
 		dir := mesh.West
@@ -432,7 +459,6 @@ func (n *Network) send(p *Packet, slot int32, flits uint64) (sim.Cycles, bool) {
 		_, t = n.walk(pt.links, li, s.Y, h, fwd, dir, n.mesh.H, n.mesh.W*mesh.NumDirections, t, flits)
 		hops += h
 	}
-	p.Hops = hops
 
 	var v fault.Verdict
 	if n.faults != nil {
@@ -440,15 +466,12 @@ func (n *Network) send(p *Packet, slot int32, flits uint64) (sim.Cycles, bool) {
 		for i, l := range n.deadPorts {
 			crossed = crossed || pt.links[l] != n.deadFree[i]
 		}
-		v = n.faults.PacketVerdict(int(p.Plane), p.Src, p.Dst, crossed)
+		v = n.faults.PacketVerdict(int(plane), src, dst, crossed)
 	}
 	if v.Drop {
 		n.stats.Dropped++
-		n.stats.PerPlaneDropped[p.Plane]++
-		if slot >= 0 {
-			n.free = append(n.free, slot)
-		}
-		return 0, false
+		n.stats.PerPlaneDropped[plane]++
+		return 0, 0, hops, false
 	}
 	if v.ExtraDelay > 0 {
 		n.stats.Delayed++
@@ -456,55 +479,21 @@ func (n *Network) send(p *Packet, slot int32, flits uint64) (sim.Cycles, bool) {
 	}
 
 	// Ejection port serialization at the destination.
-	if free := pt.eject[p.Dst]; free > t {
+	if free := pt.eject[dst]; free > t {
 		n.stats.ContentionCyc += flits * (free - t)
 		t = free
 	}
-	pt.eject[p.Dst] = t + flits
-
-	if flits > 1 {
-		// A train is delivered once, as its last flit, and its
-		// delivery-side counters are credited now: flit i's latency is
-		// flit 0's plus i, as is its injection wait.
-		last := t + flits - 1
-		n.stats.ContentionCyc += flits * (flits - 1) / 2
-		n.stats.Delivered += flits
-		n.stats.TotalHops += flits * uint64(hops)
-		n.stats.TotalLatency += flits*(t-p.Injected) + flits*(flits-1)/2
-		if lat := last - p.Injected; lat > n.stats.MaxLatency {
-			n.stats.MaxLatency = lat
-		}
-		n.kernel.AtOp(last, n.opTrain, int32(p.Dst), uint64(slot))
-		return t, true
-	}
-	op := n.opDeliver
-	if slot < 0 {
-		slot, op = n.takeSlot(), n.opOwned
-		for int(slot) >= len(n.owned) {
-			n.owned = append(n.owned, nil)
-		}
-		n.owned[slot] = p
-	}
-	n.kernel.AtOp(t, op, int32(p.Dst), uint64(slot))
-
+	pt.eject[dst] = t + flits
 	if v.Dup {
-		// The duplicate trails the original through the ejection port with
-		// the same payload; receivers see the message twice. It is a
-		// network-owned copy, recycled after its delivery like any SendCoin
-		// packet.
+		// The duplicate trails the original through the ejection port.
 		n.stats.Duplicated++
-		ds := n.takeSlot()
-		dup := n.packet(ds)
-		*dup = *p
-		dup.Dup = true
-		td := t + 1
-		if free := pt.eject[p.Dst]; free > td {
-			td = free
+		dupAt = t + 1
+		if free := pt.eject[dst]; free > dupAt {
+			dupAt = free
 		}
-		pt.eject[p.Dst] = td + 1
-		n.kernel.AtOp(td, n.opDeliver, int32(p.Dst), uint64(ds))
+		pt.eject[dst] = dupAt + 1
 	}
-	return t, true
+	return t, dupAt, hops, true
 }
 
 // axisHops resolves one axis of the XY route from coordinate a to b on an
@@ -561,18 +550,6 @@ func (n *Network) walk(links []sim.Cycles, li, pos, hops int, fwd bool, dir mesh
 	return li, t
 }
 
-// SendCoin injects a coin-exchange packet drawn from the network's slots;
-// the packet is recycled automatically once the destination handler
-// returns (or immediately if a fault drops it), so the per-packet allocation
-// of Send disappears from the exchange hot path. The return value matches
-// Send's: false means an injected fault discarded the packet.
-func (n *Network) SendCoin(plane Plane, kind Kind, src, dst int, msg CoinMsg) bool {
-	s, p := n.getPooled(plane, kind, src, dst, 1)
-	p.Coin, p.Payload = msg, nil
-	_, ok := n.send(p, s, 1)
-	return ok
-}
-
 // SendBurst sends a train of flits flits from src to dst on one plane — the
 // traffic of flits Sends made in a row this cycle — and delivers one
 // network-owned packet for it: the last flit, carrying payload and, in
@@ -598,7 +575,7 @@ func (n *Network) SendBurst(plane Plane, kind Kind, src, dst, flits int, payload
 	if n.faults != nil {
 		for i := 0; i < flits; i++ {
 			s, p := n.getPooled(plane, kind, src, dst, 1)
-			p.Coin, p.Payload = CoinMsg{}, payload
+			p.Payload = payload
 			n.send(p, s, 1)
 		}
 		return 0
@@ -607,7 +584,7 @@ func (n *Network) SendBurst(plane Plane, kind Kind, src, dst, flits int, payload
 		return 0
 	}
 	s, p := n.getPooled(plane, kind, src, dst, flits)
-	p.Coin, p.Payload = CoinMsg{}, payload
+	p.Payload = payload
 	first, _ := n.send(p, s, uint64(flits))
 	return first
 }
@@ -615,12 +592,7 @@ func (n *Network) SendBurst(plane Plane, kind Kind, src, dst, flits int, payload
 // deliver credits a packet's delivery and hands it to its handler.
 func (n *Network) deliver(p *Packet) {
 	p.Delivered = n.kernel.Now()
-	n.stats.Delivered++
-	n.stats.TotalHops += uint64(p.Hops)
-	n.stats.TotalLatency += uint64(p.Latency())
-	if p.Latency() > n.stats.MaxLatency {
-		n.stats.MaxLatency = p.Latency()
-	}
+	n.Arrive(p.Injected, p.Hops)
 	n.handle(p)
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -15,7 +16,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens")
 
-const cutGolden = "testdata/maxcycles_cut.golden"
+const (
+	cutGolden   = "testdata/maxcycles_cut.golden"
+	cutBCGolden = "testdata/maxcycles_cut_bc.golden"
+)
 
 // cutPoint renders the observable outcome of one run stopped at MaxCycles:
 // whether it completed, its makespan, its mean power (exact bits) and its
@@ -43,22 +47,61 @@ func TestMaxCyclesCutMidBurst(t *testing.T) {
 			got = append(got, cutPoint(scheme, mc))
 		}
 	}
+	checkCutGolden(t, cutGolden, got)
+}
+
+// bcCutPoint renders one BC run of the 3x3 AV-parallel x3 frame at 120 mW,
+// seed 1, stopped at MaxCycles: what cutPoint renders, the response count
+// and sum, and every NoC counter.
+func bcCutPoint(maxCycles sim.Cycles) string {
+	cfg := SoC3x3(120, SchemeBC, 1)
+	cfg.MaxCycles = maxCycles
+	res := New(cfg).Run(workload.Repeat(workload.AutonomousVehicleParallel(), 3))
+	var sum sim.Cycles
+	for _, c := range res.Responses {
+		sum += c
+	}
+	return fmt.Sprintf("%d %t %d %x %d %d %d %+v", maxCycles, res.Completed, res.ExecCycles,
+		math.Float64bits(res.AvgPowerMW), res.ActivityChanges, len(res.Responses), sum, res.NoC)
+}
+
+// TestMaxCyclesCutBC stops the BC 3x3 frame every 2,500 cycles through
+// its 310,961-cycle makespan. Most cut points leave coin messages in
+// flight, so the NoC counters pin when each message's send-side and
+// delivery-side statistics are credited. The static and C-RR golden above
+// sends no coin messages at all.
+func TestMaxCyclesCutBC(t *testing.T) {
+	if testing.Short() {
+		t.Skip("125 SoC runs")
+	}
+	var got []string
+	for mc := sim.Cycles(2_500); mc <= 312_500; mc += 2_500 {
+		got = append(got, bcCutPoint(mc))
+	}
+	checkCutGolden(t, cutBCGolden, got)
+}
+
+// checkCutGolden compares cut points against a golden, one per line, or
+// rewrites it under -update.
+func checkCutGolden(t *testing.T, path string, got []string) {
+	t.Helper()
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(cutGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	f, err := os.Open(cutGolden)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	var want []string
 	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		want = append(want, sc.Text())
 	}
@@ -66,7 +109,7 @@ func TestMaxCyclesCutMidBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("%d cut points, golden has %d", len(got), len(want))
+		t.Fatalf("%d cut points, %s has %d", len(got), path, len(want))
 	}
 	bad := 0
 	for i := range got {
