@@ -6,11 +6,11 @@ SHORTSHA := $(shell git rev-parse --short HEAD)
 # the same machine. A change cannot name its own commit, so the change
 # after one that intentionally shifts performance re-pins to it (see
 # BENCHMARKING.md).
-BENCH_BASE_REF ?= 7c59479acab575fee46dbde08f4ca9d36e0dc935
+BENCH_BASE_REF ?= 0bc8810178f0f4088641cc548386b45026b930ce
 
 .PHONY: build test vet race verify bench bench-base benchcheck bench-report figures \
 	server-smoke cluster-smoke chaos-smoke stream-smoke tenant-smoke \
-	lint fmtcheck blitzlint lint-update lint-smoke
+	lint fmtcheck blitzlint lint-update lint-smoke perfbench-check
 
 build:
 	$(GO) build ./...
@@ -53,11 +53,19 @@ lint-update:
 race:
 	$(GO) test -race ./...
 
+# perfbench-check vets and tests the repository benchmark, its own module
+# in perfbench/ that builds the engine and serving layers from internal
+# packages, so an internal change that breaks it fails here rather than at
+# the next benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # The gate every change must pass: static checks (formatting, vet, the
 # blitzlint domain analyzers plus the broken-fixture lint smoke), the full
-# test suite under the race detector, the hot-path perf gate, and the
-# daemon + cluster + chaos + streaming + multi-tenancy smoke tests.
-verify: lint lint-smoke race benchcheck server-smoke cluster-smoke chaos-smoke stream-smoke tenant-smoke
+# test suite under the race detector, the benchmark module's vet and tests,
+# the hot-path perf gate, and the daemon + cluster + chaos + streaming +
+# multi-tenancy smoke tests.
+verify: lint lint-smoke race perfbench-check benchcheck server-smoke cluster-smoke chaos-smoke stream-smoke tenant-smoke
 
 # server-smoke boots a real blitzd on an ephemeral port, runs one exchange
 # request twice through blitzctl, and asserts the repeat is a cache hit.

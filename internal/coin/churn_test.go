@@ -21,7 +21,6 @@ func TestChurnConservationProperty(t *testing.T) {
 			RandomPairing:   true,
 			DynamicTiming:   true,
 			Threshold:       1.0,
-			QuiesceWindow:   1024,
 			MaxCycles:       100000,
 		}
 		src := rng.New(uint64(seed) + 1)

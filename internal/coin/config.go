@@ -59,30 +59,10 @@ type Config struct {
 	// exchange attempts by one tile.
 	RefreshInterval sim.Cycles
 
-	// DynamicTiming enables the exponential back-off of Sec. III-D: an
-	// exchange that moves zero coins scales the tile's interval up by
-	// Lambda; a productive exchange shrinks it by ShrinkK, floored at
-	// RefreshInterval.
+	// DynamicTiming enables the exponential back-off of Sec. III-D: a
+	// streak of exchanges that move zero coins scales the tile's interval up
+	// by lambda; a productive exchange shrinks it (see timing).
 	DynamicTiming bool
-	// Lambda is the back-off factor (> 1). Zero selects the default 2.
-	Lambda float64
-	// ShrinkK is the additive interval decrease on a productive exchange.
-	// A productive exchange first snaps a backed-off tile to the base
-	// refresh interval and then keeps shrinking it by ShrinkK per
-	// productive exchange, down to MinInterval — this is the
-	// "reduced refresh interval" of Sec. III-D that makes actively
-	// converging regions exchange faster than the conservative base rate.
-	// Zero selects RefreshInterval/2.
-	ShrinkK sim.Cycles
-	// MinInterval floors the accelerated interval. Zero selects
-	// RefreshInterval/8 (at least 2 cycles).
-	MinInterval sim.Cycles
-	// MaxInterval caps the backed-off interval. Zero selects the default
-	// 8x RefreshInterval: deep sleeps would starve the random-pairing
-	// cadence (which counts exchanges, not cycles) and delay the wake-up
-	// of quiet regions when a coin wave arrives, costing more time than
-	// the saved packets are worth.
-	MaxInterval sim.Cycles
 
 	// RandomPairing enables intermittent exchanges with non-neighbor
 	// tiles, which eliminates local-minimum deadlocks (Sec. III-E).
@@ -100,10 +80,6 @@ type Config struct {
 	// MaxCycles bounds the run. Zero selects a generous default scaled to
 	// the mesh diameter.
 	MaxCycles sim.Cycles
-	// QuiesceWindow: the run also ends once no coins have moved for this
-	// many cycles and no exchange is in flight. Zero selects a default of
-	// 64x RefreshInterval (or MaxInterval when dynamic timing is on).
-	QuiesceWindow sim.Cycles
 	// StopAtConvergence ends the run at the first threshold crossing
 	// instead of running to quiescence. Convergence-time experiments
 	// (Figs. 3, 4, 6) use this; residual-error experiments (Fig. 7) run
@@ -133,9 +109,6 @@ type Config struct {
 	// and is not a power-allocation error — the LUT clamps at Fmax anyway.
 	DeficitOnly bool
 
-	// NoC sets network timing. Zero value selects noc.DefaultConfig.
-	NoC noc.Config
-
 	// Faults, when non-nil, injects the given fault model into the
 	// emulator's private network (NewEmulator only; NewEmulatorOn harnesses
 	// build their own injector and call AttachFaults). A non-nil Faults
@@ -149,30 +122,78 @@ type Config struct {
 	// audit events would perturb the event interleaving, and the seed
 	// experiments must stay bit-identical.
 	Harden bool
+}
 
-	// ExchangeTimeout is how long an initiator waits for its exchange to
-	// complete before releasing busy and retrying. Zero selects four
-	// worst-case network round trips plus two refresh intervals, so a
-	// merely-delayed reply almost never races the timeout.
-	ExchangeTimeout sim.Cycles
-	// LockTimeout is the participation-lock watchdog: a tile locked by a
-	// 4-way center frees itself after this long, surviving a center that
-	// died mid-exchange. Zero selects 2x ExchangeTimeout.
-	LockTimeout sim.Cycles
-	// RetryBackoff scales a tile's interval up after each timed-out
-	// exchange (capped at MaxInterval), so a partitioned tile does not spam
-	// the fabric. Zero selects 2.
-	RetryBackoff float64
-	// NeighborDeadAfter is how many consecutive timed-out exchanges with
+// Protocol constants of the recovery and back-off machinery.
+const (
+	// lambda is the dynamic-timing back-off factor: an unproductive streak
+	// doubles the tile's interval, up to timing.maxInterval.
+	lambda = 2
+	// retryBackoff scales a tile's interval up after each timed-out
+	// exchange (capped at timing.maxInterval), so a partitioned tile does
+	// not spam the fabric.
+	retryBackoff = 2
+	// neighborDeadAfter is how many consecutive timed-out exchanges with
 	// the same partner mark it dead and prune it from the round-robin and
-	// random-pairing sets. Zero selects 4.
-	NeighborDeadAfter int
-	// AuditInterval is the period of the distributed coin-conservation
-	// audit, which re-mints leaked coins and burns duplicated ones against
-	// each tile's local target. Zero selects 8x RefreshInterval, so the
-	// pool is repaired within a bounded number of refresh intervals after
-	// any fault.
-	AuditInterval sim.Cycles
+	// random-pairing sets.
+	neighborDeadAfter = 4
+)
+
+// timing is the emulator's interval schedule, derived once at construction
+// from RefreshInterval (R below) and the mesh.
+type timing struct {
+	// maxInterval caps the backed-off interval at 8R: deep sleeps would
+	// starve the random-pairing cadence (which counts exchanges, not
+	// cycles) and delay the wake-up of quiet regions when a coin wave
+	// arrives, costing more time than the saved packets are worth.
+	maxInterval sim.Cycles
+	// shrinkK, R/2, is the additive interval decrease on a productive
+	// exchange. A productive exchange first snaps a backed-off tile to R
+	// and then keeps shrinking it by shrinkK per productive exchange, down
+	// to minInterval — this is the "reduced refresh interval" of
+	// Sec. III-D that makes actively converging regions exchange faster
+	// than the conservative base rate.
+	shrinkK sim.Cycles
+	// minInterval floors the accelerated interval at R/8, at least 2
+	// cycles.
+	minInterval sim.Cycles
+	// quiesceWindow, 64R: a run also ends once no coins have moved for
+	// this many cycles and no exchange is in flight. It exceeds four
+	// backed-off intervals (32R), so a dynamic-timing tile always gets to
+	// exchange inside it.
+	quiesceWindow sim.Cycles
+	// auditInterval, 8R, is the period of the distributed
+	// coin-conservation audit, which re-mints leaked coins and burns
+	// duplicated ones against each tile's local target, so the pool is
+	// repaired within a bounded number of refresh intervals after any
+	// fault.
+	auditInterval sim.Cycles
+	// exchangeTimeout is how long a hardened initiator waits for its
+	// exchange to complete before releasing busy and retrying: four
+	// worst-case network round trips at noc.DefaultConfig latencies plus
+	// 2R, so a merely-delayed reply almost never races the timeout.
+	exchangeTimeout sim.Cycles
+	// lockTimeout, 2x exchangeTimeout, is the participation-lock watchdog:
+	// a tile locked by a 4-way center frees itself after this long,
+	// surviving a center that died mid-exchange.
+	lockTimeout sim.Cycles
+}
+
+// deriveTiming computes the interval schedule of a defaulted config.
+func deriveTiming(cfg Config) timing {
+	r := cfg.RefreshInterval
+	net := noc.DefaultConfig()
+	diam := sim.Cycles(cfg.Mesh.MaxHopDistance())
+	exchange := 4*(net.RouterLatency+net.HopLatency*diam) + 2*r
+	return timing{
+		maxInterval:     8 * r,
+		shrinkK:         r / 2,
+		minInterval:     max(r/8, 2),
+		quiesceWindow:   64 * r,
+		auditInterval:   8 * r,
+		exchangeTimeout: exchange,
+		lockTimeout:     2 * exchange,
+	}
 }
 
 // withDefaults returns cfg with zero fields replaced by defaults and panics
@@ -183,24 +204,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.RefreshInterval == 0 {
 		cfg.RefreshInterval = 32
-	}
-	if cfg.Lambda == 0 {
-		cfg.Lambda = 2
-	}
-	if cfg.Lambda <= 1 {
-		panic("coin: Lambda must be > 1")
-	}
-	if cfg.MaxInterval == 0 {
-		cfg.MaxInterval = 8 * cfg.RefreshInterval
-	}
-	if cfg.ShrinkK == 0 {
-		cfg.ShrinkK = cfg.RefreshInterval / 2
-	}
-	if cfg.MinInterval == 0 {
-		cfg.MinInterval = cfg.RefreshInterval / 8
-		if cfg.MinInterval < 2 {
-			cfg.MinInterval = 2
-		}
 	}
 	if cfg.RandomPairingEvery == 0 {
 		cfg.RandomPairingEvery = 16
@@ -215,37 +218,8 @@ func (cfg Config) withDefaults() Config {
 		diam := sim.Cycles(cfg.Mesh.MaxHopDistance() + 1)
 		cfg.MaxCycles = 4096 * cfg.RefreshInterval * diam
 	}
-	if cfg.QuiesceWindow == 0 {
-		w := 64 * cfg.RefreshInterval
-		if cfg.DynamicTiming && 4*cfg.MaxInterval > w {
-			w = 4 * cfg.MaxInterval
-		}
-		cfg.QuiesceWindow = w
-	}
-	if cfg.NoC.HopLatency == 0 && cfg.NoC.RouterLatency == 0 {
-		cfg.NoC = noc.DefaultConfig()
-	}
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		cfg.Harden = true
-	}
-	if cfg.ExchangeTimeout == 0 {
-		diam := sim.Cycles(cfg.Mesh.MaxHopDistance())
-		cfg.ExchangeTimeout = 4*(cfg.NoC.RouterLatency+cfg.NoC.HopLatency*diam) + 2*cfg.RefreshInterval
-	}
-	if cfg.LockTimeout == 0 {
-		cfg.LockTimeout = 2 * cfg.ExchangeTimeout
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 2
-	}
-	if cfg.RetryBackoff <= 1 {
-		panic("coin: RetryBackoff must be > 1")
-	}
-	if cfg.NeighborDeadAfter == 0 {
-		cfg.NeighborDeadAfter = 4
-	}
-	if cfg.AuditInterval == 0 {
-		cfg.AuditInterval = 8 * cfg.RefreshInterval
 	}
 	return cfg
 }

@@ -148,6 +148,7 @@ func (r Result) ConvergenceMicros() float64 {
 // anywhere on the tick/timeout/watchdog chains or on a message's arrival.
 type Emulator struct {
 	cfg    Config
+	timing timing
 	kernel *sim.Kernel
 	net    *noc.Network
 	src    *rng.Source
@@ -251,7 +252,7 @@ type Emulator struct {
 	coinsBurned   int64
 
 	// onChange, when set, observes every applied coin-count change. The
-	// SoC harness uses it to drive each tile's LUT and UVFR regulator.
+	// SoC harness uses it to retarget each tile's UVFR regulator.
 	onChange func(tile int, has int64)
 	// onConverged, when set, observes each convergence event with the
 	// response time since the triggering activity change (or Init).
@@ -282,7 +283,7 @@ type Emulator struct {
 func NewEmulator(cfg Config, src *rng.Source) *Emulator {
 	cfg = cfg.withDefaults()
 	k := &sim.Kernel{}
-	e := NewEmulatorOn(k, noc.New(k, cfg.Mesh, cfg.NoC), cfg, src)
+	e := NewEmulatorOn(k, noc.New(k, cfg.Mesh, noc.DefaultConfig()), cfg, src)
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		e.AttachFaults(fault.NewInjector(*cfg.Faults))
 		e.armInjector = true
@@ -303,6 +304,7 @@ func NewEmulatorOn(k *sim.Kernel, net *noc.Network, cfg Config, src *rng.Source)
 	n := cfg.Mesh.N()
 	e := &Emulator{
 		cfg:    cfg,
+		timing: deriveTiming(cfg),
 		kernel: k,
 		net:    net,
 		src:    src,
@@ -459,21 +461,6 @@ func (e *Emulator) neighborhoodLoad(i int) int64 {
 	return load
 }
 
-// NeighborhoodLoad exposes the thermal-guard quantity for tile i, for
-// tests and monitoring. With the guard disabled it computes the exact sum
-// of the tile's and its neighbors' current counts.
-func (e *Emulator) NeighborhoodLoad(i int) int64 {
-	if e.cfg.ThermalCap > 0 {
-		return e.neighborhoodLoad(i)
-	}
-	load := e.has[i]
-	base := i * maxNbrs
-	for s := 0; s < int(e.nbrCount[i]); s++ {
-		load += e.has[e.nbrs[base+s]]
-	}
-	return load
-}
-
 // thermalClamp limits the coins tile i may accept in an exchange that
 // would move it from has[i] to proposed, returning the allowed new count.
 // Giving coins away is never restricted.
@@ -516,7 +503,7 @@ func (e *Emulator) Init(a Assignment) {
 		e.kernel.ScheduleOp(phase, e.opTick, int32(i), 0)
 	}
 	if e.hardened {
-		e.kernel.ScheduleOp(e.cfg.AuditInterval, e.opAudit, 0, 0)
+		e.kernel.ScheduleOp(e.timing.auditInterval, e.opAudit, 0, 0)
 	}
 }
 
@@ -573,12 +560,12 @@ func (e *Emulator) recomputeError() {
 	}
 }
 
-// GlobalErr returns the current global error E: the mean per-tile error in
+// globalErr returns the current global error E: the mean per-tile error in
 // the paper's symmetric mode, or the mean per-active-tile deficit in
 // deficit-only mode (so the threshold reads "average active tile within one
 // coin of its usable target" regardless of how many idle tiles surround
 // them).
-func (e *Emulator) GlobalErr() float64 {
+func (e *Emulator) globalErr() float64 {
 	if e.cfg.DeficitOnly {
 		n := e.activeCount
 		if n == 0 {
@@ -625,7 +612,7 @@ func (e *Emulator) Has(i int) int64 { return e.has[i] }
 func (e *Emulator) Max(i int) int64 { return e.max[i] }
 
 func (e *Emulator) checkConvergence() {
-	if !e.converged && e.GlobalErr() < e.cfg.Threshold {
+	if !e.converged && e.globalErr() < e.cfg.Threshold {
 		e.converged = true
 		e.convergedAt = e.kernel.Now()
 		e.pktsAtConv = e.net.Stats().Sent
@@ -694,11 +681,6 @@ func (e *Emulator) Kernel() *sim.Kernel { return e.kernel }
 // ThermalRejects returns how many exchanges were clamped by the thermal
 // hotspot guard.
 func (e *Emulator) ThermalRejects() uint64 { return e.thermalRejects }
-
-// FlagCounts returns how many tiles are currently mid-exchange (busy) and
-// participation-locked. After a hardened Run both must be zero: the timeout
-// and watchdog machinery exists precisely so no fault strands a flag.
-func (e *Emulator) FlagCounts() (busy, locked int) { return e.busyCount, e.lockedCount }
 
 // TileDead reports whether tile i has fail-stopped.
 func (e *Emulator) TileDead(i int) bool { return e.flags[i]&fDead != 0 }
@@ -893,7 +875,7 @@ func (e *Emulator) armExchangeTimeout(i int) {
 	if !e.hardened {
 		return
 	}
-	e.kernel.ScheduleOp(e.cfg.ExchangeTimeout, e.opTimeout, int32(i), e.seqNo[i])
+	e.kernel.ScheduleOp(e.timing.exchangeTimeout, e.opTimeout, int32(i), e.seqNo[i])
 }
 
 // exchangeTimeout abandons an exchange whose completion never arrived:
@@ -933,15 +915,15 @@ func (e *Emulator) exchangeTimeout(i int, seq uint64) {
 	e.busyCount--
 	// Exponential retry back-off: a tile facing a lossy or partitioned
 	// fabric slows down instead of spamming it.
-	ni := sim.Cycles(float64(e.interval[i]) * e.cfg.RetryBackoff)
-	if ni > e.cfg.MaxInterval {
-		ni = e.cfg.MaxInterval
+	ni := e.interval[i] * retryBackoff
+	if ni > e.timing.maxInterval {
+		ni = e.timing.maxInterval
 	}
 	e.interval[i] = ni
 }
 
 // strikePartner records a timed-out exchange against a partner; after
-// NeighborDeadAfter consecutive strikes the partner is pruned from the
+// neighborDeadAfter consecutive strikes the partner is pruned from the
 // tile's pairing sets (wrap-around partners take over). Neighbor partners
 // are tombstoned in place — their slot index stays valid for any iteration
 // or reply in flight — and non-neighbor partners (random pairing) go to the
@@ -952,7 +934,7 @@ func (e *Emulator) strikePartner(i, partner int) {
 	}
 	if s := e.slotOf(i, partner); s >= 0 {
 		e.nbrFailCnt[i*maxNbrs+s]++
-		if int(e.nbrFailCnt[i*maxNbrs+s]) < e.cfg.NeighborDeadAfter || e.nbrDeadMask[i]&(1<<s) != 0 {
+		if int(e.nbrFailCnt[i*maxNbrs+s]) < neighborDeadAfter || e.nbrDeadMask[i]&(1<<s) != 0 {
 			return
 		}
 		e.nbrDeadMask[i] |= 1 << s
@@ -969,7 +951,7 @@ func (e *Emulator) strikePartner(i, partner int) {
 		e.farFail[i] = make(map[int]int)
 	}
 	e.farFail[i][partner]++
-	if e.farFail[i][partner] < e.cfg.NeighborDeadAfter {
+	if e.farFail[i][partner] < neighborDeadAfter {
 		return
 	}
 	if e.farDead[i] == nil {
@@ -1060,7 +1042,7 @@ func (e *Emulator) lockTile(i, center int) {
 	e.lockSeq[i]++
 	e.lockedCount++
 	if e.hardened {
-		e.kernel.ScheduleOp(e.cfg.LockTimeout, e.opWatchdog, int32(i), e.lockSeq[i])
+		e.kernel.ScheduleOp(e.timing.lockTimeout, e.opWatchdog, int32(i), e.lockSeq[i])
 	}
 }
 
@@ -1261,7 +1243,7 @@ func (e *Emulator) audit() {
 	if e.liveCount > 0 {
 		e.runAudit()
 	}
-	e.kernel.ScheduleOp(e.cfg.AuditInterval, e.opAudit, 0, 0)
+	e.kernel.ScheduleOp(e.timing.auditInterval, e.opAudit, 0, 0)
 }
 
 // auditCand is one audit repair candidate: a live tile with a working
@@ -1360,12 +1342,12 @@ func (e *Emulator) runAudit() {
 }
 
 // adjustTiming applies the dynamic-timing rule (Sec. III-D): zero-coin
-// exchanges back off multiplicatively by Lambda, but only once a full
+// exchanges back off multiplicatively by lambda, but only once a full
 // rotation's worth of consecutive exchanges was unproductive — a tile that
 // is still converging probes empty neighbors half the time, and stalling it
 // on the first miss would slow the transient it exists to speed up.
-// Productive exchanges shrink the interval by ShrinkK down to the base
-// refresh interval (with the default ShrinkK this is a snap back to base).
+// Productive exchanges snap a backed-off tile to the base refresh interval,
+// then shrink it by shrinkK per exchange down to minInterval.
 func (e *Emulator) adjustTiming(i int, moved int64) {
 	if !e.cfg.DynamicTiming {
 		return
@@ -1381,9 +1363,9 @@ func (e *Emulator) adjustTiming(i int, moved int64) {
 		if e.zeroStreak[i] < 4 {
 			return
 		}
-		ni := sim.Cycles(float64(e.interval[i]) * e.cfg.Lambda)
-		if ni > e.cfg.MaxInterval {
-			ni = e.cfg.MaxInterval
+		ni := e.interval[i] * lambda
+		if ni > e.timing.maxInterval {
+			ni = e.timing.maxInterval
 		}
 		e.interval[i] = ni
 	} else {
@@ -1394,10 +1376,10 @@ func (e *Emulator) adjustTiming(i int, moved int64) {
 		if ni > e.cfg.RefreshInterval {
 			ni = e.cfg.RefreshInterval
 		}
-		if ni > e.cfg.MinInterval+e.cfg.ShrinkK {
-			ni -= e.cfg.ShrinkK
+		if ni > e.timing.minInterval+e.timing.shrinkK {
+			ni -= e.timing.shrinkK
 		} else {
-			ni = e.cfg.MinInterval
+			ni = e.timing.minInterval
 		}
 		e.interval[i] = ni
 	}
@@ -1430,7 +1412,7 @@ func (e *Emulator) Run() Result {
 		// Quiescent: no coin has moved for a full window and no nonzero
 		// transfer is in flight. Zero-coin keep-alive chatter continues in
 		// steady state and must not prevent the run from ending.
-		if e.nonzeroInFlight == 0 && now-e.lastMovement > e.cfg.QuiesceWindow {
+		if e.nonzeroInFlight == 0 && now-e.lastMovement > e.timing.quiesceWindow {
 			return true
 		}
 		return false
@@ -1445,7 +1427,7 @@ func (e *Emulator) Run() Result {
 	// Hardened runs settle before reporting: freeze new exchange initiation
 	// and let the in-flight work drain. Every busy flag has an armed timeout
 	// and every lock has a watchdog, so the drain is bounded by
-	// LockTimeout plus flight time — a flag that survives it is genuinely
+	// the lock timeout plus flight time — a flag that survives it is genuinely
 	// stranded, not a keep-alive transient. A final audit then repairs any
 	// damage postdating the last periodic one.
 	if e.hardened {

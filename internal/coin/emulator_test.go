@@ -215,7 +215,6 @@ func TestSetMaxTriggersRedistribution(t *testing.T) {
 	// Activity change: after convergence, ending one tile's execution
 	// (max -> 0) must redistribute its coins and re-converge.
 	cfg := baseConfig(4)
-	cfg.QuiesceWindow = 4096
 	// Tight threshold so the SetMax disturbance (E = 1.0 on this config)
 	// re-arms convergence detection rather than passing immediately.
 	cfg.Threshold = 0.5

@@ -7,7 +7,7 @@
 // the allocation target. The package provides:
 //
 //   - the pure exchange arithmetic (PairSplit for the 1-way technique of
-//     Algorithm 2, GroupSplit for the 4-way technique of Algorithm 1);
+//     Algorithm 2, groupSplit for the 4-way technique of Algorithm 1);
 //   - a cycle-driven behavioral emulator over the simulated NoC, with the
 //     paper's three optimizations: dynamic timing (exponential back-off),
 //     wrap-around neighbors, and random pairing (Sec. III-D);
@@ -71,22 +71,15 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// GroupSplit computes the 4-way fair allocation among a center tile and its
+// groupSplit computes the 4-way fair allocation among a center tile and its
 // neighbors (Algorithm 1): the group's coins are apportioned in proportion
 // to max using the largest-remainder method, so every tile lands within one
 // coin of its ideal share and the total is preserved exactly. has and max
 // are parallel slices with the center at index 0. Tiles with max 0 receive
 // 0 (their coins flow to the others); if all maxes are 0, the input
-// allocation is returned unchanged.
-func GroupSplit(has, max []int64) []int64 {
-	out := make([]int64, len(has))
-	groupSplit(has, max, out, make([]int64, len(has)))
-	return out
-}
-
-// groupSplit is GroupSplit writing the allocation into out, with rems as
-// remainder scratch; both must be as long as has. The emulator's 4-way
-// exchange passes fixed scratch arrays, so its steady state allocates
+// allocation is copied unchanged. The allocation is written into out, with
+// rems as remainder scratch; both must be as long as has. The emulator's
+// 4-way exchange passes fixed scratch arrays, so its steady state allocates
 // nothing.
 func groupSplit(has, max, out, rems []int64) {
 	if len(has) != len(max) || len(has) == 0 {

@@ -138,10 +138,17 @@ func TestPairSplitNegativeTransient(t *testing.T) {
 	}
 }
 
+// groupSplitOf is groupSplit into a fresh allocation, with fresh scratch.
+func groupSplitOf(has, max []int64) []int64 {
+	out := make([]int64, len(has))
+	groupSplit(has, max, out, make([]int64, len(has)))
+	return out
+}
+
 func TestGroupSplitConservesAndEqualizes(t *testing.T) {
 	has := []int64{3, 5, 0, 8, 4} // center first
 	max := []int64{8, 4, 4, 4, 4}
-	out := GroupSplit(has, max)
+	out := groupSplitOf(has, max)
 	var sum int64
 	for _, v := range out {
 		sum += v
@@ -160,7 +167,7 @@ func TestGroupSplitConservesAndEqualizes(t *testing.T) {
 
 func TestGroupSplitAllInactive(t *testing.T) {
 	has := []int64{3, 1, 2}
-	out := GroupSplit(has, []int64{0, 0, 0})
+	out := groupSplitOf(has, []int64{0, 0, 0})
 	for i := range has {
 		if out[i] != has[i] {
 			t.Fatalf("all-inactive split changed allocation: %v", out)
@@ -176,7 +183,7 @@ func TestGroupSplitConservationProperty(t *testing.T) {
 		for _, h := range has {
 			want += h
 		}
-		out := GroupSplit(has, max)
+		out := groupSplitOf(has, max)
 		var got int64
 		for _, v := range out {
 			got += v
@@ -194,7 +201,7 @@ func TestGroupSplitPanicsOnMismatch(t *testing.T) {
 			t.Fatal("mismatched GroupSplit did not panic")
 		}
 	}()
-	GroupSplit([]int64{1}, []int64{1, 2})
+	groupSplitOf([]int64{1}, []int64{1, 2})
 }
 
 func TestGlobalError(t *testing.T) {

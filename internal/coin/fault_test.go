@@ -38,7 +38,7 @@ func TestConvergesUnderOnePercentDrops10x10(t *testing.T) {
 		t.Fatalf("pool not conserved after repair: violation=%d minted=%d burned=%d",
 			res.PoolViolation, res.CoinsMinted, res.CoinsBurned)
 	}
-	if busy, locked := e.FlagCounts(); busy != 0 || locked != 0 {
+	if busy, locked := e.busyCount, e.lockedCount; busy != 0 || locked != 0 {
 		t.Fatalf("stranded flags at end of run: busy=%d locked=%d", busy, locked)
 	}
 }
@@ -68,7 +68,7 @@ func TestTileKillRecovery(t *testing.T) {
 		if res.FinalErr >= cfg.Threshold {
 			t.Fatalf("%v: survivors did not re-converge: FinalErr=%v", mode, res.FinalErr)
 		}
-		if busy, locked := e.FlagCounts(); busy != 0 || locked != 0 {
+		if busy, locked := e.busyCount, e.lockedCount; busy != 0 || locked != 0 {
 			t.Fatalf("%v: stranded flags: busy=%d locked=%d", mode, busy, locked)
 		}
 		if !e.TileDead(6) || !e.TileDead(12) || !e.TileDead(18) {
@@ -93,7 +93,7 @@ func TestFourWayLockWatchdog(t *testing.T) {
 		DropRate: 0.05, Seed: 7,
 	}
 	res, e := runFaulted(t, cfg, fc, 4, 12)
-	if busy, locked := e.FlagCounts(); busy != 0 || locked != 0 {
+	if busy, locked := e.busyCount, e.lockedCount; busy != 0 || locked != 0 {
 		t.Fatalf("stranded flags despite watchdog: busy=%d locked=%d (%+v)", busy, locked, res)
 	}
 	if !res.Conserved() {
@@ -152,7 +152,7 @@ func TestLinkFailureRecovery(t *testing.T) {
 	if !res.Conserved() {
 		t.Fatalf("pool not conserved under link failure: violation=%d", res.PoolViolation)
 	}
-	if busy, locked := e.FlagCounts(); busy != 0 || locked != 0 {
+	if busy, locked := e.busyCount, e.lockedCount; busy != 0 || locked != 0 {
 		t.Fatalf("stranded flags: busy=%d locked=%d", busy, locked)
 	}
 }
@@ -167,7 +167,7 @@ func TestDelayedPacketsConserve(t *testing.T) {
 	if !res.Conserved() {
 		t.Fatalf("pool not conserved under delays: violation=%d", res.PoolViolation)
 	}
-	if busy, locked := e.FlagCounts(); busy != 0 || locked != 0 {
+	if busy, locked := e.busyCount, e.lockedCount; busy != 0 || locked != 0 {
 		t.Fatalf("stranded flags: busy=%d locked=%d", busy, locked)
 	}
 	if res.FinalErr >= cfg.Threshold {

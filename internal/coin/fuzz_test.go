@@ -100,7 +100,7 @@ func FuzzFaultChurn(f *testing.F) {
 		if !res.Conserved() {
 			t.Fatalf("pool not repaired: violation=%d (%+v)", res.PoolViolation, res)
 		}
-		if busy, locked := e.FlagCounts(); busy != 0 || locked != 0 {
+		if busy, locked := e.busyCount, e.lockedCount; busy != 0 || locked != 0 {
 			t.Fatalf("stranded flags at quiescence: busy=%d locked=%d (%+v)", busy, locked, res)
 		}
 	})
@@ -122,7 +122,7 @@ func FuzzGroupSplit(f *testing.F) {
 			}
 			total += has[i]
 		}
-		out := GroupSplit(has, max)
+		out := groupSplitOf(has, max)
 		var got int64
 		for i, v := range out {
 			got += v

@@ -7,15 +7,21 @@ import (
 	"blitzcoin/internal/rng"
 )
 
-// strikeCfg is a hardened 4-way config that prunes a partner on its first
-// silent timeout, so a single exchangeTimeout exercises the pruning path for
-// every struck neighbor at once.
+// strikeCfg is a hardened 4-way config on a 3x3 mesh.
 func strikeCfg() Config {
 	return Config{
-		Mesh:              mesh.Square(3, false),
-		Mode:              FourWay,
-		Harden:            true,
-		NeighborDeadAfter: 1,
+		Mesh:   mesh.Square(3, false),
+		Mode:   FourWay,
+		Harden: true,
+	}
+}
+
+// primeStrikes leaves every neighbor slot of tile i one strike short of
+// pruning, so a single exchangeTimeout exercises the pruning path for every
+// neighbor it strikes.
+func primeStrikes(e *Emulator, i int) {
+	for s := 0; s < int(e.nbrCount[i]); s++ {
+		e.nbrFailCnt[i*maxNbrs+s] = neighborDeadAfter - 1
 	}
 }
 
@@ -30,6 +36,7 @@ func TestTimeoutStrikesEverySilentNeighbor(t *testing.T) {
 	if e.nbrCount[center] != 4 {
 		t.Fatalf("center has %d neighbor slots, want 4", e.nbrCount[center])
 	}
+	primeStrikes(e, center)
 	e.startFourWay(center)
 	if e.flags[center]&fBusy == 0 || e.flags[center]&fPendActive == 0 {
 		t.Fatal("startFourWay did not mark the exchange in flight")
@@ -66,6 +73,9 @@ func TestTimeoutPartialAnswersStrikeOnlySilent(t *testing.T) {
 	joined, nacked := int(e.nbrs[base]), int(e.nbrs[base+1])
 	e.onFourWayStatus(center, joined, CoinMsg{Has: 3, Max: 8, Reply: true, Seq: e.seqNo[center]})
 	e.onFourWayStatus(center, nacked, CoinMsg{Reply: true, Nack: true, Seq: e.seqNo[center]})
+	// Prime after the replies: a non-nack reply clears its slot's strikes,
+	// and every slot must be one strike short when the timeout runs.
+	primeStrikes(e, center)
 
 	sentBefore := e.net.Stats().Sent
 	e.exchangeTimeout(center, e.seqNo[center])
@@ -74,6 +84,11 @@ func TestTimeoutPartialAnswersStrikeOnlySilent(t *testing.T) {
 	}
 	if e.nbrDeadMask[center]&0b11 != 0 {
 		t.Fatal("an answering neighbor was tombstoned")
+	}
+	for s := 0; s < 2; s++ {
+		if got := e.nbrFailCnt[base+s]; got != neighborDeadAfter-1 {
+			t.Fatalf("answering slot %d has %d strikes after the timeout, want %d", s, got, neighborDeadAfter-1)
+		}
 	}
 	if e.nbrDeadMask[center]&0b1100 != 0b1100 {
 		t.Fatal("a silent neighbor was not tombstoned")

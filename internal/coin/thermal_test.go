@@ -42,7 +42,7 @@ func TestThermalCapBoundsNeighborhoods(t *testing.T) {
 	e, _ := thermalRig(t, cap, 2)
 	has, _ := e.Snapshot()
 	for i := range has {
-		if load := e.NeighborhoodLoad(i); load > cap+1 {
+		if load := e.neighborhoodLoad(i); load > cap+1 {
 			t.Fatalf("tile %d neighborhood load %d exceeds cap %d", i, load, cap)
 		}
 	}

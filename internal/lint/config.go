@@ -26,7 +26,6 @@ var simPackages = []string{
 	"blitzcoin/internal/scaling",
 	"blitzcoin/internal/trace",
 	"blitzcoin/internal/uvfr",
-	"blitzcoin/internal/core",
 	"blitzcoin/internal/controller",
 	"blitzcoin/internal/cpuproxy",
 }

@@ -35,7 +35,7 @@ var _ controller.Controller = (*bcAdapter)(nil)
 // coin value is sized so the hungriest tile's full power fits in the 6-bit
 // counter (63 coins), and the pool quantizes the budget at that value.
 func newBCAdapter(k *sim.Kernel, net *noc.Network, specs []controller.TileSpec,
-	budgetMW float64, src *rng.Source, refresh sim.Cycles, threshold float64) *bcAdapter {
+	budgetMW float64, src *rng.Source) *bcAdapter {
 
 	var maxP float64
 	for _, s := range specs {
@@ -49,10 +49,10 @@ func newBCAdapter(k *sim.Kernel, net *noc.Network, specs []controller.TileSpec,
 	cfg := coin.Config{
 		Mesh:            net.Mesh(),
 		Mode:            coin.OneWay,
-		RefreshInterval: refresh,
+		RefreshInterval: 32,
 		DynamicTiming:   true,
 		RandomPairing:   true,
-		Threshold:       threshold,
+		Threshold:       1.0,
 		// Hardware semantics: 6-bit coin registers, and convergence is
 		// judged on allocation deficits — surplus coins parked on idle
 		// tiles are not a power-allocation error.

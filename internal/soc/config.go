@@ -4,10 +4,10 @@
 //
 // A SoC is a mesh of tiles (CPU, memory, I/O, and accelerator tiles, as in
 // the ESP architecture of Fig. 12), a multi-plane NoC, one power-management
-// scheme (BlitzCoin or a baseline controller), and per-accelerator-tile
-// datapaths (coin LUT + UVFR regulator). The harness executes a workload
-// DAG, driving activity changes into the PM scheme and integrating each
-// tile's time-varying frequency into task progress and power traces.
+// scheme (BlitzCoin or a baseline controller), and a UVFR regulator per
+// managed accelerator tile. The harness executes a workload DAG, driving
+// activity changes into the PM scheme and integrating each tile's
+// time-varying frequency into task progress and power traces.
 package soc
 
 import (
@@ -130,12 +130,6 @@ type Config struct {
 	// Seed drives all randomized behavior.
 	Seed uint64
 
-	// CoinRefreshInterval overrides BlitzCoin's base exchange interval
-	// (cycles); zero selects 32.
-	CoinRefreshInterval sim.Cycles
-	// ConvergenceThreshold overrides BlitzCoin's Err threshold; zero
-	// selects 1.0.
-	ConvergenceThreshold float64
 	// MaxCycles bounds a run; zero selects 80M cycles (100 ms).
 	MaxCycles sim.Cycles
 

@@ -5,13 +5,13 @@ import (
 	"math"
 
 	"blitzcoin/internal/controller"
-	"blitzcoin/internal/core"
 	"blitzcoin/internal/fault"
 	"blitzcoin/internal/noc"
 	"blitzcoin/internal/power"
 	"blitzcoin/internal/rng"
 	"blitzcoin/internal/sim"
 	"blitzcoin/internal/trace"
+	"blitzcoin/internal/uvfr"
 	"blitzcoin/internal/workload"
 )
 
@@ -20,7 +20,7 @@ type accelTile struct {
 	idx   int // mesh index
 	accel string
 	curve *power.Curve
-	pm    *core.TilePM
+	reg   *uvfr.Regulator // the tile's UVFR loop (LDO + RO + TDC)
 
 	series       string  // cached power-trace series name ("tNN-accel")
 	freqMHz      float64 // effective clock, piecewise constant
@@ -92,12 +92,6 @@ func New(cfg Config) *Runner {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.CoinRefreshInterval == 0 {
-		cfg.CoinRefreshInterval = 32
-	}
-	if cfg.ConvergenceThreshold == 0 {
-		cfg.ConvergenceThreshold = 1.0
-	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 80_000_000 // 100 ms
 	}
@@ -124,7 +118,6 @@ func New(cfg Config) *Runner {
 
 	catalog := power.Catalog()
 	var specs []controller.TileSpec
-	mwPerCoinRef := 0.0
 	for _, idx := range cfg.AccelTiles() {
 		c := catalog[cfg.Tiles[idx].Accel]
 		specs = append(specs, controller.TileSpec{
@@ -132,11 +125,7 @@ func New(cfg Config) *Runner {
 			PMaxMW: c.PMax(),
 			PMinMW: c.PMin(),
 		})
-		if c.PMax() > mwPerCoinRef {
-			mwPerCoinRef = c.PMax()
-		}
 	}
-	mwPerCoin := mwPerCoinRef / 63
 
 	// Memory tiles serve DMA; each accelerator pairs with its nearest one.
 	var memTiles []int
@@ -162,11 +151,11 @@ func New(cfg Config) *Runner {
 			accel:   cfg.Tiles[idx].Accel,
 			series:  fmt.Sprintf("t%02d-%s", idx, cfg.Tiles[idx].Accel),
 			curve:   c,
-			pm:      core.NewTilePM(c, mwPerCoin),
+			reg:     uvfr.NewRegulator(uvfr.ConfigForCurve(c)),
 			taskID:  -1,
 			memTile: nearestMem(idx),
 		}
-		t.freqMHz = t.pm.FreqMHz() // regulator reset state: minimum V point
+		t.freqMHz = t.reg.FreqMHz() // regulator reset state: minimum V point
 		r.tiles[idx] = t
 		r.tileOrder = append(r.tileOrder, idx)
 		r.byAccel[t.accel] = append(r.byAccel[t.accel], idx)
@@ -194,8 +183,7 @@ func New(cfg Config) *Runner {
 
 	switch cfg.Scheme {
 	case SchemeBC:
-		r.ctrl = newBCAdapter(k, net, specs, cfg.BudgetMW, src.Split(),
-			cfg.CoinRefreshInterval, cfg.ConvergenceThreshold)
+		r.ctrl = newBCAdapter(k, net, specs, cfg.BudgetMW, src.Split())
 	case SchemeBCC:
 		r.ctrl = controller.NewBCC(k, net, specs, cfg.BudgetMW, cfg.CPUTile())
 	case SchemeCRR:
@@ -221,10 +209,11 @@ func New(cfg Config) *Runner {
 	return r
 }
 
-// killTile fail-stops a managed accelerator tile mid-run: the PM datapath
-// dies (power drops to zero, the fault CSR latches), any pending actuation
-// and completion events are cancelled, and a task caught on the tile is
-// re-queued so a surviving tile of the same accelerator type picks it up.
+// killTile fail-stops a managed accelerator tile mid-run: its power drops
+// to zero and no later allocation reaches its regulator, any pending
+// actuation and completion events are cancelled, and a task caught on the
+// tile is re-queued so a surviving tile of the same accelerator type picks
+// it up.
 // Kills addressed at unmanaged tiles only affect the NoC (the fault layer
 // already swallows their traffic).
 func (r *Runner) killTile(idx int) {
@@ -236,7 +225,6 @@ func (r *Runner) killTile(idx int) {
 	r.progressTo(t, now)
 	t.dead = true
 	r.tilesKilled++
-	t.pm.Kill()
 	t.freqEpoch++ // cancel in-flight actuation
 	t.compEpoch++ // cancel in-flight completion and DMA callbacks
 	t.freqMHz = 0
@@ -350,8 +338,10 @@ func (r *Runner) recordPower(t *accelTile) {
 }
 
 // onAllocation handles a power-allocation change from the PM scheme: it
-// retargets the tile's regulator and applies the new effective frequency
-// after the UVFR settling delay.
+// retargets the tile's regulator to the highest frequency the allocation
+// sustains and applies the new effective frequency after the UVFR settling
+// delay. Under BlitzCoin an allocation of k coins arrives as k·mW-per-coin,
+// so the target is entry k of the paper's coin→frequency LUT (Sec. IV-A).
 func (r *Runner) onAllocation(tileIdx int, mw float64) {
 	t := r.tiles[tileIdx]
 	if t == nil || t.dead {
@@ -360,12 +350,12 @@ func (r *Runner) onAllocation(tileIdx int, mw float64) {
 	now := r.kernel.Now()
 	r.progressTo(t, now)
 
-	t.pm.SetPowerMW(mw)
-	settle, _ := t.pm.Reg.SettleCycles(512)
+	t.reg.SetTargetMHz(t.curve.FreqAtPower(mw))
+	settle, _ := t.reg.SettleCycles(512)
 
 	// Epoch-guard the actuation: only the newest settle event applies, and
 	// pendFreq is exactly the frequency that event was armed with.
-	t.pendFreq = t.pm.FreqMHz()
+	t.pendFreq = t.reg.FreqMHz()
 	t.freqEpoch++
 	r.kernel.ScheduleOp(settle, r.opSettle, int32(t.idx), uint64(t.freqEpoch))
 }
