@@ -10,7 +10,7 @@ BENCH_BASE_REF ?= 0bc8810178f0f4088641cc548386b45026b930ce
 
 .PHONY: build test vet race verify bench bench-base benchcheck bench-report figures \
 	server-smoke cluster-smoke chaos-smoke stream-smoke tenant-smoke \
-	lint fmtcheck blitzlint lint-update lint-smoke perfbench-check
+	lint fmtcheck blitzlint lint-update lint-smoke perfbench-check fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -60,12 +60,18 @@ race:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# fuzz-smoke fuzzes the request-JSON trust boundary (the strict decoder
+# and /v1/sweep's body memo) for 10 s beyond its seed corpus; a failing
+# input lands in internal/server/testdata/fuzz/.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestJSON$$' -fuzztime 10s ./internal/server
+
 # The gate every change must pass: static checks (formatting, vet, the
 # blitzlint domain analyzers plus the broken-fixture lint smoke), the full
-# test suite under the race detector, the benchmark module's vet and tests,
-# the hot-path perf gate, and the daemon + cluster + chaos + streaming +
-# multi-tenancy smoke tests.
-verify: lint lint-smoke race perfbench-check benchcheck server-smoke cluster-smoke chaos-smoke stream-smoke tenant-smoke
+# test suite under the race detector, a request-JSON fuzz smoke, the
+# benchmark module's vet and tests, the hot-path perf gate, and the daemon
+# + cluster + chaos + streaming + multi-tenancy smoke tests.
+verify: lint lint-smoke race fuzz-smoke perfbench-check benchcheck server-smoke cluster-smoke chaos-smoke stream-smoke tenant-smoke
 
 # server-smoke boots a real blitzd on an ephemeral port, runs one exchange
 # request twice through blitzctl, and asserts the repeat is a cache hit.

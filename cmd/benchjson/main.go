@@ -24,10 +24,12 @@
 //	    -bench BenchmarkExchangeThroughput,BenchmarkSoCRunThroughput -max-regress 0.20 < head.txt
 //
 // Report mode renders the committed snapshot sequence as a markdown
-// trajectory table (one row per benchmark, one column per snapshot SHA, with
-// the percentage delta of best ns/op against the previous snapshot when
-// both were taken in the same cohort; snapshots that record no cohort are
-// never compared):
+// trajectory table (one row per benchmark, one column per snapshot SHA,
+// each cell the best ns/op, and a row naming each snapshot's cohort). It
+// prints no deltas: snapshots are taken in different sittings, and the
+// host's speed drifts between sittings by more than a change moves it, so
+// two commits are compared only by alternating their test binaries in one
+// sitting (check mode):
 //
 //	benchjson -report BENCH_abc1234.json BENCH_def5678.json > BENCHMARKS.md
 //
@@ -75,11 +77,6 @@ type Snapshot struct {
 	SHA        string       `json:"sha,omitempty"`
 	Cohort     *Cohort      `json:"cohort,omitempty"`
 	Benchmarks []*Benchmark `json:"benchmarks"`
-}
-
-// sameCohort reports whether a and b were taken on one recorded cohort.
-func sameCohort(a, b *Snapshot) bool {
-	return a.Cohort != nil && b.Cohort != nil && *a.Cohort == *b.Cohort
 }
 
 func (s *Snapshot) find(name string) *Benchmark {
@@ -289,9 +286,8 @@ func check(baselinePath, benches string, maxRegress float64, cur *Snapshot) erro
 
 // report renders the snapshot files (in trajectory order) as a markdown
 // table: one row per benchmark, one column per snapshot, each cell the best
-// ns/op with its delta against the previous snapshot that has the
-// benchmark, when both snapshots record the same cohort. A cohort row
-// labels each column and a legend below the table spells the labels out.
+// ns/op. A cohort row labels each column and a legend below the table
+// spells the labels out.
 // Unreadable paths are skipped with a warning so a pruned snapshot does not
 // break the trajectory.
 func report(w io.Writer, paths []string) error {
@@ -344,13 +340,14 @@ func report(w io.Writer, paths []string) error {
 
 	fmt.Fprintln(w, "# Benchmark trajectory")
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "Best-of-N ns/op per committed `BENCH_<sha>.json` snapshot; the")
-	fmt.Fprintln(w, "percentage is the delta against the previous snapshot that ran the")
-	fmt.Fprintln(w, "benchmark, shown only when both snapshots were taken in the same")
-	fmt.Fprintln(w, "cohort (CPU model, nproc, GOMAXPROCS, Go version). Snapshots with no")
-	fmt.Fprintln(w, "recorded cohort (—) are never compared. Regenerate with `make")
-	fmt.Fprintln(w, "bench-report` after `make bench`. See BENCHMARKING.md for the")
-	fmt.Fprintln(w, "run-validity policy.")
+	fmt.Fprintln(w, "Best-of-N ns/op per committed `BENCH_<sha>.json` snapshot, with the")
+	fmt.Fprintln(w, "cohort (CPU model, nproc, GOMAXPROCS, Go version) each was taken in;")
+	fmt.Fprintln(w, "— marks a snapshot that recorded none. The table shows no deltas:")
+	fmt.Fprintln(w, "snapshots come from different sittings, and the host's speed drifts")
+	fmt.Fprintln(w, "between sittings by more than a change moves it. Compare two commits")
+	fmt.Fprintln(w, "only with paired runs of their test binaries in one sitting (`make")
+	fmt.Fprintln(w, "benchcheck`). Regenerate with `make bench-report` after `make bench`.")
+	fmt.Fprintln(w, "See BENCHMARKING.md for the run-validity policy.")
 	fmt.Fprintln(w)
 	head, rule, cohortRow := "| benchmark |", "|---|", "| cohort |"
 	for _, s := range snaps {
@@ -363,8 +360,6 @@ func report(w io.Writer, paths []string) error {
 	fmt.Fprintln(w, cohortRow)
 	for _, name := range names {
 		row := "| " + strings.TrimPrefix(name, "Benchmark") + " |"
-		var prev *Snapshot
-		var prevNs float64
 		for _, s := range snaps {
 			b := s.find(name)
 			if b == nil {
@@ -376,12 +371,7 @@ func report(w io.Writer, paths []string) error {
 				row += " — |"
 				continue
 			}
-			cell := fmt.Sprintf("%.0f", v)
-			if prev != nil && prevNs > 0 && sameCohort(prev, s) {
-				cell += fmt.Sprintf(" (%+.1f%%)", 100*(v/prevNs-1))
-			}
-			prev, prevNs = s, v
-			row += " " + cell + " |"
+			row += fmt.Sprintf(" %.0f |", v)
 		}
 		fmt.Fprintln(w, row)
 	}

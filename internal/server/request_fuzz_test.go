@@ -3,19 +3,24 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"blitzcoin"
 )
 
 // FuzzRequestJSON fuzzes the trust boundary decodeRequest guards: any
-// bytes a client may POST, strictly decoded into a blitzcoin.Request. For
-// every input that validates, normalization is idempotent, the canonical
-// hash is the hash of the normalized request, and the hash survives a
-// marshal and re-decode round trip of the request and of its normalized
-// form: the properties that make the hash a content address. A real run
-// is `go test -run '^$' -fuzz FuzzRequestJSON -fuzztime 60s
-// ./internal/server`.
+// bytes a client may POST, strictly decoded into a blitzcoin.Request. Each
+// body also goes through /v1/sweep's decode path twice on a fresh memo,
+// the first pass a miss and the second a possible hit: both give the kind
+// and hash a fresh decode gives, or its error, and the memo holds the body
+// exactly when it decoded cleanly and fits memoBodyMax. For every input
+// that validates, normalization is idempotent, the canonical hash is the
+// hash of the normalized request, and the hash survives a marshal and
+// re-decode round trip of the request and of its normalized form: the
+// properties that make the hash a content address. `make fuzz-smoke` runs
+// it for 10 s; a longer run is `go test -run '^$' -fuzz FuzzRequestJSON
+// -fuzztime 60s ./internal/server`.
 func FuzzRequestJSON(f *testing.F) {
 	for _, seed := range []string{
 		tinyExchange,
@@ -24,12 +29,26 @@ func FuzzRequestJSON(f *testing.F) {
 			"tiles": [{"kind": "cpu"}, {"kind": "accel", "accel": "FFT"}],
 			"tasks": [{"accel": "FFT", "work_cycles": 2e4}], "seed": 1}}`,
 		`{"figure": {"name": "table1"}}`,
+		tinyExchange + strings.Repeat(" ", memoBodyMax),
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req blitzcoin.Request
 		norm, hash, err := decodeRequest(bytes.NewReader(body), "request", &req, &req)
+		var m bodyMemo
+		for pass := 1; pass <= 2; pass++ {
+			k, merr := sweepKeyOf(&m, body)
+			switch {
+			case err != nil && (merr == nil || merr.Error() != err.Error()):
+				t.Fatalf("pass %d: error %v, a fresh decode errs %v", pass, merr, err)
+			case err == nil && (merr != nil || k != sweepKey{string(norm.Kind), hash}):
+				t.Fatalf("pass %d: %+v, %v; a fresh decode gives kind %q, hash %q", pass, k, merr, norm.Kind, hash)
+			}
+			if held := memoHolds(&m, body); held != (err == nil && len(body) <= memoBodyMax) {
+				t.Fatalf("pass %d: memo holds the body: %v (decode error %v, %d bytes)", pass, held, err, len(body))
+			}
+		}
 		if err != nil {
 			return
 		}

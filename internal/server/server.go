@@ -128,6 +128,7 @@ type Server struct {
 	bus     *trace.Bus
 	ledger  *ledger.Ledger
 	tenants *tenant.Registry
+	memo    bodyMemo
 
 	streamBuf int
 
@@ -335,7 +336,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Inflight reports the requests currently inside the handler.
 func (s *Server) Inflight() int64 { return s.metrics.inflight.Load() }
 
-// handleSweep is the daemon's one workhorse endpoint.
+// handleSweep is the daemon's one workhorse endpoint. A body the memo
+// holds goes straight to the cache tiers under its memoized key; any
+// other body, and a memoized one both tiers miss, is decoded strictly, so
+// a computation always starts from a freshly decoded request.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{"POST a blitzcoin.Request"})
@@ -345,18 +349,36 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer s.metrics.inflight.Add(-1)
 	start := time.Now()
 
+	buf := bodyBufs.Get().(*bodyBuf)
+	defer bodyBufs.Put(buf)
+	body := readBody(http.MaxBytesReader(w, r.Body, sweepBodyMax), buf)
+	t := tenant.FromContext(r.Context())
+	k, memoized := s.memo.get(body)
+	if memoized {
+		respond := func(res rendered, tier string, coalesced bool) {
+			s.respond(w, r, start, k.kind, k.hash, res, tier, coalesced)
+		}
+		if s.serveCached(w, r, start, k.kind, k.hash, t, respond) {
+			return
+		}
+	}
+
 	var req blitzcoin.Request
-	norm, hash, err := decodeRequest(r.Body, "request", &req, &req)
+	norm, hash, err := s.memo.decode(body, &req)
 	kind := string(norm.Kind)
 	if err != nil {
-		s.finish(w, r, start, kind, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.finish(w, r, start, kind, status, err)
 		return
 	}
-	t := tenant.FromContext(r.Context())
 	respond := func(res rendered, tier string, coalesced bool) {
-		s.respond(w, r, start, norm, hash, res, tier, coalesced)
+		s.respond(w, r, start, kind, hash, res, tier, coalesced)
 	}
-	if s.serveCached(w, r, start, kind, hash, t, respond) {
+	if !memoized && s.serveCached(w, r, start, kind, hash, t, respond) {
 		return
 	}
 	// Sweep flights are detached: if the client disconnects mid-sweep, the
@@ -654,12 +676,12 @@ func resultRows(res *blitzcoin.Result) int {
 // respond writes the success envelope and the structured log line. tier
 // names the cache tier that served a hit ("memory" or "disk"); empty for
 // freshly computed results.
-func (s *Server) respond(w http.ResponseWriter, r *http.Request, start time.Time, norm blitzcoin.Request, hash string, result rendered, tier string, coalesced bool) {
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, start time.Time, kind, hash string, result rendered, tier string, coalesced bool) {
 	elapsed := time.Since(start)
 	cached := tier != ""
 	writeResponse(w, &Response{
 		Version:       blitzcoin.APIVersion,
-		Kind:          string(norm.Kind),
+		Kind:          kind,
 		RequestHash:   hash,
 		EngineVersion: blitzcoin.EngineVersion,
 		Cached:        cached,
@@ -667,9 +689,9 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, start time.Time
 		Coalesced:     coalesced,
 		ElapsedMicros: elapsed.Microseconds(),
 	}, result)
-	s.metrics.observeRequest(string(norm.Kind), "ok", elapsed.Seconds())
+	s.metrics.observeRequest(kind, "ok", elapsed.Seconds())
 	s.log.Info("sweep",
-		"kind", norm.Kind,
+		"kind", kind,
 		"hash", short(hash),
 		"status", http.StatusOK,
 		"cached", cached,
@@ -688,7 +710,7 @@ func (s *Server) finish(w http.ResponseWriter, r *http.Request, start time.Time,
 	}
 	label := "error"
 	switch {
-	case status == http.StatusBadRequest:
+	case status == http.StatusBadRequest, status == http.StatusRequestEntityTooLarge:
 		label = "invalid"
 	case status == http.StatusConflict:
 		label = "mismatch"
