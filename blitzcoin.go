@@ -20,12 +20,19 @@
 //     its result cache on;
 //   - SimulateExchange runs the coin-exchange algorithm itself on a
 //     simulated 2D-mesh NoC (the paper's Sec. III experiments);
-//   - RunSoC / RunCustomSoC run full-system simulations: accelerator tiles
-//     with power/frequency characterizations and UVFR regulators executing
-//     workload DAGs under BlitzCoin or one of the baseline controllers
-//     (Secs. V-VI);
-//   - FitScaling / ScalingModel project response times and maximum
-//     supported SoC sizes analytically (Sec. V-E, Fig. 21).
+//   - RunSoC runs full-system simulations of the paper's platforms:
+//     accelerator tiles with power/frequency characterizations and UVFR
+//     regulators executing workload DAGs under BlitzCoin or one of the
+//     baseline controllers (Secs. V-VI); a custom platform runs through
+//     Execute with a CustomSoC payload;
+//   - FitScaling / ScalingModel project maximum supported SoC sizes
+//     analytically (Sec. V-E, Fig. 21).
+//
+// Every paper figure and table, and the three features the paper sketches
+// beyond its core deployment (the thermal hotspot guard, the CPU power
+// proxy and the UVFR's droop tolerance), runs through one registry:
+// RunFigure, or Execute with a Figure payload, by the names FigureNames
+// lists.
 //
 // Everything is deterministic for a given Seed. All times are reported in
 // NoC cycles (800 MHz, 1.25 ns) and microseconds.
@@ -34,9 +41,7 @@ package blitzcoin
 import (
 	"fmt"
 
-	"blitzcoin/internal/power"
 	"blitzcoin/internal/scaling"
-	"blitzcoin/internal/sim"
 )
 
 // ScalingModel is a fitted response-time law T(N) for one PM scheme
@@ -50,22 +55,10 @@ type ScalingModel struct {
 	TauMicros float64 `json:"tau_micros"`
 }
 
-// Response returns the projected response time in microseconds for an
-// N-accelerator SoC.
-func (m ScalingModel) Response(n float64) float64 {
-	return m.toInternal().Response(n)
-}
-
 // NMax returns the largest supported accelerator count for a workload phase
 // duration of twMicros (Eqs. 5.1-5.3).
 func (m ScalingModel) NMax(twMicros float64) float64 {
 	return m.toInternal().NMax(twMicros)
-}
-
-// OverheadFraction returns the share of wall-clock time spent in power
-// management at (n, twMicros); above 1 the scheme cannot keep up.
-func (m ScalingModel) OverheadFraction(n, twMicros float64) float64 {
-	return m.toInternal().OverheadFraction(n, twMicros)
 }
 
 func (m ScalingModel) toInternal() scaling.Model {
@@ -109,29 +102,4 @@ func FitScaling(name, law string, ns, responsesUs []float64) ScalingModel {
 	}
 	m := scaling.Fit(name, l, pts)
 	return ScalingModel{Name: m.Name, Law: m.Law.String(), TauMicros: m.Tau}
-}
-
-// CyclesToMicros converts NoC cycles (800 MHz) to microseconds.
-func CyclesToMicros(c uint64) float64 { return sim.CyclesToMicros(c) }
-
-// AcceleratorPoint is one DVFS operating point of an accelerator's
-// characterization (Fig. 13).
-type AcceleratorPoint struct {
-	V    float64 `json:"v"`     // supply voltage (V)
-	FMHz float64 `json:"f_mhz"` // maximum frequency at V
-	PmW  float64 `json:"p_mw"`  // power at that point
-}
-
-// AcceleratorCurve returns the power/frequency characterization of one of
-// the six modeled accelerators: FFT, Viterbi, NVDLA, GEMM, Conv2D, Vision.
-func AcceleratorCurve(name string) ([]AcceleratorPoint, error) {
-	c, ok := power.Catalog()[name]
-	if !ok {
-		return nil, fmt.Errorf("blitzcoin: unknown accelerator %q", name)
-	}
-	out := make([]AcceleratorPoint, len(c.Points))
-	for i, p := range c.Points {
-		out[i] = AcceleratorPoint{V: p.V, FMHz: p.FMHz, PmW: p.PmW}
-	}
-	return out, nil
 }

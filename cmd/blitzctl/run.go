@@ -62,7 +62,7 @@ func runFigures(ctx context.Context, args []string, stdout, stderr io.Writer) in
 		if *csvDir != "" {
 			sink = files.create
 		}
-		res, err := blitzcoin.RunFigureCSV(ctx, blitzcoin.FigureOptions{Name: name, Seed: *seed, Trials: *trials}, sink)
+		res, err := blitzcoin.RunFigure(ctx, blitzcoin.FigureOptions{Name: name, Seed: *seed, Trials: *trials}, sink)
 		fmt.Fprintf(stdout, "# %s\n", res.Title)
 		for _, line := range res.Lines {
 			fmt.Fprintln(stdout, line)

@@ -1,6 +1,7 @@
 package blitzcoin
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -28,8 +29,18 @@ func customLayout() CustomSoCOptions {
 	}
 }
 
+// runCustom runs a custom platform through Execute, the path blitzd
+// takes for a custom_soc payload.
+func runCustom(o CustomSoCOptions) (SoCResult, error) {
+	res, err := Execute(context.Background(), Request{CustomSoC: &o})
+	if err != nil {
+		return SoCResult{}, err
+	}
+	return *res.SoC, nil
+}
+
 func TestRunCustomSoC(t *testing.T) {
-	res, err := RunCustomSoC(customLayout())
+	res, err := runCustom(customLayout())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +59,7 @@ func TestRunCustomSoCAllSchemes(t *testing.T) {
 	for _, s := range []Scheme{BC, BCC, CRR, TS, PT, Static} {
 		o := customLayout()
 		o.Scheme = s
-		res, err := RunCustomSoC(o)
+		res, err := runCustom(o)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -60,12 +71,12 @@ func TestRunCustomSoCAllSchemes(t *testing.T) {
 
 func TestRunCustomSoCRepeat(t *testing.T) {
 	o := customLayout()
-	one, err := RunCustomSoC(o)
+	one, err := runCustom(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Repeat = 3
-	three, err := RunCustomSoC(o)
+	three, err := runCustom(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +102,7 @@ func TestRunCustomSoCErrors(t *testing.T) {
 	for name, mut := range cases {
 		o := customLayout()
 		mut(&o)
-		if _, err := RunCustomSoC(o); err == nil {
+		if _, err := runCustom(o); err == nil {
 			t.Errorf("%s: no error", name)
 		}
 	}
@@ -100,7 +111,7 @@ func TestRunCustomSoCErrors(t *testing.T) {
 func TestRandomWorkloadThroughCustomSoC(t *testing.T) {
 	o := customLayout()
 	o.Tasks = RandomWorkload(9, 10, []string{"FFT", "Viterbi", "NVDLA"}, 5e3, 25e3, 2)
-	res, err := RunCustomSoC(o)
+	res, err := runCustom(o)
 	if err != nil {
 		t.Fatal(err)
 	}

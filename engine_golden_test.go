@@ -34,7 +34,7 @@ func exchangeCase(name string, o ExchangeOptions) engineCase {
 // exchange-sweep shapes of the repository benchmark, each fault class of the
 // hardened protocol, the torus and open-mesh routing corners, every built-in
 // SoC under every scheme and allocation strategy, a custom SoC on a 2-high
-// torus, and the figures whose rows aggregate those runs.
+// torus, and every registry figure, the sweeping ones at small sizes.
 func engineCases() []engineCase {
 	var cs []engineCase
 	shapes := []struct {
@@ -127,6 +127,23 @@ func engineCases() []engineCase {
 		{Name: "16"},
 		{Name: "20"},
 		{Name: "faults", Dims: []int{6}, DropRates: []float64{0, 0.02}, Trials: 2},
+		{Name: "1"},
+		{Name: "4", Trials: 2},
+		{Name: "6", Trials: 2},
+		{Name: "8", Trials: 2},
+		{Name: "13"},
+		{Name: "17"},
+		{Name: "18"},
+		{Name: "19"},
+		{Name: "21"},
+		{Name: "ap-rp"},
+		{Name: "contention", Dim: 6, Trials: 2},
+		{Name: "degraded"},
+		{Name: "nopm"},
+		{Name: "table1"},
+		{Name: "cpu-proxy"},
+		{Name: "thermal-cap"},
+		{Name: "uvfr-droop"},
 	} {
 		f := f
 		cs = append(cs, engineCase{"figure/" + f.Name, Request{Figure: &f}})

@@ -55,15 +55,3 @@ func ExampleScalingModel_NMax() {
 	// BC law: O(sqrt(N))
 	// supports ~1000 accelerators at Tw=7ms: true
 }
-
-// The UVFR property: a supply droop stretches the clock instead of
-// violating timing, while a conventional dual-loop design breaches its
-// guardband.
-func ExampleCompareDroop() {
-	c := blitzcoin.CompareDroop(700, 0.08)
-	fmt.Println("UVFR clock slowed:", c.UVFRFreqDuringMHz < c.UVFRFreqBeforeMHz)
-	fmt.Println("conventional violated:", c.ConventionalViolated)
-	// Output:
-	// UVFR clock slowed: true
-	// conventional violated: true
-}

@@ -1,6 +1,12 @@
 package blitzcoin
 
-import "testing"
+import (
+	"context"
+	"strings"
+	"testing"
+
+	"blitzcoin/internal/experiments"
+)
 
 func TestThermalCapThroughPublicAPI(t *testing.T) {
 	capped := SimulateExchange(ExchangeOptions{
@@ -23,52 +29,65 @@ func TestThermalCapThroughPublicAPI(t *testing.T) {
 }
 
 func TestCPUPowerProxyTracksActivity(t *testing.T) {
-	var targets []int64
-	p := NewCPUPowerProxy(1.5, func(c int64) { targets = append(targets, c) })
-	busy := CPUActivityWindow{Cycles: 100000, Instr: 200000, MemOps: 25000, FPOps: 25000}
-	idle := CPUActivityWindow{Cycles: 100000, Instr: 2000}
-	var busyTarget, idleTarget int64
-	for i := 0; i < 10; i++ {
-		busyTarget = p.Sample(busy, 800)
+	rows := experiments.CPUProxy()
+	busy, idle := rows[0], rows[len(rows)-1]
+	if idle.Target >= busy.Target {
+		t.Fatalf("idle target %d not below busy %d", idle.Target, busy.Target)
 	}
-	for i := 0; i < 10; i++ {
-		idleTarget = p.Sample(idle, 800)
-	}
-	if idleTarget >= busyTarget {
-		t.Fatalf("idle target %d not below busy %d", idleTarget, busyTarget)
-	}
-	if len(targets) == 0 {
-		t.Fatal("no targets pushed")
-	}
-	if p.EstimateMW() <= 0 {
-		t.Fatal("no power estimate")
+	for _, r := range rows {
+		if r.EstimateMW <= 0 {
+			t.Fatalf("%s: no power estimate", r.Phase)
+		}
 	}
 }
 
-func TestCompareDroopContrast(t *testing.T) {
-	// Small droop: both survive, UVFR clock stretches.
-	small := CompareDroop(700, 0.03)
-	if small.UVFRFreqDuringMHz >= small.UVFRFreqBeforeMHz {
-		t.Fatal("UVFR clock did not stretch")
+func TestUVFRDroopContrast(t *testing.T) {
+	rows := experiments.UVFRDroop(700, []float64{0.03, 0.08})
+	small, large := rows[0], rows[1]
+	// Both droops stretch the UVFR clock; the guardband always costs power.
+	for _, r := range rows {
+		if r.UVFRDuringMHz >= r.UVFRBeforeMHz {
+			t.Fatalf("%v V droop: UVFR clock did not stretch", r.DroopV)
+		}
+		if r.GuardbandPenaltyPct <= 0 {
+			t.Fatalf("%v V droop: guardband penalty missing", r.DroopV)
+		}
 	}
 	if small.ConventionalViolated {
 		t.Fatal("30mV droop should sit inside the 50mV guardband")
 	}
-	// Large droop: conventional breaks, UVFR still just slows.
-	large := CompareDroop(700, 0.08)
 	if !large.ConventionalViolated {
 		t.Fatal("80mV droop should breach the guardband")
 	}
-	if large.GuardbandPowerPenaltyPct <= 0 {
-		t.Fatal("guardband penalty missing")
-	}
 }
 
-func TestCompareDroopPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad target did not panic")
+// The figures of the features the paper sketches beyond its core
+// deployment print the rows they reproduce: the thermal guard's
+// convergence and clamps, the CPU proxy's estimates and coin targets, and
+// the UVFR/conventional droop contrast.
+func TestExtensionFigureLines(t *testing.T) {
+	want := map[string][]string{
+		"thermal-cap": {
+			"uncapped                     converged=true in 342 cycles, 0 exchanges clamped, pool conserved=true",
+			"cap=60 coins/neighborhood    converged=true in 377 cycles, 26 exchanges clamped, pool conserved=true",
+		},
+		"cpu-proxy": {
+			"compute-bound   estimate=  22.8 mW -> coin target 19",
+			"memory-stalled  estimate=   7.3 mW -> coin target 10",
+			"idle-spin       estimate=   2.8 mW -> coin target 10",
+		},
+		"uvfr-droop": {
+			"droop 30 mV: UVFR clock 751 -> 707 MHz (stretches, always safe); conventional violated=false; guardband costs 11.0% power always",
+			"droop 80 mV: UVFR clock 751 -> 636 MHz (stretches, always safe); conventional violated=true; guardband costs 11.0% power always",
+		},
+	}
+	for name, lines := range want {
+		fig, err := RunFigure(context.Background(), FigureOptions{Name: name, Seed: 7}, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	CompareDroop(0, 0.05)
+		if got := strings.Join(fig.Lines, "\n"); got != strings.Join(lines, "\n") {
+			t.Errorf("%s lines:\n%s\nwant:\n%s", name, got, strings.Join(lines, "\n"))
+		}
+	}
 }

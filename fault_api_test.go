@@ -50,8 +50,8 @@ func TestSimulateExchangeHealthyCountersZero(t *testing.T) {
 	}
 }
 
-// RunSoC with a tile kill completes on the survivors and re-enforces the
-// cap within the recovery bound.
+// RunSoC with a tile kill completes on the survivors; internal/soc's
+// TestDegradedModeKillUnderDrops bounds the cap excursion of the same run.
 func TestRunSoCWithFaults(t *testing.T) {
 	r := RunSoC(SoCOptions{
 		SoC:    "3x3",
@@ -72,8 +72,5 @@ func TestRunSoCWithFaults(t *testing.T) {
 	}
 	if r.TasksRequeued == 0 {
 		t.Fatal("kill at 60k cycles should have caught a running task")
-	}
-	if exc := r.LongestCapExcursionCycles(0.20); exc > 2_000 {
-		t.Fatalf(">20%% cap excursion for %d cycles", exc)
 	}
 }

@@ -17,8 +17,9 @@ import (
 // {"name": "7"} reproduces the published plot.
 type FigureOptions struct {
 	// Name is the registry key: "1", "3", "4", "6", "7", "8", "13", "16",
-	// "17", "18", "19", "20", "21", "ap-rp", "contention", "degraded",
-	// "faults", "nopm", "table1". FigureNames lists them.
+	// "17", "18", "19", "20", "21", "ap-rp", "contention", "cpu-proxy",
+	// "degraded", "faults", "nopm", "table1", "thermal-cap", "uvfr-droop".
+	// FigureNames lists them.
 	Name string `json:"name"`
 	// Trials overrides the Monte Carlo trials per point where the figure
 	// sweeps (default: figure-specific).
@@ -352,6 +353,15 @@ var figureRegistry = map[string]figureSpec{
 			return stringRows(rows)
 		},
 	},
+	"cpu-proxy": {
+		title:    "Sec. IV-C — CPU power proxy: activity counters set a CVA6 tile's coin target",
+		defaults: func(o *FigureOptions) {},
+		run: func(_ context.Context, _ FigureOptions, out *figureCSV) []string {
+			rows := experiments.CPUProxy()
+			out.write("cpu_proxy.csv", experiments.CPUProxyCSV(rows).Write)
+			return stringRows(rows)
+		},
+	},
 	"degraded": {
 		title:    "Extension — degraded mode: 3x3 BC with 0..3 tiles killed mid-workload",
 		defaults: func(o *FigureOptions) {},
@@ -414,6 +424,30 @@ var figureRegistry = map[string]figureSpec{
 		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
 			rows := experiments.Table1(ctx, o.Seed)
 			out.write("table1_comparison.csv", experiments.Table1CSV(rows).Write)
+			return stringRows(rows)
+		},
+	},
+	"thermal-cap": {
+		title:    "Sec. III-B — thermal hotspot guard: 8x8 hotspot exchange, uncapped vs a neighborhood coin cap",
+		defaults: func(o *FigureOptions) {},
+		run: func(_ context.Context, o FigureOptions, out *figureCSV) []string {
+			var rows []experiments.ThermalCapRow
+			for _, c := range []int64{0, 60} {
+				r := SimulateExchange(ExchangeOptions{Dim: 8, Torus: true, RandomPairing: true,
+					Init: InitHotspot, TargetPerTile: 16, CoinsPerTile: 8, ThermalCap: c, Seed: o.Seed})
+				rows = append(rows, experiments.ThermalCapRow{CapCoins: c, Converged: r.Converged,
+					Cycles: r.ConvergenceCycles, Clamped: r.ThermalRejects, Conserved: r.CoinsConserved})
+			}
+			out.write("thermal_cap.csv", experiments.ThermalCapCSV(rows).Write)
+			return stringRows(rows)
+		},
+	},
+	"uvfr-droop": {
+		title:    "Fig. 9 — UVFR vs conventional dual-loop actuation under supply droop (700 MHz target)",
+		defaults: func(o *FigureOptions) {},
+		run: func(_ context.Context, _ FigureOptions, out *figureCSV) []string {
+			rows := experiments.UVFRDroop(700, []float64{0.03, 0.08})
+			out.write("uvfr_droop.csv", experiments.DroopCSV(rows).Write)
 			return stringRows(rows)
 		},
 	},
@@ -528,6 +562,11 @@ func (o FigureOptions) Validate() error {
 			return fmt.Errorf("blitzcoin: non-positive budget %v mW", b)
 		}
 	}
+	for _, tw := range o.TwsMs {
+		if tw <= 0 {
+			return fmt.Errorf("blitzcoin: non-positive phase duration %v ms", tw)
+		}
+	}
 	return nil
 }
 
@@ -536,17 +575,14 @@ func (o FigureOptions) Validate() error {
 // sweeps between runs; RunFigure itself does not fail on cancellation —
 // callers that must not serve partial figures (Execute, the daemon) check
 // ctx.Err() afterwards.
-func RunFigure(ctx context.Context, o FigureOptions) (FigureResult, error) {
-	return RunFigureCSV(ctx, o, nil)
-}
-
-// RunFigureCSV is RunFigure that also writes the figure's data as CSV
-// tables rendered from the same rows as the report lines. For each file
-// it asks csv for a writer by name ("fig03_exchange_modes.csv", ...); a
+//
+// With a non-nil csv, RunFigure also writes the figure's data as CSV
+// tables rendered from the same rows as the report lines: for each file it
+// asks csv for a writer by name ("fig03_exchange_modes.csv", ...), and a
 // nil writer skips that file. The caller owns the writers and closes
 // them. A failed CSV write stops further writes and is returned, naming
 // the file, together with the complete result.
-func RunFigureCSV(ctx context.Context, o FigureOptions, csv func(name string) io.Writer) (FigureResult, error) {
+func RunFigure(ctx context.Context, o FigureOptions, csv func(name string) io.Writer) (FigureResult, error) {
 	o = o.Normalized()
 	if err := o.Validate(); err != nil {
 		return FigureResult{}, err

@@ -402,9 +402,6 @@ func (e *Emulator) AttachFaults(in *fault.Injector) {
 	in.OnFailSlow(func(i int, f float64) { e.slow[i] = f })
 }
 
-// Faults returns the attached injector, or nil.
-func (e *Emulator) Faults() *fault.Injector { return e.injector }
-
 // slotOf returns tile i's neighbor-slot index of tile j, or -1 when j is
 // not a neighbor.
 func (e *Emulator) slotOf(i, j int) int {
@@ -604,12 +601,6 @@ func (e *Emulator) setHas(i int, v int64) {
 
 // SetOnChange registers an observer for applied coin-count changes.
 func (e *Emulator) SetOnChange(fn func(tile int, has int64)) { e.onChange = fn }
-
-// Has returns tile i's current coin count.
-func (e *Emulator) Has(i int) int64 { return e.has[i] }
-
-// Max returns tile i's current target.
-func (e *Emulator) Max(i int) int64 { return e.max[i] }
 
 func (e *Emulator) checkConvergence() {
 	if !e.converged && e.globalErr() < e.cfg.Threshold {

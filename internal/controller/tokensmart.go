@@ -203,8 +203,5 @@ func (c *TokenSmart) endRevolution() {
 	c.movedInRev = false
 }
 
-// PoolTokens returns the tokens currently unallocated, for tests.
-func (c *TokenSmart) PoolTokens() int64 { return c.pool }
-
 // FairMode reports whether the global policy is currently in fair mode.
 func (c *TokenSmart) FairMode() bool { return c.fair }

@@ -149,9 +149,6 @@ func (d *DynamicCurve) SetActivity(af float64) {
 	d.activity = af
 }
 
-// Activity returns the current factor.
-func (d *DynamicCurve) Activity() float64 { return d.activity }
-
 // PowerAt returns the effective power at fMHz under the current activity.
 func (d *DynamicCurve) PowerAt(fMHz float64) float64 {
 	base := d.Base.PowerAt(fMHz)

@@ -216,3 +216,29 @@ func DegradedCSV(rows []DegradedRow) Table {
 				itoa(r.Res.TasksRequeued), ftoa(r.Res.AvgPowerMW), ftoa(r.Res.PeakPowerMW), u64(r.Exc20), u64(r.Exc35)}
 		})
 }
+
+// ThermalCapCSV renders the thermal hotspot guard study.
+func ThermalCapCSV(rows []ThermalCapRow) Table {
+	return table([]string{"cap_coins", "converged", "cycles", "clamped", "conserved"}, rows,
+		func(r ThermalCapRow) []string {
+			return []string{strconv.FormatInt(r.CapCoins, 10), strconv.FormatBool(r.Converged),
+				strconv.FormatUint(r.Cycles, 10), strconv.FormatUint(r.Clamped, 10), strconv.FormatBool(r.Conserved)}
+		})
+}
+
+// CPUProxyCSV renders the CPU power-proxy study.
+func CPUProxyCSV(rows []CPUProxyRow) Table {
+	return table([]string{"phase", "estimate_mw", "coin_target"}, rows, func(r CPUProxyRow) []string {
+		return []string{r.Phase, ftoa(r.EstimateMW), strconv.FormatInt(r.Target, 10)}
+	})
+}
+
+// DroopCSV renders the UVFR-vs-conventional droop contrast.
+func DroopCSV(rows []DroopRow) Table {
+	return table([]string{"droop_mv", "uvfr_before_mhz", "uvfr_during_mhz", "conventional_violated",
+		"guardband_penalty_pct"}, rows,
+		func(r DroopRow) []string {
+			return []string{ftoa(r.DroopV * 1000), ftoa(r.UVFRBeforeMHz), ftoa(r.UVFRDuringMHz),
+				strconv.FormatBool(r.ConventionalViolated), ftoa(r.GuardbandPenaltyPct)}
+		})
+}

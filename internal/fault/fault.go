@@ -165,9 +165,6 @@ func NewInjector(cfg Config) *Injector {
 	}
 }
 
-// Config returns the normalized fault model.
-func (in *Injector) Config() Config { return in.cfg }
-
 // Stats returns a snapshot of the injected-fault counters.
 func (in *Injector) Stats() Stats { return in.stats }
 

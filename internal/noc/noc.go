@@ -294,9 +294,6 @@ func (n *Network) failLink(a, b int) {
 	n.deadFree = make([]sim.Cycles, len(n.deadPorts))
 }
 
-// Faults returns the attached injector, or nil on a healthy fabric.
-func (n *Network) Faults() *fault.Injector { return n.faults }
-
 // Send injects a packet. The packet's Src, Dst, Plane, and Kind must be set;
 // the network assigns ID and timing fields. Delivery happens via the
 // destination handler after routing latency, including any contention.

@@ -146,22 +146,6 @@ func (c *Curve) FreqAtPower(pmW float64) float64 {
 	return a.FMHz + t*(b.FMHz-a.FMHz)
 }
 
-// VoltageAt returns the supply voltage for frequency fMHz (the UVFR
-// operating point), interpolated and clamped like PowerAt.
-func (c *Curve) VoltageAt(fMHz float64) float64 {
-	pts := c.Points
-	if fMHz <= pts[0].FMHz {
-		return pts[0].V
-	}
-	if fMHz >= pts[len(pts)-1].FMHz {
-		return pts[len(pts)-1].V
-	}
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].FMHz >= fMHz })
-	a, b := pts[i-1], pts[i]
-	t := (fMHz - a.FMHz) / (b.FMHz - a.FMHz)
-	return a.V + t*(b.V-a.V)
-}
-
 // The six accelerators of the evaluated SoCs (Fig. 12, Fig. 13). The peak
 // powers are chosen so each SoC's combined maximum matches the paper's
 // budget fractions: the 3x3 SoC's budgets of 120/60 mW are 30%/15% of the

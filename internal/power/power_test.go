@@ -138,21 +138,6 @@ func TestIdlePower(t *testing.T) {
 	}
 }
 
-func TestVoltageAt(t *testing.T) {
-	c := NVDLA()
-	if v := c.VoltageAt(c.FMax()); math.Abs(v-1.0) > 1e-9 {
-		t.Fatalf("VoltageAt(FMax) = %v, want 1.0", v)
-	}
-	if v := c.VoltageAt(c.FMin()); math.Abs(v-0.6) > 1e-9 {
-		t.Fatalf("VoltageAt(FMin) = %v, want 0.6", v)
-	}
-	mid := (c.FMin() + c.FMax()) / 2
-	v := c.VoltageAt(mid)
-	if v <= 0.6 || v >= 1.0 {
-		t.Fatalf("mid voltage %v out of range", v)
-	}
-}
-
 func TestSuperlinearPowerVsFrequency(t *testing.T) {
 	// DVFS premise: halving frequency saves more than half the power.
 	for name, c := range Catalog() {

@@ -127,17 +127,6 @@ func (r *Source) NormFloat64() float64 {
 	}
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle randomizes the order of n elements using swap, as in
 // math/rand.Shuffle.
 func (r *Source) Shuffle(n int, swap func(i, j int)) {
@@ -148,8 +137,3 @@ func (r *Source) Shuffle(n int, swap func(i, j int)) {
 
 // Bool returns a fair random boolean.
 func (r *Source) Bool() bool { return r.Uint64()&1 == 1 }
-
-// Range returns a uniformly random float64 in [lo, hi).
-func (r *Source) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}

@@ -115,25 +115,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(13)
-	f := func(n uint8) bool {
-		m := int(n%64) + 1
-		p := r.Perm(m)
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestShuffleKeepsMultiset(t *testing.T) {
 	r := New(17)
 	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
@@ -148,16 +129,6 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 	}
 	if got != sum {
 		t.Fatalf("shuffle changed the multiset: sum %d != %d", got, sum)
-	}
-}
-
-func TestRange(t *testing.T) {
-	r := New(23)
-	for i := 0; i < 1000; i++ {
-		v := r.Range(2.5, 7.5)
-		if v < 2.5 || v >= 7.5 {
-			t.Fatalf("Range out of bounds: %v", v)
-		}
 	}
 }
 

@@ -82,6 +82,17 @@ func (c *cache) get(key string) (rendered, string, error) {
 	return rendered{}, "", nil
 }
 
+// peek returns the memory tier's result under key without counting a hit
+// or a miss or promoting the entry.
+func (c *cache) peek(key string) (rendered, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		return el.Value.(*cacheEntry).res, true
+	}
+	return rendered{}, false
+}
+
 // has reports whether either tier holds key without counting a hit or a
 // miss or promoting the entry: a probe, not a read of the result.
 func (c *cache) has(key string) bool {

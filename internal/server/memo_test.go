@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"blitzcoin"
+	"blitzcoin/internal/ledger"
 )
 
 // sweepKeyOf runs body through handleSweep's decode path: the memo, then
@@ -132,11 +133,24 @@ func (*rewindBody) Close() error { return nil }
 // TestMemoConcurrentResend has several clients resend the same bodies at
 // once, two spellings of one request among them, first to a cold server
 // and then to a warm one: each is answered with its request's hash, the
-// warm pass computes nothing, and the two spellings are two memo entries
-// with one hash.
+// cold pass computes each distinct request once, the warm pass computes
+// nothing, and the two spellings are two memo entries with one hash. With a
+// ledger, each distinct request is ledgered once.
 func TestMemoConcurrentResend(t *testing.T) {
+	mem, err := ledger.Open("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, led := range []*ledger.Ledger{nil, mem} {
+		concurrentResend(t, led)
+	}
+}
+
+// concurrentResend is one pass of TestMemoConcurrentResend on a fresh
+// server, ledgered when led is non-nil.
+func concurrentResend(t *testing.T, led *ledger.Ledger) {
 	var runs atomic.Int64
-	srv := New(Config{Logger: quiet, Run: countingRun(&runs)})
+	srv := New(Config{Logger: quiet, Run: countingRun(&runs), Ledger: led})
 	h := srv.Handler()
 	spelled := `{"version": "` + blitzcoin.APIVersion + `", "kind": "exchange", ` + strings.TrimPrefix(tinyExchange, "{")
 	bodies := []string{tinyExchange, spelled, exchangeBody(2), `{"trials": -1}`}
@@ -170,9 +184,27 @@ func TestMemoConcurrentResend(t *testing.T) {
 	}
 	resend()
 	cold := runs.Load()
+	if cold != 2 {
+		t.Errorf("ledger=%v: the cold pass computed %d times for 2 distinct requests", led != nil, cold)
+	}
 	resend()
 	if runs.Load() != cold {
-		t.Errorf("the warm pass computed %d times", runs.Load()-cold)
+		t.Errorf("ledger=%v: the warm pass computed %d times", led != nil, runs.Load()-cold)
+	}
+	if led != nil {
+		// Ledger.Append keeps one entry for a repeated identical result,
+		// so the append count is what shows a second computation.
+		if n := srv.metrics.ledgerAppend.Count(); n != 2 {
+			t.Errorf("%d ledger appends for 2 distinct requests", n)
+		}
+		if n := led.Size(); n != 2 {
+			t.Errorf("ledger holds %d entries for 2 distinct requests", n)
+		}
+		for _, hash := range []string{want[0], want[2]} {
+			if _, err := led.Proof(hash, blitzcoin.EngineVersion); err != nil {
+				t.Errorf("request %s not ledgered: %v", short(hash), err)
+			}
+		}
 	}
 	for j, b := range bodies {
 		if got := memoHolds(&srv.memo, []byte(b)); got != (want[j] != "") {

@@ -94,10 +94,6 @@ type Config struct {
 	// /v1/ledger/proof and /v1/ledger/root endpoints. Nil disables both:
 	// results are served unstamped and the endpoints 404.
 	Ledger *ledger.Ledger
-	// StreamBuffer is the per-subscriber event-ring capacity of /v1/stream;
-	// a subscriber that falls further behind loses its oldest events.
-	// Default 256.
-	StreamBuffer int
 	// Tenants authenticates and limits API clients. Default: an open
 	// registry (every request maps to one unlimited anonymous tenant),
 	// which is byte-for-byte the pre-tenancy behavior.
@@ -129,8 +125,6 @@ type Server struct {
 	ledger  *ledger.Ledger
 	tenants *tenant.Registry
 	memo    bodyMemo
-
-	streamBuf int
 
 	// baseCtx outlives any single request: computations run under it so
 	// a disconnecting client cannot cancel work other clients (or the
@@ -187,9 +181,6 @@ func New(cfg Config) *Server {
 	if cfg.Bus == nil {
 		cfg.Bus = trace.Default()
 	}
-	if cfg.StreamBuffer == 0 {
-		cfg.StreamBuffer = 256
-	}
 	if cfg.Tenants == nil {
 		cfg.Tenants = tenant.Open()
 	}
@@ -216,7 +207,6 @@ func New(cfg Config) *Server {
 		bus:        cfg.Bus,
 		ledger:     cfg.Ledger,
 		tenants:    cfg.Tenants,
-		streamBuf:  cfg.StreamBuffer,
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		drainCh:    make(chan struct{}),
@@ -583,8 +573,15 @@ func (s *Server) serveComputed(w http.ResponseWriter, r *http.Request, start tim
 }
 
 // compute runs one computation on the bounded pool and enters its result
-// into both cache tiers under key. ctx is the flight's context.
+// into both cache tiers under key. ctx is the flight's context. A request
+// that missed the cache just before the previous leader for key stored its
+// result, and leased just after that leader retired its flight, leads a
+// new flight; it finds the result in the memory tier here and returns it
+// instead of computing (and ledgering) the key a second time.
 func (s *Server) compute(ctx context.Context, key string, class tenant.Class, run computeFunc) (rendered, error) {
+	if res, ok := s.cache.peek(key); ok {
+		return res, nil
+	}
 	if err := s.pool.acquire(ctx, class); err != nil {
 		return rendered{}, err
 	}

@@ -60,6 +60,10 @@ func writeSSE(w http.ResponseWriter, se streamEvent) error {
 	return err
 }
 
+// streamBuffer is the per-subscriber event-ring capacity of /v1/stream; a
+// subscriber that falls further behind loses its oldest events.
+const streamBuffer = 256
+
 // handleStream serves GET /v1/stream?hash=...: a server-sent-event stream
 // of the sweep's live events — trial progress, convergence markers, power
 // series points, and (in coordinator mode) shard lifecycle — ending with
@@ -96,7 +100,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// Subscribe before the cache check: if the sweep completes between the
 	// two, either a tier has it (synthetic done below) or its sweep-done
 	// event is already queued in the subscription.
-	sub := s.bus.Subscribe(hash, s.streamBuf)
+	sub := s.bus.Subscribe(hash, streamBuffer)
 	defer func() {
 		sub.Close()
 		s.metrics.streamDropped.Add(sub.Dropped())

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"blitzcoin"
@@ -317,6 +318,26 @@ func TestShedSweepKeepsQuota(t *testing.T) {
 			t.Errorf("bob: %d sweeps, %d queue rejects; want 2 and 2", c.Sweeps, c.RejectedQueue)
 		}
 	}
+}
+
+// TestNonPositivePhaseDurationRejected: a figure request with a phase
+// duration at or below zero is refused with 400 at decode, before it takes
+// a worker slot or a unit of the tenant's sweep quota.
+func TestNonPositivePhaseDurationRejected(t *testing.T) {
+	reg := registry(t, tenant.KeyFile{Tenants: []tenant.Config{{Name: "bob", Key: "bob-key", QuotaSweeps: 1}}})
+	var runs atomic.Int64
+	h := New(Config{Logger: quiet, Tenants: reg, Run: countingRun(&runs)}).Handler()
+	for _, body := range []string{`{"figure":{"name":"21","tws_ms":[0]}}`, `{"figure":{"name":"1","ns":[5],"tws_ms":[0]}}`} {
+		serve(t, h, http.MethodPost, "/v1/sweep", body, "bob-key", http.StatusBadRequest)
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("%d computations for rejected requests", n)
+	}
+	if c := reg.Tenants()[0].Snapshot(); c.Sweeps != 0 {
+		t.Fatalf("rejected requests counted %d sweeps", c.Sweeps)
+	}
+	// The one quota unit is still there for a valid request.
+	serve(t, h, http.MethodPost, "/v1/sweep", `{"figure":{"name":"21","tws_ms":[1]}}`, "bob-key", http.StatusOK)
 }
 
 // TestThrottledTenantDoesNotStarveOthers is the isolation property the

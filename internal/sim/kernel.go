@@ -46,11 +46,6 @@ func CyclesToMicros(c Cycles) float64 {
 	return float64(c) / NoCFrequencyHz * 1e6
 }
 
-// MicrosToCycles converts microseconds into NoC cycles, rounding to nearest.
-func MicrosToCycles(us float64) Cycles {
-	return Cycles(us*NoCFrequencyHz/1e6 + 0.5)
-}
-
 // bucketCount is the calendar horizon in cycles (a power of two). Exchange
 // intervals back off to at most a few hundred cycles and NoC hops are
 // single-digit, so in practice only long SoC completions and audit periods

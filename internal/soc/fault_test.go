@@ -61,6 +61,27 @@ func TestDegradedModeKillThreeOfNine(t *testing.T) {
 	}
 }
 
+// A tile kill on a lossy plane: the run completes on the survivors,
+// re-queues the task the kill caught, and re-enforces the cap within the
+// same recovery bound.
+func TestDegradedModeKillUnderDrops(t *testing.T) {
+	cfg := SoC3x3(120, SchemeBC, 7)
+	cfg.Faults = &fault.Config{Seed: 3, DropRate: 0.005, TileKills: []fault.TileFault{{Tile: 1, At: 60_000}}}
+	res := New(cfg).Run(workload.Repeat(workload.AutonomousVehicleParallel(), 2))
+	if !res.Completed {
+		t.Fatalf("degraded run did not complete: %s", res.String())
+	}
+	if res.TilesKilled != 1 {
+		t.Fatalf("TilesKilled=%d, want 1", res.TilesKilled)
+	}
+	if res.TasksRequeued == 0 {
+		t.Fatal("kill at 60k cycles should have caught a running task")
+	}
+	if exc := res.LongestCapExcursion(0.20); exc > 2_000 {
+		t.Fatalf(">20%% cap excursion for %d cycles", exc)
+	}
+}
+
 // A lossy PM plane (1% drops) must not break the SoC harness: the hardened
 // exchange retries through the loss and the workload completes under the cap.
 func TestDegradedModePlaneDrops(t *testing.T) {

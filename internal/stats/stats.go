@@ -10,52 +10,24 @@ import (
 	"strings"
 )
 
-// Running accumulates count, mean, and variance incrementally using
-// Welford's algorithm, plus min and max. The zero value is ready to use.
+// Running accumulates the mean incrementally (Welford's update) and the
+// maximum. The zero value is ready to use.
 type Running struct {
-	n        int
-	mean, m2 float64
-	min, max float64
+	n         int
+	mean, max float64
 }
 
 // Add folds x into the accumulator.
 func (r *Running) Add(x float64) {
 	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
+	if r.n == 1 || x > r.max {
+		r.max = x
 	}
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
+	r.mean += (x - r.mean) / float64(r.n)
 }
-
-// N returns the number of samples.
-func (r *Running) N() int { return r.n }
 
 // Mean returns the sample mean, or 0 with no samples.
 func (r *Running) Mean() float64 { return r.mean }
-
-// Variance returns the unbiased sample variance, or 0 with fewer than two
-// samples.
-func (r *Running) Variance() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Min returns the smallest sample, or 0 with no samples.
-func (r *Running) Min() float64 { return r.min }
 
 // Max returns the largest sample, or 0 with no samples.
 func (r *Running) Max() float64 { return r.max }
@@ -142,10 +114,6 @@ func (s *Sample) Min() float64 {
 type Histogram struct {
 	Lo, Hi float64
 	Counts []int
-	total  int
-	overLo int
-	overHi int
-	rawxs  Sample
 }
 
 // NewHistogram returns a histogram of n buckets over [lo, hi). It panics on
@@ -159,43 +127,21 @@ func NewHistogram(lo, hi float64, n int) *Histogram {
 
 // Add records x.
 func (h *Histogram) Add(x float64) {
-	h.total++
-	h.rawxs.Add(x)
 	i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
 	if i < 0 {
 		i = 0
-		h.overLo++
 	}
 	if i >= len(h.Counts) {
 		i = len(h.Counts) - 1
-		h.overHi++
 	}
 	h.Counts[i]++
 }
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Clamped returns how many samples fell below Lo and at-or-above Hi.
-func (h *Histogram) Clamped() (below, above int) { return h.overLo, h.overHi }
 
 // BucketCenter returns the midpoint of bucket i.
 func (h *Histogram) BucketCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return h.Lo + w*(float64(i)+0.5)
 }
-
-// Fraction returns the fraction of samples in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// MaxSample returns the largest recorded value (before clamping); panics if
-// empty.
-func (h *Histogram) MaxSample() float64 { return h.rawxs.Max() }
 
 // String renders a compact ASCII histogram, one line per non-empty bucket.
 func (h *Histogram) String() string {
@@ -217,36 +163,4 @@ func (h *Histogram) String() string {
 		fmt.Fprintf(&b, "%8.3f |%-40s %d\n", h.BucketCenter(i), strings.Repeat("#", bar), c)
 	}
 	return b.String()
-}
-
-// Summary holds the common per-experiment aggregate the CLI tools print.
-type Summary struct {
-	Mean, StdDev, Min, Median, P95, Max float64
-	N                                   int
-}
-
-// Summarize computes a Summary from a Sample.
-func Summarize(s *Sample) Summary {
-	if s.N() == 0 {
-		return Summary{}
-	}
-	var r Running
-	for _, x := range s.Values() {
-		r.Add(x)
-	}
-	return Summary{
-		Mean:   r.Mean(),
-		StdDev: r.StdDev(),
-		Min:    r.Min(),
-		Median: s.Median(),
-		P95:    s.Quantile(0.95),
-		Max:    r.Max(),
-		N:      s.N(),
-	}
-}
-
-// String formats the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f med=%.3f p95=%.3f max=%.3f",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P95, s.Max)
 }

@@ -15,29 +15,22 @@ func TestRunningMoments(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		r.Add(x)
 	}
-	if r.N() != 8 {
-		t.Fatalf("N = %d", r.N())
-	}
 	if !almostEq(r.Mean(), 5, 1e-12) {
 		t.Fatalf("mean = %v", r.Mean())
 	}
-	// Population variance of this classic set is 4; unbiased is 32/7.
-	if !almostEq(r.Variance(), 32.0/7.0, 1e-12) {
-		t.Fatalf("variance = %v", r.Variance())
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", r.Min(), r.Max())
+	if r.Max() != 9 {
+		t.Fatalf("max = %v", r.Max())
 	}
 }
 
 func TestRunningEmptyAndSingle(t *testing.T) {
 	var r Running
-	if r.Mean() != 0 || r.Variance() != 0 {
+	if r.Mean() != 0 || r.Max() != 0 {
 		t.Fatal("empty accumulator not zero")
 	}
 	r.Add(3)
-	if r.Variance() != 0 || r.Mean() != 3 {
-		t.Fatalf("single sample: mean=%v var=%v", r.Mean(), r.Variance())
+	if r.Mean() != 3 || r.Max() != 3 {
+		t.Fatalf("single sample: mean=%v max=%v", r.Mean(), r.Max())
 	}
 }
 
@@ -51,16 +44,12 @@ func TestRunningMatchesDirectComputation(t *testing.T) {
 			xs[i] = src.NormFloat64() * 10
 			r.Add(xs[i])
 		}
-		var sum float64
+		sum, max := 0.0, xs[0]
 		for _, x := range xs {
 			sum += x
+			max = math.Max(max, x)
 		}
-		mean := sum / float64(m)
-		var ss float64
-		for _, x := range xs {
-			ss += (x - mean) * (x - mean)
-		}
-		return almostEq(r.Mean(), mean, 1e-9) && almostEq(r.Variance(), ss/float64(m-1), 1e-9)
+		return almostEq(r.Mean(), sum/float64(m), 1e-9) && r.Max() == max
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -136,14 +125,8 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Fatalf("bucket %d = %d, want 1", i, c)
 		}
 	}
-	if h.Total() != 10 {
-		t.Fatalf("total = %d", h.Total())
-	}
 	if !almostEq(h.BucketCenter(0), 0.5, 1e-12) {
 		t.Fatalf("center(0) = %v", h.BucketCenter(0))
-	}
-	if !almostEq(h.Fraction(3), 0.1, 1e-12) {
-		t.Fatalf("fraction(3) = %v", h.Fraction(3))
 	}
 }
 
@@ -152,15 +135,11 @@ func TestHistogramClamping(t *testing.T) {
 	h.Add(-5)
 	h.Add(2)
 	h.Add(0.5)
-	below, above := h.Clamped()
-	if below != 1 || above != 1 {
-		t.Fatalf("clamped = %d,%d", below, above)
-	}
-	if h.Total() != 3 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.MaxSample() != 2 {
-		t.Fatalf("MaxSample = %v", h.MaxSample())
+	// Out-of-range samples land in the edge buckets.
+	for i, want := range []int{1, 0, 1, 1} {
+		if h.Counts[i] != want {
+			t.Fatalf("counts = %v, want [1 0 1 1]", h.Counts)
+		}
 	}
 }
 
@@ -174,23 +153,6 @@ func TestHistogramString(t *testing.T) {
 	h.Add(1.6)
 	if s := h.String(); len(s) == 0 {
 		t.Fatal("histogram render empty")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	var s Sample
-	for i := 1; i <= 10; i++ {
-		s.Add(float64(i))
-	}
-	sum := Summarize(&s)
-	if sum.N != 10 || !almostEq(sum.Mean, 5.5, 1e-12) || sum.Min != 1 || sum.Max != 10 {
-		t.Fatalf("summary = %+v", sum)
-	}
-	if len(sum.String()) == 0 {
-		t.Fatal("summary string empty")
-	}
-	if got := Summarize(&Sample{}); got.N != 0 {
-		t.Fatalf("empty summarize = %+v", got)
 	}
 }
 

@@ -5,12 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// BusVersion names the event-bus API surface (event taxonomy, delivery
-// and backpressure semantics). Bumped on incompatible changes so
-// subscribers crossing a process boundary (the SSE stream) can detect
-// drift.
-const BusVersion = 1
-
 // EventType discriminates bus events.
 type EventType uint8
 
@@ -178,9 +172,6 @@ type Subscription struct {
 
 // Events returns the subscription's channel. It closes after Close.
 func (s *Subscription) Events() <-chan Event { return s.ch }
-
-// Key returns the key filter the subscription was created with.
-func (s *Subscription) Key() string { return s.key }
 
 // Dropped reports how many events backpressure discarded so far.
 func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }

@@ -19,9 +19,6 @@ func NewStream(b *Bus, key string) Stream {
 // Active reports whether publishes go anywhere at all.
 func (s Stream) Active() bool { return s.bus != nil && s.key != "" }
 
-// Key returns the stream's sweep key.
-func (s Stream) Key() string { return s.key }
-
 // publish stamps the key and hands the event to the bus.
 func (s Stream) publish(e Event) {
 	if s.bus == nil || s.key == "" {

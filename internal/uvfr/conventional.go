@@ -90,14 +90,6 @@ func (c *Conventional) InjectDroop(dv float64) {
 	c.droopV += dv
 }
 
-// RecoverDroop decays the transient (called once per control interval).
-func (c *Conventional) RecoverDroop() {
-	c.droopV *= 0.5
-	if c.droopV < 1e-4 {
-		c.droopV = 0
-	}
-}
-
 // TimingViolated reports whether the current voltage (after droop) is below
 // what the commanded frequency needs: a potential timing failure the
 // guardband exists to prevent.

@@ -50,13 +50,6 @@ func TestConventionalDroopDoesNotSlowClock(t *testing.T) {
 	if !c.TimingViolated() {
 		t.Fatal("droop beyond the guardband must violate timing")
 	}
-	// Recovery restores the margin.
-	for i := 0; i < 20; i++ {
-		c.RecoverDroop()
-	}
-	if c.TimingViolated() {
-		t.Fatal("margin not restored after recovery")
-	}
 }
 
 func TestUVFRSurvivesDroopThatBreaksConventional(t *testing.T) {

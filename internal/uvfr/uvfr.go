@@ -218,9 +218,6 @@ func (r *Regulator) SetTargetMHz(f float64) {
 	r.settled = 0
 }
 
-// TargetMHz returns the current target.
-func (r *Regulator) TargetMHz() float64 { return r.targetMHz }
-
 // Vout returns the tile supply voltage including any transient droop.
 func (r *Regulator) Vout() float64 { return r.cfg.LDO.Vout() - r.droopV }
 
@@ -231,9 +228,6 @@ func (r *Regulator) FreqMHz() float64 { return r.cfg.RO.FreqMHz(r.Vout()) }
 
 // Readout returns the TDC count for the current frequency.
 func (r *Regulator) Readout() int { return r.cfg.TDC.Count(r.FreqMHz()) }
-
-// PeriodCycles returns the control period.
-func (r *Regulator) PeriodCycles() sim.Cycles { return r.cfg.PeriodCycles }
 
 // Settled reports whether the loop has been within tolerance for the
 // required number of consecutive steps.

@@ -30,8 +30,12 @@ const (
 	// unchanged. 8 marks ClusterOptions leaving the exported API: the
 	// coordinator's settings are internal/cluster's Config (workers, shard
 	// count, heartbeat, shard timeout), every other scheduling knob is a
-	// fixed constant there, and rows are unchanged.)
-	EngineVersion = "8"
+	// fixed constant there, and rows are unchanged. 9 marks the extension
+	// API and the test-only entry points leaving the exported API: the
+	// thermal guard, CPU power proxy and UVFR droop contrast are registry
+	// figures, RunFigure takes the CSV sink RunFigureCSV took, and rows are
+	// unchanged.)
+	EngineVersion = "9"
 )
 
 // RequestKind discriminates the payload of a Request.
@@ -43,7 +47,7 @@ const (
 	KindExchange RequestKind = "exchange"
 	// KindSoC runs RunSoC once.
 	KindSoC RequestKind = "soc"
-	// KindCustomSoC runs RunCustomSoC once.
+	// KindCustomSoC runs a caller-described platform once.
 	KindCustomSoC RequestKind = "custom-soc"
 	// KindFigure reproduces one of the paper's figures or tables.
 	KindFigure RequestKind = "figure"
@@ -285,12 +289,6 @@ type ExchangeOptions struct {
 	Seed uint64 `json:"seed,omitempty"`
 }
 
-// DefaultExchangeOptions returns the paper's baseline exchange setup
-// (Fig. 3 point, torus, random pairing) with every default spelled out.
-func DefaultExchangeOptions() ExchangeOptions {
-	return ExchangeOptions{Torus: true, RandomPairing: true}.Normalized()
-}
-
 // Normalized returns a copy with every unset field replaced by its
 // documented default. Fault options are copied, not shared.
 func (o ExchangeOptions) Normalized() ExchangeOptions {
@@ -440,12 +438,6 @@ type SoCOptions struct {
 	Faults *FaultOptions `json:"faults,omitempty"`
 	// Seed drives all randomness.
 	Seed uint64 `json:"seed,omitempty"`
-}
-
-// DefaultSoCOptions returns the paper's baseline SoC run (3x3, BC,
-// high budget, parallel workload) with every default spelled out.
-func DefaultSoCOptions() SoCOptions {
-	return SoCOptions{}.Normalized()
 }
 
 // socPlatformDefaults maps each platform to its paper budget and parallel

@@ -136,16 +136,9 @@ type SoCResult struct {
 	TilesKilled   int `json:"tiles_killed,omitempty"`
 	TasksRequeued int `json:"tasks_requeued,omitempty"`
 
-	// res holds the raw internal result for the trace/excursion accessors;
-	// it does not survive a JSON round trip.
+	// res holds the raw internal result for WritePowerTraceCSV; it does
+	// not survive a JSON round trip.
 	res soc.Result
-}
-
-// LongestCapExcursionCycles returns the longest contiguous span, in NoC
-// cycles, during which total power exceeded the budget by more than tolFrac
-// (e.g. 0.20 for 20%) — the degraded-mode recovery-bound metric.
-func (r SoCResult) LongestCapExcursionCycles(tolFrac float64) uint64 {
-	return r.res.LongestCapExcursion(tolFrac)
 }
 
 // String renders a one-line summary.

@@ -84,7 +84,7 @@ func Execute(ctx context.Context, req Request) (res *Result, err error) {
 		r.Meta.OptionsHash = hash
 		return &Result{Kind: KindCustomSoC, SoC: &r}, nil
 	case KindFigure:
-		f, err := RunFigure(ctx, *n.Figure)
+		f, err := RunFigure(ctx, *n.Figure, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -352,7 +352,7 @@ func newSoCResult(res soc.Result) SoCResult {
 }
 
 // build assembles the custom platform and workload, reporting the first
-// inconsistency. It backs both Validate and RunCustomSoC.
+// inconsistency. It backs both Validate and runCustomSoC.
 func (o CustomSoCOptions) build() (soc.Config, *workload.Graph, error) {
 	o = o.Normalized()
 	if o.W <= 0 || o.H <= 0 {
@@ -438,14 +438,9 @@ func (o CustomSoCOptions) build() (soc.Config, *workload.Graph, error) {
 	return cfg, g, nil
 }
 
-// RunCustomSoC assembles and runs the described platform. Errors report
-// invalid layouts or workloads; simulation itself is deterministic for the
-// given seed.
-func RunCustomSoC(o CustomSoCOptions) (SoCResult, error) {
-	return runCustomSoC(o, trace.Stream{})
-}
-
-// runCustomSoC is RunCustomSoC with a live stream (see runSoC).
+// runCustomSoC assembles and runs the described platform, with a live
+// stream as in runSoC. Errors report invalid layouts or workloads;
+// simulation itself is deterministic for the given seed.
 func runCustomSoC(o CustomSoCOptions, st trace.Stream) (SoCResult, error) {
 	o = o.Normalized()
 	cfg, g, err := o.build()
