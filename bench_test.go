@@ -381,6 +381,20 @@ func BenchmarkContentionRobustness(b *testing.B) {
 	b.ReportMetric(rows[1].MeanCycles, "cycles-bg100")
 }
 
+// BenchmarkContentionRobustnessSaturated is the contention study where its
+// cost lies: background register traffic near plane-5 saturation, where
+// each trial routes about 809,000 messages. A d=10 torus at 250 messages
+// per kcycle per tile converges in tens of thousands of cycles; a d=8
+// torus either converges within a few thousand or not at all.
+func BenchmarkContentionRobustnessSaturated(b *testing.B) {
+	var rows []experiments.ContentionRow
+	for i := 0; i < b.N; i++ {
+		rows = experiments.ContentionStudy(bctx, 10, []int{250}, 2, 1)
+	}
+	b.ReportMetric(rows[0].MeanCycles, "cycles-bg250")
+	b.ReportMetric(rows[0].MeanPackets, "packets-bg250")
+}
+
 // BenchmarkNoPMOverhead measures BlitzCoin's intrusiveness against the
 // ideal no-PM execution (the FFT No-PM comparison of Sec. VI-C).
 func BenchmarkNoPMOverhead(b *testing.B) {

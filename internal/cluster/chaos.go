@@ -60,7 +60,6 @@ func NewChaos(opts blitzcoin.FaultOptions, tile int, log *slog.Logger) *Chaos {
 	}
 	cfg := fault.Config{
 		Seed:      opts.Seed,
-		Plane:     -1, // the transport has no planes; every request is PM traffic
 		DropRate:  opts.DropRate,
 		DupRate:   opts.DupRate,
 		DelayRate: opts.DelayRate,
@@ -104,7 +103,7 @@ func (c *Chaos) verdict() (v fault.Verdict, dead bool, slow float64) {
 		return fault.Verdict{Drop: true}, c.inj.TileDead(c.tile), c.slow
 	}
 	// The link check above ruled on the one link a request crosses.
-	return c.inj.PacketVerdict(fault.DefaultPlane, chaosCoordTile, c.tile, false), false, c.slow
+	return c.inj.PacketVerdict(fault.PMPlane, chaosCoordTile, c.tile, false), false, c.slow
 }
 
 // deadNow re-checks fail-stop after a handler ran: a kill that fired

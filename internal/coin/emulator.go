@@ -741,7 +741,7 @@ func (e *Emulator) effInterval(i int) sim.Cycles {
 // after the original. It reports whether the fabric will deliver the
 // message, which only the in-flight accounting may use.
 func (e *Emulator) send(kind noc.Kind, src, dst int, msg CoinMsg) bool {
-	at, dupAt, hops, ok := e.net.Route(noc.PlanePM, kind, src, dst)
+	at, dupAt, hops, ok := e.net.Route(noc.PlanePM, kind, src, dst, 1)
 	if !ok {
 		return false
 	}

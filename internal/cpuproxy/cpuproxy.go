@@ -155,16 +155,6 @@ func (d *DynamicCurve) PowerAt(fMHz float64) float64 {
 	return base * (d.LeakFrac + (1-d.LeakFrac)*d.activity)
 }
 
-// FreqAtPower inverts PowerAt: the highest frequency sustainable within an
-// allocation of mw at the current activity.
-func (d *DynamicCurve) FreqAtPower(mw float64) float64 {
-	scale := d.LeakFrac + (1-d.LeakFrac)*d.activity
-	if scale <= 0 {
-		return d.Base.FMin()
-	}
-	return d.Base.FreqAtPower(mw / scale)
-}
-
 // Manager periodically re-derives a CPU tile's coin target from observed
 // activity and pushes it into the exchange fabric through the provided
 // callback (the SoC harness wires this to Emulator.SetMax). Hysteresis

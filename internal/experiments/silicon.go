@@ -262,11 +262,11 @@ func ContentionStudy(ctx context.Context, d int, rates []int, trials int, seed u
 			e := coin.NewEmulatorOn(k, net, cfg, src.Split())
 
 			// Background traffic: each tile injects register accesses to
-			// random destinations at the given rate. The packets share
+			// random destinations at the given rate. The accesses share
 			// plane 5 with the coin messages, creating real link and
-			// ejection contention. No plane-5 handler is registered (coin
-			// messages land through the emulator's own op), so they reach
-			// no FSM, as the real FSM ignores non-coin register traffic.
+			// ejection contention. They are routed and never landed: they
+			// reach no FSM, as the real FSM ignores non-coin register
+			// traffic, and nothing reads their delivery.
 			bgsrc := src.Split()
 			n := cfg.Mesh.N()
 			if rate > 0 {
@@ -286,13 +286,7 @@ func ContentionStudy(ctx context.Context, d int, rates []int, trials int, seed u
 						if to == from {
 							continue
 						}
-						// Plane-5 register access contends with coins.
-						net.Send(&noc.Packet{
-							Plane: noc.PlanePM,
-							Kind:  noc.KindRegAccess,
-							Src:   from,
-							Dst:   to,
-						})
+						net.Route(noc.PlanePM, noc.KindRegAccess, from, to, 1)
 					}
 					k.Schedule(tick, inject)
 				}

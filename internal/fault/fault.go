@@ -51,13 +51,8 @@ type Config struct {
 	// Config (and the same traffic) see the same fault schedule.
 	Seed uint64
 
-	// Plane selects the NoC plane targeted by the random packet faults
-	// below; PM traffic rides plane 5. Negative means "all planes".
-	// The zero value targets plane 5 via DefaultPlane in withDefaults.
-	Plane int
-
 	// DropRate, DupRate and DelayRate are per-packet probabilities on the
-	// target plane. Dropped packets vanish in the fabric; duplicated ones
+	// PM plane (PMPlane). Dropped packets vanish in the fabric; duplicated ones
 	// deliver twice; delayed ones arrive up to DelayMax cycles late.
 	DropRate  float64
 	DupRate   float64
@@ -78,8 +73,10 @@ type Config struct {
 	LinkFails []LinkFault
 }
 
-// DefaultPlane is the PM plane (plane 5) targeted when Config.Plane is 0.
-const DefaultPlane = 5
+// PMPlane is the NoC plane that carries PM traffic (plane 5), the one
+// plane the random packet faults strike. Packets on other planes are lost
+// only to a dead destination or a failed link.
+const PMPlane = 5
 
 // Enabled reports whether the config injects any fault at all.
 func (c Config) Enabled() bool {
@@ -94,9 +91,6 @@ func (c Config) withDefaults() Config {
 		c.DelayRate < 0 || c.DelayRate > 1 {
 		panic(fmt.Sprintf("fault: rates must be probabilities: drop=%v dup=%v delay=%v",
 			c.DropRate, c.DupRate, c.DelayRate))
-	}
-	if c.Plane == 0 {
-		c.Plane = DefaultPlane
 	}
 	if c.DelayMax == 0 {
 		c.DelayMax = 64
@@ -292,8 +286,8 @@ func (in *Injector) LinkFailed(a, b int) bool { return in.deadLinks[[2]int{a, b}
 // crossesDeadLink reports whether the packet's route crosses a failed
 // link; the sender knows, since it walks the route (the NoC learns of
 // failures through OnLinkFail). The ruling consumes random draws only for
-// the rate faults on the targeted plane, so fault-free planes see no RNG
-// churn and the schedule is reproducible.
+// the rate faults on PMPlane, so other planes see no RNG churn and the
+// schedule is reproducible.
 func (in *Injector) PacketVerdict(plane, src, dst int, crossesDeadLink bool) Verdict {
 	var v Verdict
 	// Fail-stop tiles: a dead destination swallows everything sent to it.
@@ -309,7 +303,7 @@ func (in *Injector) PacketVerdict(plane, src, dst int, crossesDeadLink bool) Ver
 		v.Drop = true
 		return v
 	}
-	if plane != in.cfg.Plane && in.cfg.Plane >= 0 {
+	if plane != PMPlane {
 		return v
 	}
 	if in.cfg.DropRate > 0 && in.src.Float64() < in.cfg.DropRate {

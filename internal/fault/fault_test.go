@@ -27,8 +27,8 @@ func TestVerdictDeterminism(t *testing.T) {
 	}
 }
 
-// Rate faults target only the configured plane; other planes never consume
-// RNG draws, so their traffic cannot perturb the fault schedule.
+// Rate faults strike only PMPlane; other planes never consume RNG draws,
+// so their traffic cannot perturb the fault schedule.
 func TestVerdictPlaneFilter(t *testing.T) {
 	in := NewInjector(Config{Seed: 7, DropRate: 0.5})
 	for i := 0; i < 1000; i++ {
@@ -38,17 +38,6 @@ func TestVerdictPlaneFilter(t *testing.T) {
 	}
 	if in.Stats().Drops != 0 {
 		t.Fatalf("plane filter leaked drops: %+v", in.Stats())
-	}
-	// Negative plane targets everything.
-	all := NewInjector(Config{Seed: 7, Plane: -1, DropRate: 0.5})
-	drops := 0
-	for i := 0; i < 1000; i++ {
-		if all.PacketVerdict(0, 0, 1, false).Drop {
-			drops++
-		}
-	}
-	if drops < 400 || drops > 600 {
-		t.Fatalf("plane=-1 drop rate off: %d/1000", drops)
 	}
 }
 

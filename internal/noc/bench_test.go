@@ -30,7 +30,7 @@ func BenchmarkNoCSend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i&(len(pairs)-1)]
-		at, _, hops, _ := n.Route(PlanePM, KindCoinStatus, p[0], p[1])
+		at, _, hops, _ := n.Route(PlanePM, KindCoinStatus, p[0], p[1], 1)
 		k.AtOp(at, arrive, int32(p[1]), k.Now()<<16|uint64(hops))
 		if i&63 == 63 {
 			k.Drain()
@@ -39,17 +39,19 @@ func BenchmarkNoCSend(b *testing.B) {
 	k.Drain()
 }
 
-// BenchmarkSendBurst is the DMA layer's cost: one train of flits sent with
-// SendBurst corner to corner across an idle 6x6 mesh and delivered.
+// BenchmarkSendBurst is the DMA layer's cost: one train of flits routed
+// with Route corner to corner across an idle 6x6 mesh, and its one landing
+// op, as the SoC runner schedules it.
 func BenchmarkSendBurst(b *testing.B) {
 	b.Run("flits=256", func(b *testing.B) {
 		k := &sim.Kernel{}
 		n := New(k, mesh.New(6, 6, false), DefaultConfig())
-		n.SetHandler(35, PlaneDMA0, func(*Packet) {})
+		land := k.RegisterOp(func(int32, uint64) {})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			n.SendBurst(PlaneDMA0, KindOther, 0, 35, 256, nil)
+			first, _, _, _ := n.Route(PlaneDMA0, KindOther, 0, 35, 256)
+			k.AtOp(first+255, land, 35, 0)
 			k.Drain()
 		}
 	})

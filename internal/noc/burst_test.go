@@ -11,8 +11,8 @@ import (
 	"blitzcoin/internal/sim"
 )
 
-// burstCase is one randomized comparison of a SendBurst train against the
-// same flits sent one Send at a time.
+// burstCase is one randomized comparison of a train routed with one Route
+// call against the same flits routed one lone message at a time.
 type burstCase struct {
 	m        mesh.Mesh
 	cfg      Config
@@ -21,6 +21,9 @@ type burstCase struct {
 	at       sim.Cycles
 	src, dst int
 	flits    int
+	// cut is a link of the train's XY route, failed in the case's
+	// dead-link variant.
+	cut [2]int
 }
 
 // burstSend is one piece of earlier traffic on the burst's plane.
@@ -76,142 +79,137 @@ func randomBurstCase(src *rng.Source) burstCase {
 	}
 	slices.SortStableFunc(c.earlier, func(a, b burstSend) int { return int(a.at) - int(b.at) })
 	c.flits = 1 + src.Intn(64)
+	route := c.m.XYRoute(c.src, c.dst)
+	j := 1 + src.Intn(len(route)-1)
+	c.cut = [2]int{route[j-1], route[j]}
 	return c
+}
+
+// burstFaults are the fault plans each case is played under: none, the
+// train's destination dead from the start, and a link of its route failed
+// from the start.
+func (c burstCase) burstFaults() []*fault.Config {
+	return []*fault.Config{
+		nil,
+		{TileKills: []fault.TileFault{{Tile: c.dst}}},
+		{LinkFails: []fault.LinkFault{{A: c.cut[0], B: c.cut[1]}}},
+	}
 }
 
 // burstOutcome is everything a train must reproduce of its flit loop.
 type burstOutcome struct {
 	links, inject, eject []sim.Cycles
 	stats                Stats
-	nextID               uint64
 	first, last          sim.Cycles
+	ok                   bool
 }
 
-// run plays the case on a fresh network. With train, every multi-flit
-// send, the burst's included, is one SendBurst; otherwise it is a loop of
-// Sends of caller-owned packets.
-func (c burstCase) run(train bool) burstOutcome {
+// run plays the case on a fresh network under faults (nil for none). With
+// train, every multi-flit send, the burst's included, is one Route call;
+// otherwise it is a loop of lone messages, each landing as a typed op that
+// credits it with Arrive. A lone message, a train of one, lands that way
+// in both.
+func (c burstCase) run(train bool, faults *fault.Config) burstOutcome {
 	k := &sim.Kernel{}
 	n := New(k, c.m, c.cfg)
-	var out burstOutcome
-	marker := new(int)
-	n.SetHandler(c.dst, c.plane, func(p *Packet) {
-		if p.Payload == marker {
-			out.last = p.Delivered
-		}
-	})
-	send := func(src, dst, flits int, payload interface{}) (first sim.Cycles, loop []*Packet) {
-		if train {
-			return n.SendBurst(c.plane, KindOther, src, dst, flits, payload), nil
+	if faults != nil {
+		in := fault.NewInjector(*faults)
+		n.AttachFaults(in)
+		in.Arm(k)
+	}
+	// The landing op's x packs the send cycle above the hop count.
+	arrive := k.RegisterOp(func(_ int32, x uint64) { n.Arrive(x>>16, int(x&0xffff)) })
+	send := func(src, dst, flits int) (first, last sim.Cycles, ok bool) {
+		if train && flits > 1 {
+			first, _, _, ok = n.Route(c.plane, KindOther, src, dst, flits)
+			return first, first + sim.Cycles(flits) - 1, ok
 		}
 		for i := 0; i < flits; i++ {
-			p := &Packet{Plane: c.plane, Kind: KindOther, Src: src, Dst: dst, Payload: payload}
-			n.Send(p)
-			loop = append(loop, p)
+			at, _, hops, fok := n.Route(c.plane, KindOther, src, dst, 1)
+			if fok {
+				k.AtOp(at, arrive, int32(dst), k.Now()<<16|uint64(hops))
+			}
+			if i == 0 {
+				first = at
+			}
+			last, ok = at, fok
 		}
-		return 0, loop
+		return first, last, ok
 	}
 	for _, s := range c.earlier {
 		k.Run(s.at)
-		send(s.src, s.dst, s.flits, nil)
+		send(s.src, s.dst, s.flits)
 	}
 	k.Run(c.at)
-	first, loop := send(c.src, c.dst, c.flits, marker)
-	k.Drain()
-	if !train {
-		first = loop[0].Delivered
+	var out burstOutcome
+	out.first, out.last, out.ok = send(c.src, c.dst, c.flits)
+	if !out.ok {
+		out.first, out.last = 0, 0
 	}
+	k.Drain()
 	pt := n.planes[c.plane]
 	out.links, out.inject, out.eject = pt.links, pt.inject, pt.eject
-	out.stats, out.nextID, out.first = n.Stats(), n.nextID, first
+	out.stats = n.Stats()
 	return out
 }
 
-// TestSendBurstMatchesFlitLoop checks SendBurst's closed form against the
-// flit loop it replaces: over random open and torus meshes, timing knobs,
-// earlier traffic on the same plane and train lengths, the link, injection
-// and ejection tables, every Stats field, the packet-ID counter, the last
-// delivery's cycle and the returned first-flit cycle all match.
+// TestSendBurstMatchesFlitLoop checks Route's closed form for a train
+// against the flit loop it replaces: over random open and torus meshes,
+// timing knobs, earlier traffic on the same plane and train lengths,
+// healthy and with the train's destination dead or a link of its route
+// failed, the link, injection and ejection tables, every Stats field once
+// every flit has landed, the verdict and the first and last flits' landing
+// cycles all match.
 func TestSendBurstMatchesFlitLoop(t *testing.T) {
 	src := rng.New(0xb0257)
 	for i := 0; i < 3000; i++ {
 		c := randomBurstCase(src)
-		want, got := c.run(false), c.run(true)
-		where := fmt.Sprintf("case %d: %dx%d torus=%v %+v, %d earlier sends, %d flits %d->%d at %d",
-			i, c.m.W, c.m.H, c.m.Torus, c.cfg, len(c.earlier), c.flits, c.src, c.dst, c.at)
-		switch {
-		case !slices.Equal(got.links, want.links):
-			t.Fatalf("%s: link table\n got %v\nwant %v", where, got.links, want.links)
-		case !slices.Equal(got.inject, want.inject):
-			t.Fatalf("%s: injection ports\n got %v\nwant %v", where, got.inject, want.inject)
-		case !slices.Equal(got.eject, want.eject):
-			t.Fatalf("%s: ejection ports\n got %v\nwant %v", where, got.eject, want.eject)
-		case got.stats != want.stats:
-			t.Fatalf("%s: stats\n got %+v\nwant %+v", where, got.stats, want.stats)
-		case got.nextID != want.nextID:
-			t.Fatalf("%s: packet IDs up to %d, want %d", where, got.nextID, want.nextID)
-		case got.last != want.last:
-			t.Fatalf("%s: last flit landed at %d, want %d", where, got.last, want.last)
-		case got.first != want.first:
-			t.Fatalf("%s: SendBurst returned %d, first flit landed at %d", where, got.first, want.first)
+		for f, faults := range c.burstFaults() {
+			want, got := c.run(false, faults), c.run(true, faults)
+			where := fmt.Sprintf("case %d, fault plan %d: %dx%d torus=%v %+v, %d earlier sends, %d flits %d->%d at %d",
+				i, f, c.m.W, c.m.H, c.m.Torus, c.cfg, len(c.earlier), c.flits, c.src, c.dst, c.at)
+			switch {
+			case !slices.Equal(got.links, want.links):
+				t.Fatalf("%s: link table\n got %v\nwant %v", where, got.links, want.links)
+			case !slices.Equal(got.inject, want.inject):
+				t.Fatalf("%s: injection ports\n got %v\nwant %v", where, got.inject, want.inject)
+			case !slices.Equal(got.eject, want.eject):
+				t.Fatalf("%s: ejection ports\n got %v\nwant %v", where, got.eject, want.eject)
+			case got.stats != want.stats:
+				t.Fatalf("%s: stats\n got %+v\nwant %+v", where, got.stats, want.stats)
+			case got.ok != want.ok || (f > 0) == got.ok:
+				t.Fatalf("%s: train delivered=%v, flit loop %v", where, got.ok, want.ok)
+			case got.first != want.first || got.last != want.last:
+				t.Fatalf("%s: flits landed %d..%d, want %d..%d", where, got.first, got.last, want.first, want.last)
+			}
 		}
 	}
 }
 
-// A train delivers once, as the last flit, and carries its length.
+// A train is one landing: Route returns its first flit's cycle, and the
+// sender schedules the train's one landing op at its last flit's. Its
+// delivery side is credited as it is routed.
 func TestSendBurstDeliversOnce(t *testing.T) {
-	k, n := newNet(4, 4, true)
-	var got []*Packet
-	n.SetHandler(5, PlaneDMA1, func(p *Packet) { got = append(got, p) })
-	first := n.SendBurst(PlaneDMA1, KindOther, 0, 5, 9, "payload")
-	k.Drain()
-	if len(got) != 1 {
-		t.Fatalf("%d deliveries, want 1", len(got))
+	tn := newNet(4, 4, true)
+	first, dupAt, hops, ok := tn.n.Route(PlaneDMA1, KindOther, 0, 5, 9)
+	if !ok || dupAt != 0 || hops != 2 {
+		t.Fatalf("Route = (%d, %d, %d, %v), want a delivered 2-hop train", first, dupAt, hops, ok)
 	}
-	p := got[0]
-	if p.Flits != 9 || p.Payload != "payload" || p.Delivered != first+8 || p.ID != 9 || p.Hops != 2 {
-		t.Fatalf("delivery %+v, want the 9th flit landing at %d", *p, first+8)
+	if want := tn.n.UnicastLatencyLowerBound(0, 5); first != want {
+		t.Fatalf("first flit at %d on an idle fabric, want %d", first, want)
 	}
-	if first != n.UnicastLatencyLowerBound(0, 5) {
-		t.Fatalf("first flit at %d on an idle fabric, want %d", first, n.UnicastLatencyLowerBound(0, 5))
-	}
-}
-
-// With a fault injector attached the flits travel one by one: a healthy
-// fabric delivers every flit on its own, one flit each, at the cycles and
-// with the stats of the closed-form train.
-func TestSendBurstUnderInjectorSendsEachFlit(t *testing.T) {
-	k, n := newNet(5, 3, false)
-	inj := fault.NewInjector(fault.Config{Seed: 3})
-	n.AttachFaults(inj)
-	inj.Arm(k)
-	var at []sim.Cycles
-	n.SetHandler(13, PlaneDMA0, func(p *Packet) {
-		if p.Flits != 1 {
-			t.Fatalf("flit delivery stands for %d flits", p.Flits)
-		}
-		at = append(at, p.Delivered)
-	})
-	if first := n.SendBurst(PlaneDMA0, KindOther, 1, 13, 6, nil); first != 0 {
-		t.Fatalf("SendBurst under an injector returned %d, want 0", first)
-	}
-	k.Drain()
-
-	k2, plain := newNet(5, 3, false)
-	first := plain.SendBurst(PlaneDMA0, KindOther, 1, 13, 6, nil)
-	k2.Drain()
-	for i, c := range at {
-		if c != first+sim.Cycles(i) {
-			t.Fatalf("flit deliveries at %v, want from %d one cycle apart", at, first)
-		}
-	}
-	if len(at) != 6 || n.Stats() != plain.Stats() {
-		t.Fatalf("%d deliveries, stats %+v, want 6 and %+v", len(at), n.Stats(), plain.Stats())
+	want := Stats{Sent: 9, Delivered: 9, TotalHops: 18, TotalLatency: 9*first + 36, MaxLatency: first + 8, ContentionCyc: 36}
+	want.PerPlaneSent[PlaneDMA1] = 9
+	want.PerKindSent[KindOther] = 9
+	if st := tn.n.Stats(); st != want {
+		t.Fatalf("stats after Route\n got %+v\nwant %+v", st, want)
 	}
 }
 
-// A burst to a dead tile, or across a failed link, loses every flit: the
-// drop counters grow by the train's length and the handler never runs.
+// A train to a dead tile, or across a failed link, loses every flit: the
+// drop counters grow by the train's length, its injection wait is charged
+// as its flits' was, nothing lands, and every Stats field matches the same
+// flits routed one at a time.
 func TestFaultedBurstDropsEveryFlit(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -220,18 +218,15 @@ func TestFaultedBurstDropsEveryFlit(t *testing.T) {
 		{"dead tile", fault.Config{TileKills: []fault.TileFault{{Tile: 2}}}},
 		{"failed link", fault.Config{LinkFails: []fault.LinkFault{{A: 1, B: 2}}}},
 	} {
-		k, n := newNet(3, 1, false)
-		inj := fault.NewInjector(c.cfg)
-		n.AttachFaults(inj)
-		inj.Arm(k)
-		k.Run(1)
-		n.SetHandler(2, PlaneDMA0, func(*Packet) { t.Fatalf("%s: a flit was delivered", c.name) })
-		n.SendBurst(PlaneDMA0, KindOther, 0, 2, 7, nil)
-		k.Drain()
-		st := n.Stats()
-		if st.Sent != 7 || st.Dropped != 7 || st.PerPlaneDropped[PlaneDMA0] != 7 || st.Delivered != 0 {
-			t.Fatalf("%s: sent=%d dropped=%d (DMA0 %d) delivered=%d, want 7 7 7 0",
-				c.name, st.Sent, st.Dropped, st.PerPlaneDropped[PlaneDMA0], st.Delivered)
+		bc := burstCase{m: mesh.New(3, 1, false), cfg: DefaultConfig(), plane: PlaneDMA0, at: 1, src: 0, dst: 2, flits: 7}
+		got, loop := bc.run(true, &c.cfg), bc.run(false, &c.cfg)
+		st := got.stats
+		if got.ok || st.Sent != 7 || st.Dropped != 7 || st.PerPlaneDropped[PlaneDMA0] != 7 || st.Delivered != 0 || st.ContentionCyc != 21 {
+			t.Fatalf("%s: ok=%v sent=%d dropped=%d (DMA0 %d) delivered=%d contention=%d, want false 7 7 7 0 21",
+				c.name, got.ok, st.Sent, st.Dropped, st.PerPlaneDropped[PlaneDMA0], st.Delivered, st.ContentionCyc)
+		}
+		if st != loop.stats {
+			t.Fatalf("%s: stats\n got %+v\nflit loop %+v", c.name, st, loop.stats)
 		}
 	}
 }

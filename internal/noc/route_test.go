@@ -18,7 +18,7 @@ type hop struct {
 }
 
 // referenceHops walks mesh.NextHopXY from src to dst, the reference the
-// coordinate walk in Send must reproduce.
+// coordinate walk in Route must reproduce.
 func referenceHops(m mesh.Mesh, src, dst int) []hop {
 	var out []hop
 	for cur := src; cur != dst; {
@@ -29,15 +29,13 @@ func referenceHops(m mesh.Mesh, src, dst int) []hop {
 	return out
 }
 
-// reservedHops sends one packet on an idle network and reads back the
+// reservedHops routes one message on an idle network and reads back the
 // links it reserved, in order. With no contention the k-th link of the
 // route is reserved until departure+k+1, so the reservation times order
 // the links.
 func reservedHops(m mesh.Mesh, src, dst int) ([]hop, int) {
-	k := &sim.Kernel{}
-	n := New(k, m, DefaultConfig())
-	p := &Packet{Plane: PlanePM, Kind: KindCoinStatus, Src: src, Dst: dst}
-	n.Send(p)
+	n := New(&sim.Kernel{}, m, DefaultConfig())
+	_, _, hops, _ := n.Route(PlanePM, KindCoinStatus, src, dst, 1)
 	links := n.planes[PlanePM].links
 	var idx []int
 	for li, free := range links {
@@ -50,7 +48,7 @@ func reservedHops(m mesh.Mesh, src, dst int) ([]hop, int) {
 	for i, li := range idx {
 		out[i] = hop{li / mesh.NumDirections, mesh.Direction(li % mesh.NumDirections)}
 	}
-	return out, p.Hops
+	return out, hops
 }
 
 // Every (src, dst) pair of open and torus meshes, including the 1-wide,
@@ -82,10 +80,10 @@ func TestRouteWalkMatchesNextHopXY(t *testing.T) {
 	}
 }
 
-// With one link failed, Send drops exactly the packets whose mesh.XYRoute
+// With one link failed, Route drops exactly the messages whose mesh.XYRoute
 // crosses it in either direction, on every shape the route walk is checked
 // on, including the 2-wide and 2-high tori whose two ports reach the same
-// neighbor. The packets are all sent at cycle 0, so later ones also cross
+// neighbor. The messages are all sent at cycle 0, so later ones also cross
 // links already reserved by earlier ones.
 func TestDeadLinkVerdictMatchesXYRoute(t *testing.T) {
 	shapes := [][2]int{{1, 6}, {6, 1}, {2, 2}, {2, 3}, {3, 2}, {5, 2}, {3, 3}, {4, 4}, {5, 7}}
@@ -119,8 +117,7 @@ func TestDeadLinkVerdictMatchesXYRoute(t *testing.T) {
 								for i := 1; i < len(route); i++ {
 									crosses = crosses || inj.LinkFailed(route[i-1], route[i])
 								}
-								p := &Packet{Plane: PlanePM, Kind: KindCoinStatus, Src: src, Dst: dst}
-								if delivered := n.Send(p); delivered == crosses {
+								if _, _, _, delivered := n.Route(PlanePM, KindCoinStatus, src, dst, 1); delivered == crosses {
 									t.Fatalf("link %d-%d down: %d->%d (route %v) delivered=%v", a, b, src, dst, route, delivered)
 								}
 							}
@@ -132,56 +129,45 @@ func TestDeadLinkVerdictMatchesXYRoute(t *testing.T) {
 	}
 }
 
-// A link that fails mid-run kills the packets routed across it from then
-// on, while packets sent across it before the failure are delivered. Until
-// the failure the network tracks no dead port; once it fires, the two ports
-// of the link are dead.
+// A link that fails mid-run kills the messages routed across it from then
+// on, while messages sent across it before the failure land. Until the
+// failure the network tracks no dead port; once it fires, the two ports of
+// the link are dead.
 func TestLinkFailureMidRun(t *testing.T) {
 	const failAt = 50
-	k, n := newNet(4, 1, false)
-	inj := fault.NewInjector(fault.Config{LinkFails: []fault.LinkFault{{A: 1, B: 2, At: failAt}}})
-	n.AttachFaults(inj)
-	inj.Arm(k)
+	tn := newNet(4, 1, false)
+	inj := tn.attach(fault.Config{LinkFails: []fault.LinkFault{{A: 1, B: 2, At: failAt}}})
 
-	delivered := map[uint64]bool{}
-	for tile := 0; tile < 4; tile++ {
-		n.SetHandler(tile, PlanePM, func(p *Packet) { delivered[p.ID] = true })
+	before := tn.send(PlanePM, KindCoinUpdate, 0, 3)
+	if !tn.msgs[before].ok {
+		t.Fatal("message sent before the failure reported dropped")
 	}
-	send := func(src, dst int) (*Packet, bool) {
-		p := &Packet{Plane: PlanePM, Kind: KindCoinUpdate, Src: src, Dst: dst}
-		return p, n.Send(p)
+	if len(tn.n.deadPorts) != 0 {
+		t.Fatalf("dead ports %v before the failure time", tn.n.deadPorts)
 	}
-
-	before, ok := send(0, 3)
-	if !ok {
-		t.Fatal("packet sent before the failure reported dropped")
-	}
-	if len(n.deadPorts) != 0 {
-		t.Fatalf("dead ports %v before the failure time", n.deadPorts)
-	}
-	var after, afterRev, beside *Packet
-	var okAfter, okRev, okBeside bool
-	k.At(failAt+10, func() {
-		after, okAfter = send(0, 3)
-		afterRev, okRev = send(3, 1)
-		beside, okBeside = send(2, 3)
+	var after, afterRev, beside int
+	tn.k.At(failAt+10, func() {
+		after = tn.send(PlanePM, KindCoinUpdate, 0, 3)
+		afterRev = tn.send(PlanePM, KindCoinUpdate, 3, 1)
+		beside = tn.send(PlanePM, KindCoinUpdate, 2, 3)
 	})
-	k.Drain()
+	tn.k.Drain()
 
-	if want := []int{1*mesh.NumDirections + int(mesh.East), 2*mesh.NumDirections + int(mesh.West)}; !slices.Equal(n.deadPorts, want) {
-		t.Fatalf("dead ports %v after the failure, want %v", n.deadPorts, want)
+	if want := []int{1*mesh.NumDirections + int(mesh.East), 2*mesh.NumDirections + int(mesh.West)}; !slices.Equal(tn.n.deadPorts, want) {
+		t.Fatalf("dead ports %v after the failure, want %v", tn.n.deadPorts, want)
 	}
-	if !delivered[before.ID] {
-		t.Fatal("packet sent across the link before it failed was not delivered")
+	if len(tn.msgs[before].landed) != 1 {
+		t.Fatal("message sent across the link before it failed did not land")
 	}
-	if okAfter || okRev || delivered[after.ID] || delivered[afterRev.ID] {
-		t.Fatalf("packets crossing the dead link: ok=%v/%v delivered=%v/%v, want dropped",
-			okAfter, okRev, delivered[after.ID], delivered[afterRev.ID])
+	for _, i := range []int{after, afterRev} {
+		if m := tn.msgs[i]; m.ok || len(m.landed) != 0 {
+			t.Fatalf("message %d crossing the dead link: ok=%v landed at %v, want dropped", i, m.ok, m.landed)
+		}
 	}
-	if !okBeside || !delivered[beside.ID] {
-		t.Fatal("packet on a healthy link after the failure was not delivered")
+	if m := tn.msgs[beside]; !m.ok || len(m.landed) != 1 {
+		t.Fatal("message on a healthy link after the failure did not land")
 	}
-	st := n.Stats()
+	st := tn.n.Stats()
 	if st.Sent != 4 || st.Delivered != 2 || st.Dropped != 2 || st.PerPlaneDropped[PlanePM] != 2 {
 		t.Fatalf("sent=%d delivered=%d dropped=%d (PM %d), want 4/2/2/2",
 			st.Sent, st.Delivered, st.Dropped, st.PerPlaneDropped[PlanePM])

@@ -1,10 +1,12 @@
 package sim
 
 // Slots holds the records that typed events carry by index, the x of an
-// (op, tile, x) event. Records live in fixed chunks of 64 that never
-// move, so a record's address is stable while its index is taken, and
-// growing by a chunk costs one allocation, not one per record. The zero
-// value is ready to use.
+// (op, tile, x) event: a sender's messages in flight, which the NoC only
+// routes (the coin emulator's messages, the SoC runner's DMA bursts).
+// Records live in fixed chunks of 64 that never move, so a record's
+// address is stable while its index is taken, and growing by a chunk
+// costs one allocation, not one per record. The zero value is ready to
+// use.
 type Slots[T any] struct {
 	chunks []*[slotChunk]T
 	free   []int32

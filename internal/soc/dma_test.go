@@ -1,8 +1,10 @@
 package soc
 
 import (
+	"fmt"
 	"testing"
 
+	"blitzcoin/internal/fault"
 	"blitzcoin/internal/noc"
 	"blitzcoin/internal/power"
 	"blitzcoin/internal/rng"
@@ -107,18 +109,41 @@ func TestRandomDAGPanicsOnBadParams(t *testing.T) {
 	workload.RandomDAG(rng.New(1), 0, []string{"FFT"}, 1, 2, 1)
 }
 
-// TestDMAEventsScaleWithBursts: a DMA burst costs the kernel one event per
-// plane, not one per flit. The 4x4 CV-parallel x3 run under Static moves
-// 14,202 flits; with an event per flit it executed 14,255 events, as one
-// train per plane and burst it executes 209.
-func TestDMAEventsScaleWithBursts(t *testing.T) {
-	r := New(SoC4x4(450, SchemeStatic, 1))
-	res := r.Run(workload.Repeat(workload.ComputerVisionParallel(), 3))
-	if !res.Completed {
-		t.Fatal("run incomplete")
+// A one-flit DMA train is a lone message, whose delivery the NoC credits
+// when it lands; a longer train is credited as it is routed. Bursts of 1,
+// 2 and 3 flits put one-flit trains on DMA0 alone, on both planes and on
+// DMA1 beside a 2-flit train. Once a Static run, which sends nothing else,
+// completes, every flit is delivered.
+func TestDMALoneFlitBurstsDelivered(t *testing.T) {
+	g := &workload.Graph{Name: "tiny"}
+	for i, work := range []float64{300, 600, 900} { // 1, 2 and 3 flits each way
+		g.Tasks = append(g.Tasks, workload.Task{ID: i, Name: fmt.Sprint("t", i), Accel: "FFT", WorkCycles: work})
 	}
-	flits := res.NoC.PerPlaneSent[noc.PlaneDMA0] + res.NoC.PerPlaneSent[noc.PlaneDMA1]
-	if ev := r.Kernel().Executed(); ev >= 1000 {
-		t.Fatalf("%d kernel events for %d DMA flits, want fewer than 1000", ev, flits)
+	res := New(SoC3x3(120, SchemeStatic, 1)).Run(g)
+	if st := res.NoC; !res.Completed || st.Sent != 12 || st.Delivered != st.Sent || st.TotalHops == 0 {
+		t.Fatalf("completed=%v sent=%d delivered=%d hops=%d, want true 12 12 and some hops",
+			res.Completed, st.Sent, st.Delivered, st.TotalHops)
+	}
+}
+
+// TestDMAEventsScaleWithBursts: a DMA burst costs the kernel one event per
+// plane, not one per flit, on a healthy fabric and under a tile kill alike.
+// The 4x4 CV-parallel x3 run under Static moves 14,202 flits; with an event
+// per flit it executed 14,255 events, as one train per plane and burst it
+// executes 209. With tile 5 killed at cycle 120,000 it executed 14,397
+// events when a fault injector sent every flit on its own.
+func TestDMAEventsScaleWithBursts(t *testing.T) {
+	killed := SoC4x4(450, SchemeStatic, 1)
+	killed.Faults = &fault.Config{TileKills: []fault.TileFault{{Tile: 5, At: 120_000}}}
+	for _, cfg := range []Config{SoC4x4(450, SchemeStatic, 1), killed} {
+		r := New(cfg)
+		res := r.Run(workload.Repeat(workload.ComputerVisionParallel(), 3))
+		if !res.Completed {
+			t.Fatalf("faults %v: run incomplete", cfg.Faults != nil)
+		}
+		flits := res.NoC.PerPlaneSent[noc.PlaneDMA0] + res.NoC.PerPlaneSent[noc.PlaneDMA1]
+		if ev := r.Kernel().Executed(); ev >= 1000 {
+			t.Fatalf("faults %v: %d kernel events for %d DMA flits, want fewer than 1000", cfg.Faults != nil, ev, flits)
+		}
 	}
 }

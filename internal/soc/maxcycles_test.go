@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"blitzcoin/internal/fault"
 	"blitzcoin/internal/sim"
 	"blitzcoin/internal/workload"
 )
@@ -17,8 +18,9 @@ import (
 var update = flag.Bool("update", false, "rewrite the testdata goldens")
 
 const (
-	cutGolden   = "testdata/maxcycles_cut.golden"
-	cutBCGolden = "testdata/maxcycles_cut_bc.golden"
+	cutGolden        = "testdata/maxcycles_cut.golden"
+	cutBCGolden      = "testdata/maxcycles_cut_bc.golden"
+	cutFaultedGolden = "testdata/maxcycles_cut_faulted.golden"
 )
 
 // cutPoint renders the observable outcome of one run stopped at MaxCycles:
@@ -79,6 +81,42 @@ func TestMaxCyclesCutBC(t *testing.T) {
 		got = append(got, bcCutPoint(mc))
 	}
 	checkCutGolden(t, cutBCGolden, got)
+}
+
+// faultedCutPoint renders one run of cutPoint's frame under a tile kill and
+// a link failure, stopped at MaxCycles: what cutPoint renders and the NoC's
+// send-side and drop counters.
+func faultedCutPoint(scheme Scheme, maxCycles sim.Cycles) string {
+	cfg := SoC4x4(450, scheme, 1)
+	cfg.MaxCycles = maxCycles
+	cfg.Faults = &fault.Config{
+		TileKills: []fault.TileFault{{Tile: 5, At: 120_000}},
+		LinkFails: []fault.LinkFault{{A: 8, B: 9, At: 200_000}},
+	}
+	res := New(cfg).Run(workload.Repeat(workload.ComputerVisionParallel(), 3))
+	s := res.NoC
+	return fmt.Sprintf("%s %d %t %d %x %d %d %v %v %d %d %v", scheme, maxCycles, res.Completed,
+		res.ExecCycles, math.Float64bits(res.AvgPowerMW), res.ActivityChanges,
+		s.Sent, s.PerPlaneSent, s.PerKindSent, s.ContentionCyc, s.Dropped, s.PerPlaneDropped)
+}
+
+// TestMaxCyclesCutFaulted stops cutPoint's frame every 500 cycles with
+// tile 5 killed at cycle 120,000 and link 8-9 failed at 200,000. DMA
+// trains to the dead tile and across the dead link are lost, so the NoC
+// counters pin how a lost train is charged, and the stop cycles pin where
+// a faulted run ends. The golden was generated with each DMA flit routed
+// as its own packet under the injector.
+func TestMaxCyclesCutFaulted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2078 SoC runs")
+	}
+	var got []string
+	for _, scheme := range []Scheme{SchemeStatic, SchemeCRR} {
+		for mc := sim.Cycles(500); mc < 520_000; mc += 500 {
+			got = append(got, faultedCutPoint(scheme, mc))
+		}
+	}
+	checkCutGolden(t, cutFaultedGolden, got)
 }
 
 // checkCutGolden compares cut points against a golden, one per line, or

@@ -36,14 +36,19 @@ type accelTile struct {
 	dead         bool // fail-stopped by an injected fault
 }
 
-// dmaTransfer tracks one DMA burst; the delivery that lands its last flit
-// fires done. ESP's loosely-coupled accelerators fetch inputs and write
-// results back through the memory tiles over the dedicated DMA planes
-// (Sec. IV-B), so every task is bracketed by NoC bursts that contend like
-// real traffic.
-type dmaTransfer struct {
-	remaining int
-	done      func()
+// dmaBurst is one DMA burst in flight: the number of its trains still to
+// land, and done, run when the last one has. ESP's loosely-coupled
+// accelerators fetch inputs and write results back through the memory
+// tiles over the dedicated DMA planes (Sec. IV-B), so every task is
+// bracketed by NoC bursts that contend like real traffic. A one-flit train
+// is a lone message, whose delivery the NoC credits when it lands
+// (noc.Network.Arrive); the cycle the burst was routed and its hop count,
+// the same for both trains, are kept for that.
+type dmaBurst struct {
+	trains   int
+	injected sim.Cycles
+	hops     int
+	done     func()
 }
 
 // dmaWorkPerFlit sets DMA volume: one flit per this many work cycles.
@@ -69,9 +74,12 @@ type Runner struct {
 
 	// UVFR settle and task completion travel the kernel as typed
 	// (op, tile, epoch) events — no per-event closures on the SoC hot path.
+	// A DMA train lands as (opLand, destination, x), x being its burst's
+	// record index in bursts, doubled, plus one for a one-flit train.
 	// opCut is a no-op that marks where a run cut by MaxCycles stops
 	// (startDMA).
-	opSettle, opComplete, opCut sim.OpCode
+	opSettle, opComplete, opLand, opCut sim.OpCode
+	bursts                              sim.Slots[dmaBurst]
 
 	graph           *workload.Graph
 	done            map[int]bool
@@ -110,6 +118,7 @@ func New(cfg Config) *Runner {
 	r.rec.Attach(cfg.Stream)
 	r.opSettle = k.RegisterOp(func(tile int32, x uint64) { r.settleDone(int(tile), int(x)) })
 	r.opComplete = k.RegisterOp(func(tile int32, x uint64) { r.completionDue(int(tile), int(x)) })
+	r.opLand = k.RegisterOp(func(_ int32, x uint64) { r.trainLanded(int32(x>>1), x&1 == 1) })
 	r.opCut = k.RegisterOp(func(int32, uint64) {})
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		r.injector = fault.NewInjector(*cfg.Faults)
@@ -162,23 +171,6 @@ func New(cfg Config) *Runner {
 	}
 	if cfg.Strategy == AbsoluteProportional {
 		r.apShareMW = cfg.CombinedPMaxMW() / float64(len(r.tileOrder))
-	}
-
-	// DMA deliveries demux by transfer (payload pointer), so one handler per
-	// (tile, plane) suffices for all concurrent bursts. A delivery stands
-	// for p.Flits flits: a whole train on a healthy fabric, one flit when
-	// a fault injector makes every flit its own packet.
-	dmaHandler := func(p *noc.Packet) {
-		tr := p.Payload.(*dmaTransfer)
-		tr.remaining -= p.Flits
-		if tr.remaining == 0 {
-			tr.done()
-		}
-	}
-	for _, plane := range []noc.Plane{noc.PlaneDMA0, noc.PlaneDMA1} {
-		for i := range cfg.Tiles {
-			net.SetHandler(i, plane, dmaHandler)
-		}
 	}
 
 	switch cfg.Scheme {
@@ -274,8 +266,11 @@ func (r *Runner) progressTo(t *accelTile, now sim.Cycles) {
 // startDMA launches a burst of flits between a tile and its memory tile,
 // invoking done when the last flit lands. The flits alternate between the
 // two DMA planes, as ESP splits accelerator DMA across planes: the odd
-// count's extra flit rides DMA0. Each plane's share travels as one
-// noc.SendBurst train, one kernel event however many flits it carries.
+// count's extra flit rides DMA0. Each plane's share is routed as one
+// train and lands as one kernel event, however many flits it carries.
+// Both trains share a destination and a route, and random faults never
+// strike the DMA planes, so a burst lands whole or is lost whole; a lost
+// burst never runs done.
 func (r *Runner) startDMA(t *accelTile, toMem bool, flits int, done func()) {
 	if t.memTile < 0 || flits <= 0 {
 		r.kernel.Schedule(1, done)
@@ -285,24 +280,56 @@ func (r *Runner) startDMA(t *accelTile, toMem bool, flits int, done func()) {
 	if toMem {
 		src, dst = t.idx, t.memTile
 	}
-	tr := &dmaTransfer{remaining: flits, done: done}
-	k0, k1 := (flits+1)/2, flits/2
-	first0 := r.net.SendBurst(noc.PlaneDMA0, noc.KindOther, src, dst, k0, tr)
-	first1 := r.net.SendBurst(noc.PlaneDMA1, noc.KindOther, src, dst, k1, tr)
-	if r.injector == nil {
-		// Run stops after its first event at or after MaxCycles. A train
-		// is one event, its last flit's delivery (flit i lands at
-		// first+i). Where an earlier flit would have been that first
-		// event, a no-op at its cycle keeps the stop where it was. Under
-		// a fault injector every flit is its own event already.
-		cut := cutIn(first0, k0, r.cfg.MaxCycles)
-		if c := cutIn(first1, k1, r.cfg.MaxCycles); c < cut {
-			cut = c
+	s, b := r.bursts.Take()
+	*b = dmaBurst{injected: r.kernel.Now(), done: done}
+	// Run stops after its first event at or after MaxCycles. A train is
+	// one event, its last flit's landing (flit i lands at first+i). Where
+	// an earlier flit would have been that first event, a no-op at its
+	// cycle keeps the stop where it was.
+	cut := noCut
+	for _, tr := range [2]struct {
+		plane noc.Plane
+		flits int
+	}{{noc.PlaneDMA0, (flits + 1) / 2}, {noc.PlaneDMA1, flits / 2}} {
+		if tr.flits == 0 {
+			continue
 		}
-		if cut != noCut {
-			r.kernel.AtOp(cut, r.opCut, 0, 0)
+		first, _, hops, ok := r.net.Route(tr.plane, noc.KindOther, src, dst, tr.flits)
+		if !ok {
+			continue
 		}
+		b.trains++
+		b.hops = hops
+		x := uint64(s) << 1
+		if tr.flits == 1 {
+			x |= 1
+		}
+		r.kernel.AtOp(first+sim.Cycles(tr.flits)-1, r.opLand, int32(dst), x)
+		cut = min(cut, cutIn(first, tr.flits, r.cfg.MaxCycles))
 	}
+	if b.trains == 0 {
+		r.bursts.Free(s)
+	}
+	if cut != noCut {
+		r.kernel.AtOp(cut, r.opCut, 0, 0)
+	}
+}
+
+// trainLanded lands one train of the burst in record s, crediting a lone
+// flit's delivery, and runs the burst's done once its last train has
+// landed.
+func (r *Runner) trainLanded(s int32, lone bool) {
+	b := r.bursts.At(s)
+	if lone {
+		r.net.Arrive(b.injected, b.hops)
+	}
+	if b.trains--; b.trains > 0 {
+		return
+	}
+	done := b.done
+	b.done = nil
+	r.bursts.Free(s)
+	done()
 }
 
 // noCut is cutIn's answer for a train with no undelivered flit at or

@@ -102,11 +102,6 @@ func (s *Sample) Max() float64 {
 	return xs[len(xs)-1]
 }
 
-// Min returns the smallest observation. It panics on an empty sample.
-func (s *Sample) Min() float64 {
-	return s.Values()[0]
-}
-
 // Histogram is a fixed-width bucket histogram over [Lo, Hi); samples outside
 // the range are clamped into the first/last bucket so that totals are
 // preserved (matching the paper's worst-case-error histograms, which have a

@@ -150,11 +150,6 @@ func (p *PID) Step(err float64) float64 {
 	return p.KP*err + p.KI*p.integ + p.KD*d
 }
 
-// Reset clears controller state (used when a tile is power-managed off).
-func (p *PID) Reset() {
-	p.integ, p.prevErr, p.primed = 0, 0, false
-}
-
 // Config parameterizes a Regulator.
 type Config struct {
 	RO  RingOscillator
@@ -200,7 +195,6 @@ type Regulator struct {
 	targetMHz float64
 	droopV    float64 // transient rail droop, decays each step
 	settled   int     // consecutive in-tolerance steps
-	steps     uint64
 }
 
 // NewRegulator builds a regulator. It panics on degenerate configuration.
@@ -233,9 +227,6 @@ func (r *Regulator) Readout() int { return r.cfg.TDC.Count(r.FreqMHz()) }
 // required number of consecutive steps.
 func (r *Regulator) Settled() bool { return r.settled >= r.cfg.SettleSteps }
 
-// Steps returns how many control steps have run.
-func (r *Regulator) Steps() uint64 { return r.steps }
-
 // InjectDroop applies a transient supply droop (V), e.g. from a sudden
 // activity change on a shared rail. The RO immediately slows, protecting
 // timing; the droop decays over subsequent control steps.
@@ -249,7 +240,6 @@ func (r *Regulator) InjectDroop(dv float64) {
 // Step runs one control period: read the TDC, run the PID, move the LDO
 // code, and decay any transient droop. It returns the new tile frequency.
 func (r *Regulator) Step() float64 {
-	r.steps++
 	errCounts := float64(r.cfg.TDC.CountsFor(r.targetMHz) - r.Readout())
 	delta := r.cfg.PID.Step(errCounts)
 	code := r.cfg.LDO.Code() + int(math.Round(delta))

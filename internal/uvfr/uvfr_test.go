@@ -169,16 +169,6 @@ func TestConfigForCurveTracksAccelerator(t *testing.T) {
 	}
 }
 
-func TestPIDReset(t *testing.T) {
-	p := PID{KP: 1, KI: 1}
-	p.Step(10)
-	p.Step(10)
-	p.Reset()
-	if out := p.Step(0); out != 0 {
-		t.Fatalf("post-reset output %v, want 0", out)
-	}
-}
-
 func TestPIDIntegratorWindupClamp(t *testing.T) {
 	p := PID{KP: 0, KI: 1}
 	var out float64
@@ -197,14 +187,4 @@ func TestNewRegulatorPanicsOnIncompleteConfig(t *testing.T) {
 		}
 	}()
 	NewRegulator(Config{})
-}
-
-func TestStepsCounter(t *testing.T) {
-	r := newReg()
-	r.SetTargetMHz(500)
-	r.Step()
-	r.Step()
-	if r.Steps() != 2 {
-		t.Fatalf("steps = %d", r.Steps())
-	}
 }
