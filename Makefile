@@ -138,10 +138,11 @@ bench bench-base:
 		| $(GO) run ./cmd/benchjson -sha "$$sha" -goversion "$$($(GO) env GOVERSION)" -out "BENCH_$$sha.json"
 
 # benchcheck builds the root test binary at BENCH_BASE_REF and from the
-# working tree, alternates 5 pairs of the two hot-path benchmarks — the
-# 400-tile emulator exchange and the full-SoC run — and fails if the median
-# per-pair ratio of ns/op or allocs/op exceeds 1.20; the failure names the
-# offending benchmark and metric. Needs BENCH_BASE_REF in the local history.
+# working tree, alternates 5 pairs of the three hot-path benchmarks — the
+# 400-tile emulator exchange and the full-SoC runs under BlitzCoin and under
+# C-RR — and fails if the median per-pair ratio of ns/op or allocs/op
+# exceeds 1.20; the failure names the offending benchmark and metric. Needs
+# BENCH_BASE_REF in the local history.
 benchcheck:
 	sh scripts/benchcheck.sh $(BENCH_BASE_REF)
 

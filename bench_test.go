@@ -444,8 +444,10 @@ func BenchmarkSoCRunThroughput(b *testing.B) {
 // BenchmarkSoCRunCentralized measures the DMA-dominated SoC run: one 4x4
 // frame, CV-parallel x3, under C-RR. The centralized controller puts no
 // packets on the NoC, so the run's traffic is the DMA bursts bracketing
-// its 39 tasks: 14,202 flits in 156 trains. Not gated by benchcheck; it
-// documents the DMA layer's cost in a whole run.
+// its 39 tasks: 14,202 flits in 156 trains. Gated by benchcheck: it is the
+// centralized schemes' SoC path (UVFR actuation, dispatch and the power
+// total), which BenchmarkSoCRunThroughput's BlitzCoin run leaves to the
+// coin exchange.
 func BenchmarkSoCRunCentralized(b *testing.B) {
 	g := workload.Repeat(workload.ComputerVisionParallel(), 3)
 	b.ResetTimer()

@@ -11,7 +11,7 @@ import "testing"
 func BenchmarkSoCSettle(b *testing.B) {
 	r := New(SoC3x3(120, SchemeStatic, 1))
 	t := r.tiles[r.tileOrder[0]]
-	s := r.rec.Series(t.series)
+	s := t.series
 	mw := [2]float64{0.4 * t.curve.PMax(), 0.9 * t.curve.PMax()}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -22,12 +22,12 @@ type accelTile struct {
 	curve *power.Curve
 	reg   *uvfr.Regulator // the tile's UVFR loop (LDO + RO + TDC)
 
-	series       string  // cached power-trace series name ("tNN-accel")
-	freqMHz      float64 // effective clock, piecewise constant
-	pendFreq     float64 // frequency the latest actuation will settle to
-	freqEpoch    int     // guards stale actuation events
-	active       bool    // a task occupies the tile (including DMA phases)
-	computing    bool    // the compute phase is running (work progresses)
+	series       *trace.Series // the tile's power trace ("tNN-accel")
+	freqMHz      float64       // effective clock, piecewise constant
+	pendFreq     float64       // frequency the latest actuation will settle to
+	freqEpoch    int           // guards stale actuation events
+	active       bool          // a task occupies the tile (including DMA phases)
+	computing    bool          // the compute phase is running (work progresses)
 	taskID       int
 	remaining    float64 // work cycles left in the running task
 	lastProgress sim.Cycles
@@ -81,8 +81,11 @@ type Runner struct {
 	opSettle, opComplete, opLand, opCut sim.OpCode
 	bursts                              sim.Slots[dmaBurst]
 
-	graph           *workload.Graph
-	done            map[int]bool
+	graph *workload.Graph
+	// done and running are indexed by task ID; ready is dispatch's
+	// reused buffer.
+	done, running   []bool
+	ready           []int
 	finished        int
 	execEnd         sim.Cycles
 	activityChanges int
@@ -126,8 +129,9 @@ func New(cfg Config) *Runner {
 	}
 
 	catalog := power.Catalog()
-	var specs []controller.TileSpec
-	for _, idx := range cfg.AccelTiles() {
+	accels := cfg.AccelTiles()
+	specs := make([]controller.TileSpec, 0, len(accels))
+	for _, idx := range accels {
 		c := catalog[cfg.Tiles[idx].Accel]
 		specs = append(specs, controller.TileSpec{
 			Tile:   idx,
@@ -153,18 +157,22 @@ func New(cfg Config) *Runner {
 		return best
 	}
 
-	for _, idx := range cfg.AccelTiles() {
+	r.tileOrder = make([]int, 0, len(accels))
+	for _, idx := range accels {
 		c := catalog[cfg.Tiles[idx].Accel]
 		t := &accelTile{
 			idx:     idx,
 			accel:   cfg.Tiles[idx].Accel,
-			series:  fmt.Sprintf("t%02d-%s", idx, cfg.Tiles[idx].Accel),
+			series:  r.rec.Series(fmt.Sprintf("t%02d-%s", idx, cfg.Tiles[idx].Accel)),
 			curve:   c,
 			reg:     uvfr.NewRegulator(uvfr.ConfigForCurve(c)),
 			taskID:  -1,
 			memTile: nearestMem(idx),
 		}
 		t.freqMHz = t.reg.FreqMHz() // regulator reset state: minimum V point
+		// A tile records a point per task start, end and actuation: 15-19
+		// in a C-RR 4x4 frame, so the first doublings are skipped.
+		t.series.Points = make([]trace.Point, 0, 16)
 		r.tiles[idx] = t
 		r.tileOrder = append(r.tileOrder, idx)
 		r.byAccel[t.accel] = append(r.byAccel[t.accel], idx)
@@ -223,6 +231,7 @@ func (r *Runner) killTile(idx int) {
 	t.computing = false
 	if t.active {
 		t.active = false
+		r.running[t.taskID] = false
 		t.taskID = -1
 		t.remaining = 0
 		r.tasksRequeued++
@@ -361,7 +370,7 @@ func (r *Runner) recordPower(t *accelTile) {
 	default:
 		p = t.curve.IdlePowerMW()
 	}
-	r.rec.Series(t.series).Record(r.kernel.Now(), p)
+	t.series.Record(r.kernel.Now(), p)
 }
 
 // onAllocation handles a power-allocation change from the PM scheme: it
@@ -435,6 +444,7 @@ func (r *Runner) startTask(taskID int, t *accelTile) {
 	t.active = true
 	t.computing = false
 	t.taskID = taskID
+	r.running[taskID] = true
 	t.remaining = task.WorkCycles
 	r.activityChanges++
 	r.recordPower(t)
@@ -464,6 +474,7 @@ func (r *Runner) completeTask(t *accelTile) {
 			return
 		}
 		r.done[taskID] = true
+		r.running[taskID] = false
 		t.active = false
 		t.taskID = -1
 		t.remaining = 0
@@ -479,11 +490,14 @@ func (r *Runner) completeTask(t *accelTile) {
 	})
 }
 
-// dispatch assigns every ready task to an idle tile of the matching
-// accelerator type, in task-ID order.
+// dispatch assigns every ready task that is not already running to an
+// idle tile of the matching accelerator type, in task-ID order. Starting a
+// task schedules events but runs none, so dispatch never re-enters itself
+// while it walks the ready buffer.
 func (r *Runner) dispatch() {
-	for _, id := range r.graph.Ready(r.done) {
-		if r.taskRunning(id) {
+	r.ready = r.graph.Ready(r.done, r.ready[:0])
+	for _, id := range r.ready {
+		if r.running[id] {
 			continue
 		}
 		tile := r.idleTileFor(r.graph.Tasks[id].Accel)
@@ -492,15 +506,6 @@ func (r *Runner) dispatch() {
 		}
 		r.startTask(id, tile)
 	}
-}
-
-func (r *Runner) taskRunning(id int) bool {
-	for _, idx := range r.tileOrder {
-		if t := r.tiles[idx]; t.active && t.taskID == id {
-			return true
-		}
-	}
-	return false
 }
 
 func (r *Runner) idleTileFor(accel string) *accelTile {
@@ -515,6 +520,24 @@ func (r *Runner) idleTileFor(accel string) *accelTile {
 // Run executes the workload to completion (or the MaxCycles bound) and
 // returns the measured result.
 func (r *Runner) Run(g *workload.Graph) Result {
+	r.begin(g)
+	deadline := r.cfg.MaxCycles
+	r.kernel.RunUntil(func() bool {
+		return r.finished == len(g.Tasks) || r.kernel.Now() >= deadline
+	}, 0)
+
+	completed := r.finished == len(g.Tasks)
+	end := r.execEnd
+	if !completed {
+		end = r.kernel.Now()
+	}
+	return r.buildResult(g, end, completed)
+}
+
+// begin validates g and arms its run: the PM scheme and fault injector
+// start, every tile records its idle draw, and the first dispatch is
+// scheduled.
+func (r *Runner) begin(g *workload.Graph) {
 	if r.ran {
 		panic("soc: Runner.Run called twice; build a fresh Runner per run")
 	}
@@ -529,7 +552,9 @@ func (r *Runner) Run(g *workload.Graph) Result {
 		}
 	}
 	r.graph = g
-	r.done = make(map[int]bool)
+	r.done = make([]bool, len(g.Tasks))
+	r.running = make([]bool, len(g.Tasks))
+	r.ready = make([]int, 0, len(g.Tasks))
 
 	r.ctrl.Start()
 	if r.injector != nil {
@@ -539,16 +564,4 @@ func (r *Runner) Run(g *workload.Graph) Result {
 		r.recordPower(r.tiles[idx])
 	}
 	r.kernel.Schedule(1, r.dispatch)
-
-	deadline := r.cfg.MaxCycles
-	r.kernel.RunUntil(func() bool {
-		return r.finished == len(g.Tasks) || r.kernel.Now() >= deadline
-	}, 0)
-
-	completed := r.finished == len(g.Tasks)
-	end := r.execEnd
-	if !completed {
-		end = r.kernel.Now()
-	}
-	return r.buildResult(g, end, completed)
 }

@@ -16,15 +16,20 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, c := range r.changeCycles() {
-		row := make([]string, 0, len(header))
-		row = append(row, strconv.FormatUint(c, 10))
-		for _, name := range r.order {
-			row = append(row, strconv.FormatFloat(r.byName[name].At(c), 'g', -1, 64))
+	var err error
+	row := make([]string, len(header))
+	r.walk(func(c uint64, cur []float64) {
+		if err != nil {
+			return
 		}
-		if err := cw.Write(row); err != nil {
-			return err
+		row[0] = strconv.FormatUint(c, 10)
+		for i, v := range cur {
+			row[i+1] = strconv.FormatFloat(v, 'g', -1, 64)
 		}
+		err = cw.Write(row)
+	})
+	if err != nil {
+		return err
 	}
 	cw.Flush()
 	return cw.Error()

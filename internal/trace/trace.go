@@ -147,38 +147,56 @@ func (r *Recorder) Names() []string {
 	return out
 }
 
-// SumAt returns the sum over all series of their value at the given cycle —
-// the instantaneous SoC power when every series is one tile's power.
-func (r *Recorder) SumAt(cycle uint64) float64 {
-	var sum float64
-	for _, name := range r.order {
-		sum += r.byName[name].At(cycle)
+// walk calls fn at every cycle at which any series changes, in cycle
+// order, with every series' value at that cycle in creation order (0
+// before a series' first point). It visits each point once; fn must not
+// keep cur.
+func (r *Recorder) walk(fn func(cycle uint64, cur []float64)) {
+	series := make([]*Series, len(r.order))
+	for i, name := range r.order {
+		series[i] = r.byName[name]
 	}
-	return sum
-}
-
-// changeCycles returns the sorted set of cycles at which any series changes.
-func (r *Recorder) changeCycles() []uint64 {
-	set := map[uint64]struct{}{}
-	for _, name := range r.order {
-		for _, p := range r.byName[name].Points {
-			set[p.Cycle] = struct{}{}
+	cur := make([]float64, len(series))
+	next := make([]int, len(series)) // each series' first unconsumed point
+	c, more := uint64(0), false
+	for _, s := range series {
+		if len(s.Points) > 0 && (!more || s.Points[0].Cycle < c) {
+			c, more = s.Points[0].Cycle, true
 		}
 	}
-	out := make([]uint64, 0, len(set))
-	for c := range set {
-		out = append(out, c)
+	for more {
+		var after uint64
+		more = false
+		for i, s := range series {
+			j := next[i]
+			for ; j < len(s.Points) && s.Points[j].Cycle <= c; j++ {
+				cur[i] = s.Points[j].Value
+			}
+			next[i] = j
+			if j < len(s.Points) && (!more || s.Points[j].Cycle < after) {
+				after, more = s.Points[j].Cycle, true
+			}
+		}
+		fn(c, cur)
+		c = after
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // TotalSeries returns a synthetic series that is the sum of all recorded
 // series at every change point — the SoC-level power trace of Fig. 16.
+// Each point adds the series' values in creation order, starting from 0.
 func (r *Recorder) TotalSeries(name string) *Series {
-	total := &Series{Name: name}
-	for _, c := range r.changeCycles() {
-		total.Record(c, r.SumAt(c))
+	n := 0 // the total has at most as many points as the series together
+	for _, name := range r.order {
+		n += len(r.byName[name].Points)
 	}
+	total := &Series{Name: name, Points: make([]Point, 0, n)}
+	r.walk(func(c uint64, cur []float64) {
+		var sum float64
+		for _, v := range cur {
+			sum += v
+		}
+		total.Points = append(total.Points, Point{Cycle: c, Value: sum})
+	})
 	return total
 }

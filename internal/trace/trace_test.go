@@ -87,8 +87,8 @@ func TestRecorderSumAndTotal(t *testing.T) {
 	r.Series("a").Record(0, 1)
 	r.Series("b").Record(5, 2)
 	r.Series("a").Record(10, 3)
-	if got := r.SumAt(7); got != 3 {
-		t.Fatalf("SumAt(7) = %v, want 3", got)
+	if got := sumAt(r, 7); got != 3 {
+		t.Fatalf("sumAt(7) = %v, want 3", got)
 	}
 	total := r.TotalSeries("sum")
 	if total.At(0) != 1 || total.At(5) != 3 || total.At(10) != 5 {

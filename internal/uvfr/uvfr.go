@@ -25,6 +25,7 @@ package uvfr
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"blitzcoin/internal/power"
 	"blitzcoin/internal/sim"
@@ -91,8 +92,11 @@ func (l *LDO) SetCode(c int) int {
 
 // Vout returns the regulated output voltage for the current code, clamped
 // below the input rail minus dropout.
-func (l *LDO) Vout() float64 {
-	v := l.VMin + (l.VMax-l.VMin)*float64(l.code)/float64(l.MaxCode())
+func (l *LDO) Vout() float64 { return l.voutAt(l.code) }
+
+// voutAt returns the output voltage code c selects.
+func (l *LDO) voutAt(c int) float64 {
+	v := l.VMin + (l.VMax-l.VMin)*float64(c)/float64(l.MaxCode())
 	const dropout = 0.05
 	if max := l.VinV - dropout; v > max {
 		v = max
@@ -191,6 +195,9 @@ func ConfigForCurve(c *power.Curve) Config {
 // Regulator is one tile's UVFR instance.
 type Regulator struct {
 	cfg Config
+	// freq holds the RO frequency at every LDO code, read while the supply
+	// carries no droop.
+	freq []float64
 
 	targetMHz float64
 	droopV    float64 // transient rail droop, decays each step
@@ -202,7 +209,46 @@ func NewRegulator(cfg Config) *Regulator {
 	if cfg.PeriodCycles == 0 || cfg.TDC.WindowCycles == 0 || cfg.LDO.Bits == 0 {
 		panic(fmt.Sprintf("uvfr: incomplete config %+v", cfg))
 	}
-	return &Regulator{cfg: cfg}
+	return &Regulator{cfg: cfg, freq: freqTable(cfg.RO, cfg.LDO)}
+}
+
+// tableKey is what a frequency table depends on: the RO and the LDO's
+// code-to-voltage map.
+type tableKey struct {
+	ro              RingOscillator
+	vin, vmin, vmax float64
+	bits            int
+}
+
+// freqTables holds one frequency table per distinct key for the life of
+// the process. Regulators are built from the accelerator catalog's curves,
+// so it holds a handful of entries, and no run or tile builds its own.
+var freqTables struct {
+	sync.Mutex
+	m map[tableKey][]float64
+}
+
+// freqTable returns RingOscillator.FreqMHz(LDO.Vout()) at every code of
+// the LDO, 256 for the paper's 8-bit code (Sec. IV-A): without droop the
+// tile clock can take no other value, so a regulator reads it instead of
+// evaluating the alpha-power law on every control step. The table is
+// built on first use and shared; callers must not modify it.
+func freqTable(ro RingOscillator, ldo LDO) []float64 {
+	k := tableKey{ro, ldo.VinV, ldo.VMin, ldo.VMax, ldo.Bits}
+	freqTables.Lock()
+	defer freqTables.Unlock()
+	if t, ok := freqTables.m[k]; ok {
+		return t
+	}
+	t := make([]float64, ldo.MaxCode()+1)
+	for c := range t {
+		t[c] = ro.FreqMHz(ldo.voutAt(c))
+	}
+	if freqTables.m == nil {
+		freqTables.m = make(map[tableKey][]float64)
+	}
+	freqTables.m[k] = t
+	return t
 }
 
 // SetTargetMHz changes the frequency target (from the coin LUT). The loop
@@ -217,8 +263,15 @@ func (r *Regulator) Vout() float64 { return r.cfg.LDO.Vout() - r.droopV }
 
 // FreqMHz returns the current tile clock frequency: the RO output at the
 // present (possibly drooped) supply. This is UVFR's defining property — the
-// clock tracks the voltage with no explicit re-programming.
-func (r *Regulator) FreqMHz() float64 { return r.cfg.RO.FreqMHz(r.Vout()) }
+// clock tracks the voltage with no explicit re-programming. Without droop
+// the supply is LDO.Vout() exactly (x - 0 = x), so the frequency is the
+// table's entry for the code.
+func (r *Regulator) FreqMHz() float64 {
+	if r.droopV == 0 {
+		return r.freq[r.cfg.LDO.code]
+	}
+	return r.cfg.RO.FreqMHz(r.Vout())
+}
 
 // Readout returns the TDC count for the current frequency.
 func (r *Regulator) Readout() int { return r.cfg.TDC.Count(r.FreqMHz()) }

@@ -20,6 +20,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"blitzcoin/internal/rng"
 )
@@ -37,7 +38,9 @@ type Task struct {
 }
 
 // Graph is a DAG of tasks. Build with the constructors and check with
-// Validate; task IDs equal slice indices.
+// Validate; task IDs equal slice indices. The constructors' graphs and
+// Repeat's chains of valid graphs are valid by construction, so neither
+// checks them: the SoC runner validates the graph it runs, once.
 type Graph struct {
 	Name  string
 	Tasks []Task
@@ -46,6 +49,7 @@ type Graph struct {
 // Validate checks ID consistency, dependency existence, positive work, and
 // acyclicity.
 func (g *Graph) Validate() error {
+	backward := true // every dependency has a lower ID
 	for i, t := range g.Tasks {
 		if t.ID != i {
 			return fmt.Errorf("workload %s: task %d has ID %d", g.Name, i, t.ID)
@@ -63,7 +67,11 @@ func (g *Graph) Validate() error {
 			if d == i {
 				return fmt.Errorf("workload %s: task %q depends on itself", g.Name, t.Name)
 			}
+			backward = backward && d < i
 		}
+	}
+	if backward {
+		return nil // a cycle needs a dependency on a higher ID
 	}
 	// Kahn's algorithm detects cycles.
 	indeg := make([]int, len(g.Tasks))
@@ -102,10 +110,10 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Ready returns the IDs of tasks whose dependencies are all in done and that
-// are not themselves in done, in ID order.
-func (g *Graph) Ready(done map[int]bool) []int {
-	var out []int
+// Ready appends to out the IDs of tasks that are not done and whose
+// dependencies all are, in ID order, and returns the extended slice. done
+// is indexed by task ID.
+func (g *Graph) Ready(done []bool, out []int) []int {
 	for _, t := range g.Tasks {
 		if done[t.ID] {
 			continue
@@ -180,14 +188,9 @@ type spec struct {
 }
 
 func build(name string, specs []spec) *Graph {
-	g := &Graph{Name: name}
+	g := &Graph{Name: name, Tasks: make([]Task, len(specs))}
 	for i, s := range specs {
-		g.Tasks = append(g.Tasks, Task{
-			ID: i, Name: s.name, Accel: s.accel, WorkCycles: s.work, Deps: s.deps,
-		})
-	}
-	if err := g.Validate(); err != nil {
-		panic(err) // builders are package-internal: a failure is a bug
+		g.Tasks[i] = Task{ID: i, Name: s.name, Accel: s.accel, WorkCycles: s.work, Deps: s.deps}
 	}
 	return g
 }
@@ -375,13 +378,14 @@ func RandomDAG(src *rng.Source, n int, accels []string, minWork, maxWork float64
 
 // Repeat chains k copies of g sequentially: every task of copy i+1 that has
 // no dependencies acquires a dependency on every sink of copy i, modeling
-// back-to-back frames.
+// back-to-back frames. The chain of a valid graph is valid; Repeat does
+// not validate either.
 func Repeat(g *Graph, k int) *Graph {
 	if k <= 0 {
 		panic("workload: Repeat needs k >= 1")
 	}
-	out := &Graph{Name: fmt.Sprintf("%s-x%d", g.Name, k)}
 	n := len(g.Tasks)
+	out := &Graph{Name: fmt.Sprintf("%s-x%d", g.Name, k), Tasks: make([]Task, 0, k*n)}
 	// Sinks of one copy: tasks no other task depends on.
 	isDep := make([]bool, n)
 	for _, t := range g.Tasks {
@@ -397,10 +401,11 @@ func Repeat(g *Graph, k int) *Graph {
 	}
 	for c := 0; c < k; c++ {
 		base := c * n
+		prefix := "i" + strconv.Itoa(c) + "-"
 		for _, t := range g.Tasks {
 			nt := Task{
 				ID:         base + t.ID,
-				Name:       fmt.Sprintf("i%d-%s", c, t.Name),
+				Name:       prefix + t.Name,
 				Accel:      t.Accel,
 				WorkCycles: t.WorkCycles,
 			}
@@ -415,9 +420,6 @@ func Repeat(g *Graph, k int) *Graph {
 			}
 			out.Tasks = append(out.Tasks, nt)
 		}
-	}
-	if err := out.Validate(); err != nil {
-		panic(err)
 	}
 	return out
 }

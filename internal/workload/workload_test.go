@@ -11,6 +11,7 @@ func allGraphs() []*Graph {
 		ComputerVisionParallel(),
 		ComputerVisionDependent(),
 		SevenAcceleratorSilicon(),
+		SevenAcceleratorParallel(),
 		SiliconSubset(3),
 		SiliconSubset(4),
 		SiliconSubset(5),
@@ -82,8 +83,8 @@ func TestSiliconWorkloadUsesSevenAccelerators(t *testing.T) {
 
 func TestReadyRespectsDeps(t *testing.T) {
 	g := AutonomousVehicleDependent()
-	done := map[int]bool{}
-	ready := g.Ready(done)
+	done := make([]bool, len(g.Tasks))
+	ready := g.Ready(done, nil)
 	// Initially: both frame-0 FFTs and the frame-0 Viterbi RX.
 	if len(ready) != 3 {
 		t.Fatalf("initial ready = %v", ready)
@@ -91,7 +92,7 @@ func TestReadyRespectsDeps(t *testing.T) {
 	// Completing the FFTs unlocks the NVDLA.
 	done[0], done[1] = true, true
 	found := false
-	for _, id := range g.Ready(done) {
+	for _, id := range g.Ready(done, nil) {
 		if g.Tasks[id].Name == "f0-nvdla" {
 			found = true
 		}
@@ -129,6 +130,22 @@ func TestValidateCatchesCycle(t *testing.T) {
 	}}
 	if err := g.Validate(); err == nil {
 		t.Fatal("cycle not detected")
+	}
+}
+
+func TestValidateAcceptsForwardDeps(t *testing.T) {
+	// Task 0 waits on task 2, a dependency on a higher ID that is no cycle.
+	g := &Graph{Name: "forward", Tasks: []Task{
+		{ID: 0, Name: "a", Accel: "FFT", WorkCycles: 1, Deps: []int{2}},
+		{ID: 1, Name: "b", Accel: "FFT", WorkCycles: 1, Deps: []int{0}},
+		{ID: 2, Name: "c", Accel: "FFT", WorkCycles: 1},
+	}}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	g.Tasks[2].Deps = []int{1}
+	if err := g.Validate(); err == nil {
+		t.Fatal("cycle through a forward dependency not detected")
 	}
 }
 

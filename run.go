@@ -73,15 +73,13 @@ func Execute(ctx context.Context, req Request) (res *Result, err error) {
 		}
 		return &Result{Kind: KindExchange, Exchange: sweepRes}, nil
 	case KindSoC:
-		r := runSoC(*n.SoC, trace.FromContext(ctx))
-		r.Meta.OptionsHash = hash
+		r := runSoC(*n.SoC, trace.FromContext(ctx), hash)
 		return &Result{Kind: KindSoC, SoC: &r}, nil
 	case KindCustomSoC:
-		r, err := runCustomSoC(*n.CustomSoC, trace.FromContext(ctx))
+		r, err := runCustomSoC(*n.CustomSoC, trace.FromContext(ctx), hash)
 		if err != nil {
 			return nil, err
 		}
-		r.Meta.OptionsHash = hash
 		return &Result{Kind: KindCustomSoC, SoC: &r}, nil
 	case KindFigure:
 		f, err := RunFigure(ctx, *n.Figure, nil)
@@ -290,16 +288,17 @@ func lookupScheme(s Scheme) soc.Scheme {
 // that need accelerators the platform lacks; Validate reports the name
 // errors as an error.
 func RunSoC(o SoCOptions) SoCResult {
-	return runSoC(o, trace.Stream{})
-}
-
-// runSoC is RunSoC with a live stream: the runner's power recorder mirrors
-// every series point onto the stream's bus. A zero stream is inert.
-func runSoC(o SoCOptions, st trace.Stream) SoCResult {
 	o = o.Normalized()
 	if err := o.Validate(); err != nil {
 		panic(err.Error())
 	}
+	return runSoC(o, trace.Stream{}, canonicalHash(string(KindSoC), o))
+}
+
+// runSoC runs normalized, valid options, stamping hash on the result's
+// Meta. The runner's power recorder mirrors every series point onto the
+// live stream's bus; a zero stream is inert.
+func runSoC(o SoCOptions, st trace.Stream, hash string) SoCResult {
 	scheme := lookupScheme(o.Scheme)
 
 	var cfg soc.Config
@@ -323,7 +322,7 @@ func runSoC(o SoCOptions, st trace.Stream) SoCResult {
 	}
 	res := soc.New(cfg).Run(g)
 	out := newSoCResult(res)
-	out.Meta = newMeta(o.Seed, canonicalHash(string(KindSoC), o))
+	out.Meta = newMeta(o.Seed, hash)
 	return out
 }
 
@@ -439,9 +438,9 @@ func (o CustomSoCOptions) build() (soc.Config, *workload.Graph, error) {
 }
 
 // runCustomSoC assembles and runs the described platform, with a live
-// stream as in runSoC. Errors report invalid layouts or workloads;
-// simulation itself is deterministic for the given seed.
-func runCustomSoC(o CustomSoCOptions, st trace.Stream) (SoCResult, error) {
+// stream and options hash as in runSoC. Errors report invalid layouts or
+// workloads; simulation itself is deterministic for the given seed.
+func runCustomSoC(o CustomSoCOptions, st trace.Stream, hash string) (SoCResult, error) {
 	o = o.Normalized()
 	cfg, g, err := o.build()
 	if err != nil {
@@ -450,7 +449,7 @@ func runCustomSoC(o CustomSoCOptions, st trace.Stream) (SoCResult, error) {
 	cfg.Stream = st
 	res := soc.New(cfg).Run(g)
 	out := newSoCResult(res)
-	out.Meta = newMeta(o.Seed, canonicalHash(string(KindCustomSoC), o))
+	out.Meta = newMeta(o.Seed, hash)
 	return out, nil
 }
 

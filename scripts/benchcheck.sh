@@ -1,19 +1,20 @@
 #!/bin/sh
-# benchcheck.sh — same-machine perf gate for the two engine hot paths:
+# benchcheck.sh — same-machine perf gate for the engine hot paths:
 #   sh scripts/benchcheck.sh BASE_REF
 # Builds the root package's test binary twice, once from BASE_REF (extracted
 # with `git archive`, so nothing is written into .git) and once from the
-# working tree, then alternates 5 pairs of BenchmarkExchangeThroughput and
-# BenchmarkSoCRunThroughput runs with -benchmem, flipping which side runs
-# first every pair. benchjson gates the median per-pair ratio (working tree
-# over base) of ns/op and allocs/op at 1.20 and names any benchmark and
-# metric above it. Needs BASE_REF in the local history; run nothing else
-# meanwhile.
+# working tree, then alternates 5 pairs of BenchmarkExchangeThroughput,
+# BenchmarkSoCRunThroughput (BlitzCoin's SoC path) and
+# BenchmarkSoCRunCentralized (the centralized schemes' SoC path) runs with
+# -benchmem, flipping which side runs first every pair. benchjson gates the
+# median per-pair ratio (working tree over base) of ns/op and allocs/op at
+# 1.20 and names any benchmark and metric above it. Needs BASE_REF in the
+# local history; run nothing else meanwhile.
 set -eu
 
 ref=${1:?usage: benchcheck.sh BASE_REF}
 pairs=5
-benches='^(BenchmarkExchangeThroughput|BenchmarkSoCRunThroughput)$'
+benches='^(BenchmarkExchangeThroughput|BenchmarkSoCRunThroughput|BenchmarkSoCRunCentralized)$'
 
 workdir=$(mktemp -d)
 trap 'status=$?; rm -rf "$workdir"; exit $status' EXIT INT TERM
@@ -45,4 +46,4 @@ done
 
 "$workdir/benchjson" -sha "$sha" -out "$workdir/base.json" <"$workdir/base.txt" >/dev/null
 "$workdir/benchjson" -baseline "$workdir/base.json" -max-regress 0.20 \
-    -bench BenchmarkExchangeThroughput,BenchmarkSoCRunThroughput <"$workdir/head.txt"
+    -bench BenchmarkExchangeThroughput,BenchmarkSoCRunThroughput,BenchmarkSoCRunCentralized <"$workdir/head.txt"
