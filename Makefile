@@ -6,7 +6,7 @@ SHORTSHA := $(shell git rev-parse --short HEAD)
 # the same machine. A change cannot name its own commit, so the change
 # after one that intentionally shifts performance re-pins to it (see
 # BENCHMARKING.md).
-BENCH_BASE_REF ?= 0bc8810178f0f4088641cc548386b45026b930ce
+BENCH_BASE_REF ?= eee500ac378931205aae5b8180449d8204d488b6
 
 .PHONY: build test vet race verify bench bench-base benchcheck bench-report figures \
 	server-smoke cluster-smoke chaos-smoke stream-smoke tenant-smoke \

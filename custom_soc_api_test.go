@@ -86,28 +86,6 @@ func TestRunCustomSoCRepeat(t *testing.T) {
 	}
 }
 
-func TestRunCustomSoCErrors(t *testing.T) {
-	cases := map[string]func(*CustomSoCOptions){
-		"bad grid":      func(o *CustomSoCOptions) { o.W = 0 },
-		"tile mismatch": func(o *CustomSoCOptions) { o.Tiles = o.Tiles[:3] },
-		"bad kind":      func(o *CustomSoCOptions) { o.Tiles[0].Kind = "gpu" },
-		"bad accel":     func(o *CustomSoCOptions) { o.Tiles[1].Accel = "TPU" },
-		"no tasks":      func(o *CustomSoCOptions) { o.Tasks = nil },
-		"missing accel": func(o *CustomSoCOptions) { o.Tasks[0].Accel = "GEMM" },
-		"cyclic deps": func(o *CustomSoCOptions) {
-			o.Tasks[0].Deps = []int{2}
-		},
-		"no budget": func(o *CustomSoCOptions) { o.BudgetMW = 0 },
-	}
-	for name, mut := range cases {
-		o := customLayout()
-		mut(&o)
-		if _, err := runCustom(o); err == nil {
-			t.Errorf("%s: no error", name)
-		}
-	}
-}
-
 func TestRandomWorkloadThroughCustomSoC(t *testing.T) {
 	o := customLayout()
 	o.Tasks = RandomWorkload(9, 10, []string{"FFT", "Viterbi", "NVDLA"}, 5e3, 25e3, 2)
@@ -120,5 +98,77 @@ func TestRandomWorkloadThroughCustomSoC(t *testing.T) {
 	}
 	if !strings.Contains(res.Workload, "custom") {
 		t.Fatalf("workload name %q", res.Workload)
+	}
+}
+
+// customErrorCases are invalid custom SoC requests, one per check build
+// makes, keyed by what is wrong.
+func customErrorCases() map[string]func(*CustomSoCOptions) {
+	return map[string]func(*CustomSoCOptions){
+		"bad grid":      func(o *CustomSoCOptions) { o.W = 0 },
+		"tile mismatch": func(o *CustomSoCOptions) { o.Tiles = o.Tiles[:3] },
+		"bad scheme":    func(o *CustomSoCOptions) { o.Scheme = "RR" },
+		"bad kind":      func(o *CustomSoCOptions) { o.Tiles[0].Kind = "gpu" },
+		"bad accel":     func(o *CustomSoCOptions) { o.Tiles[1].Accel = "TPU" },
+		"no accels": func(o *CustomSoCOptions) {
+			for i := range o.Tiles {
+				o.Tiles[i] = TileSpec{Kind: "mem"}
+			}
+		},
+		"no budget":     func(o *CustomSoCOptions) { o.BudgetMW = 0 },
+		"no tasks":      func(o *CustomSoCOptions) { o.Tasks = nil },
+		"zero work":     func(o *CustomSoCOptions) { o.Tasks[1].WorkCycles = 0 },
+		"no task accel": func(o *CustomSoCOptions) { o.Tasks[2].Name, o.Tasks[2].Accel = "", "" },
+		"dangling dep":  func(o *CustomSoCOptions) { o.Tasks[2].Deps = []int{0, 7} },
+		"self dep":      func(o *CustomSoCOptions) { o.Tasks[1].Deps = []int{1} },
+		"cyclic deps":   func(o *CustomSoCOptions) { o.Tasks[0].Deps = []int{2} },
+		"missing accel": func(o *CustomSoCOptions) { o.Tasks[1].Accel = "GEMM" },
+		"missing accel, repeated": func(o *CustomSoCOptions) {
+			o.Repeat = 3
+			o.Tasks[2].Accel = "Vision"
+		},
+	}
+}
+
+// TestRunCustomSoCErrors pins what Validate and Execute say about each
+// invalid custom request: Execute validates by assembling the request
+// once and runs what it assembled, and both report the texts the
+// separate validation and assembly steps reported.
+func TestRunCustomSoCErrors(t *testing.T) {
+	want := map[string]string{
+		"bad accel":               "soc custom-3x2: tile 1 has unknown accelerator \"TPU\"",
+		"bad grid":                "blitzcoin: invalid grid 0x2",
+		"bad kind":                "blitzcoin: tile 0 has unknown kind \"gpu\"",
+		"bad scheme":              "blitzcoin: unknown scheme \"RR\"",
+		"cyclic deps":             "workload custom-3x2-workload: dependency cycle",
+		"dangling dep":            "workload custom-3x2-workload: task \"c\" depends on unknown task 7",
+		"missing accel":           "blitzcoin: workload needs accelerator \"GEMM\", absent from the layout",
+		"missing accel, repeated": "blitzcoin: workload needs accelerator \"Vision\", absent from the layout",
+		"no accels":               "soc custom-3x2: no managed accelerator tiles",
+		"no budget":               "soc custom-3x2: non-positive budget",
+		"no task accel":           "workload custom-3x2-workload: task \"task-2\" has no accelerator type",
+		"no tasks":                "blitzcoin: custom SoC needs at least one task",
+		"self dep":                "workload custom-3x2-workload: task \"b\" depends on itself",
+		"tile mismatch":           "blitzcoin: 3 tiles for a 3x2 grid",
+		"zero work":               "workload custom-3x2-workload: task \"b\" has non-positive work",
+	}
+	cases := customErrorCases()
+	if len(cases) != len(want) {
+		t.Fatalf("%d cases, %d pinned texts", len(cases), len(want))
+	}
+	for name, mut := range cases {
+		o := customLayout()
+		mut(&o)
+		for via, err := range map[string]error{
+			"CustomSoCOptions.Validate": o.Validate(),
+			"Request.Validate":          Request{CustomSoC: &o}.Validate(),
+		} {
+			if err == nil || err.Error() != want[name] {
+				t.Errorf("%s: %s = %v, want %q", name, via, err, want[name])
+			}
+		}
+		if _, err := runCustom(o); err == nil || err.Error() != want[name] {
+			t.Errorf("%s: Execute = %v, want %q", name, err, want[name])
+		}
 	}
 }

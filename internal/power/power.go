@@ -194,6 +194,11 @@ func Vision() *Curve {
 // read-only; the map itself is fresh on every call and theirs to edit.
 func Catalog() map[string]*Curve { return maps.Clone(catalog()) }
 
+// Lookup returns the named accelerator's shared, read-only curve, or nil
+// for a name the catalog lacks. Unlike Catalog it copies nothing, so the
+// SoC runner reads it once per tile of every run.
+func Lookup(name string) *Curve { return catalog()[name] }
+
 var catalog = sync.OnceValue(func() map[string]*Curve {
 	return map[string]*Curve{
 		"FFT":     FFT(),

@@ -173,3 +173,16 @@ func TestCatalogMapIsFreshPerCall(t *testing.T) {
 		t.Fatalf("FFT entry = %q, want the shared FFT curve", b["FFT"].Name)
 	}
 }
+
+// Lookup reads the shared catalog: the curve Catalog maps a name to, and
+// nil for a name it lacks.
+func TestLookupMatchesCatalog(t *testing.T) {
+	for name, c := range Catalog() {
+		if got := Lookup(name); got != c {
+			t.Fatalf("Lookup(%q) is not the catalog's shared curve", name)
+		}
+	}
+	if c := Lookup("TPU"); c != nil {
+		t.Fatalf("Lookup(TPU) = %q, want nil", c.Name)
+	}
+}

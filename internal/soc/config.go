@@ -160,11 +160,10 @@ func (c *Config) Validate() error {
 	if c.BudgetMW <= 0 {
 		return fmt.Errorf("soc %s: non-positive budget", c.Name)
 	}
-	catalog := power.Catalog()
 	accels := 0
 	for i, t := range c.Tiles {
 		if t.Kind == TileAccel || t.Kind == TileAccelNoPM {
-			if _, ok := catalog[t.Accel]; !ok {
+			if power.Lookup(t.Accel) == nil {
 				return fmt.Errorf("soc %s: tile %d has unknown accelerator %q", c.Name, i, t.Accel)
 			}
 			if t.Kind == TileAccel {
@@ -179,9 +178,15 @@ func (c *Config) Validate() error {
 }
 
 // AccelTiles returns the mesh indices of managed accelerator tiles in
-// index order.
+// index order, in one allocation.
 func (c *Config) AccelTiles() []int {
-	var out []int
+	n := 0
+	for _, t := range c.Tiles {
+		if t.Kind == TileAccel {
+			n++
+		}
+	}
+	out := make([]int, 0, n)
 	for i, t := range c.Tiles {
 		if t.Kind == TileAccel {
 			out = append(out, i)
@@ -205,11 +210,10 @@ func (c *Config) CPUTile() int {
 // accelerator tiles — the reference the paper's budget percentages are
 // quoted against.
 func (c *Config) CombinedPMaxMW() float64 {
-	catalog := power.Catalog()
 	var total float64
 	for _, t := range c.Tiles {
 		if t.Kind == TileAccel {
-			total += catalog[t.Accel].PMax()
+			total += power.Lookup(t.Accel).PMax()
 		}
 	}
 	return total

@@ -2,10 +2,10 @@ package soc
 
 import (
 	"fmt"
+	"slices"
 
 	"blitzcoin/internal/noc"
 	"blitzcoin/internal/sim"
-	"blitzcoin/internal/stats"
 	"blitzcoin/internal/trace"
 	"blitzcoin/internal/workload"
 )
@@ -53,31 +53,41 @@ type Result struct {
 func (r Result) ExecMicros() float64 { return sim.CyclesToMicros(r.ExecCycles) }
 
 // MeanResponseMicros returns the average PM response time in microseconds,
-// or 0 with no samples.
+// or 0 with no samples. The responses are summed in recorded order.
 func (r Result) MeanResponseMicros() float64 {
 	if len(r.Responses) == 0 {
 		return 0
 	}
-	var s stats.Sample
+	var sum float64
 	for _, c := range r.Responses {
-		s.Add(sim.CyclesToMicros(c))
+		sum += sim.CyclesToMicros(c)
 	}
-	return s.Mean()
+	return sum / float64(len(r.Responses))
 }
 
-// MedianResponseMicros returns the median PM response time in microseconds,
-// or 0 with no samples. The median matches how the paper reports a single
-// representative transition (Fig. 20) better than the mean, which long-haul
-// coin-transport outliers skew.
-func (r Result) MedianResponseMicros() float64 {
-	if len(r.Responses) == 0 {
-		return 0
+// ResponseMicros returns the mean and the median PM response time in
+// microseconds, or zeros with no samples, from one pass over Responses:
+// the mean is MeanResponseMicros, summed in the same order, and the median
+// is the middle sorted value, or the mean of the middle two. The median
+// matches how the paper reports a single representative transition
+// (Fig. 20) better than the mean, which long-haul coin-transport outliers
+// skew.
+func (r Result) ResponseMicros() (mean, median float64) {
+	n := len(r.Responses)
+	if n == 0 {
+		return 0, 0
 	}
-	var s stats.Sample
-	for _, c := range r.Responses {
-		s.Add(sim.CyclesToMicros(c))
+	us := make([]float64, n)
+	var sum float64
+	for i, c := range r.Responses {
+		us[i] = sim.CyclesToMicros(c)
+		sum += us[i]
 	}
-	return s.Median()
+	slices.Sort(us)
+	if n%2 == 1 {
+		return sum / float64(n), us[n/2]
+	}
+	return sum / float64(n), us[n/2-1]*0.5 + us[n/2]*0.5
 }
 
 // MaxResponseMicros returns the worst PM response time in microseconds.

@@ -3,6 +3,8 @@ package soc
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"blitzcoin/internal/controller"
 	"blitzcoin/internal/fault"
@@ -15,12 +17,13 @@ import (
 	"blitzcoin/internal/workload"
 )
 
-// accelTile is the runtime state of one managed accelerator tile.
+// accelTile is the runtime state of one managed accelerator tile. A run's
+// tiles, regulators included, are one slab.
 type accelTile struct {
 	idx   int // mesh index
 	accel string
 	curve *power.Curve
-	reg   *uvfr.Regulator // the tile's UVFR loop (LDO + RO + TDC)
+	reg   uvfr.Regulator // the tile's UVFR loop (LDO + RO + TDC)
 
 	series       *trace.Series // the tile's power trace ("tNN-accel")
 	freqMHz      float64       // effective clock, piecewise constant
@@ -37,18 +40,29 @@ type accelTile struct {
 }
 
 // dmaBurst is one DMA burst in flight: the number of its trains still to
-// land, and done, run when the last one has. ESP's loosely-coupled
-// accelerators fetch inputs and write results back through the memory
-// tiles over the dedicated DMA planes (Sec. IV-B), so every task is
-// bracketed by NoC bursts that contend like real traffic. A one-flit train
-// is a lone message, whose delivery the NoC credits when it lands
-// (noc.Network.Arrive); the cycle the burst was routed and its hop count,
-// the same for both trains, are kept for that.
+// land, and the typed continuation dmaDone runs when the last one has.
+// ESP's loosely-coupled accelerators fetch inputs and write results back
+// through the memory tiles over the dedicated DMA planes (Sec. IV-B), so
+// every task is bracketed by NoC bursts that contend like real traffic. A
+// one-flit train is a lone message, whose delivery the NoC credits when it
+// lands (noc.Network.Arrive); the cycle the burst was routed and its hop
+// count, the same for both trains, are kept for that.
 type dmaBurst struct {
 	trains   int
 	injected sim.Cycles
 	hops     int
-	done     func()
+	next     dmaNext
+}
+
+// dmaNext is what a DMA burst continues with: the task it moves data for,
+// on the tile at index tile, whose compEpoch was epoch when the burst
+// started (a kill since then makes the burst stale), and the direction:
+// toMem is the write-back that ends the task, otherwise the input fetch
+// that starts its compute phase.
+type dmaNext struct {
+	tile, task int32
+	epoch      int
+	toMem      bool
 }
 
 // dmaWorkPerFlit sets DMA volume: one flit per this many work cycles.
@@ -67,7 +81,6 @@ type Runner struct {
 	// typed event handlers resolve a tile id with one indexed load.
 	tiles     []*accelTile
 	tileOrder []int // sorted mesh indices for deterministic iteration
-	byAccel   map[string][]int
 	// apShareMW is every tile's target under absolute-proportional
 	// allocation: the combined Fmax power split evenly, fixed at New.
 	apShareMW float64
@@ -75,11 +88,12 @@ type Runner struct {
 	// UVFR settle and task completion travel the kernel as typed
 	// (op, tile, epoch) events — no per-event closures on the SoC hot path.
 	// A DMA train lands as (opLand, destination, x), x being its burst's
-	// record index in bursts, doubled, plus one for a one-flit train.
-	// opCut is a no-op that marks where a run cut by MaxCycles stops
-	// (startDMA).
-	opSettle, opComplete, opLand, opCut sim.OpCode
-	bursts                              sim.Slots[dmaBurst]
+	// record index in bursts, doubled, plus one for a one-flit train; a
+	// task that moves no data continues a cycle later as (opNoDMA, 0,
+	// record index). opCut is a no-op that marks where a run cut by
+	// MaxCycles stops (startDMA).
+	opSettle, opComplete, opLand, opNoDMA, opCut sim.OpCode
+	bursts                                       sim.Slots[dmaBurst]
 
 	graph *workload.Graph
 	// done and running are indexed by task ID; ready is dispatch's
@@ -99,6 +113,10 @@ type Runner struct {
 // New builds a Runner for the configuration. It panics on invalid configs
 // (configurations are produced by this package's constructors; failure is a
 // programming error, matching the package style).
+//
+// What New builds scales with the platform and comes in per-run slabs, not
+// one allocation per tile: the tiles with their regulators, their trace
+// series, the series' first points and their names.
 func New(cfg Config) *Runner {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -109,47 +127,32 @@ func New(cfg Config) *Runner {
 	k := &sim.Kernel{}
 	net := noc.New(k, cfg.Mesh, noc.DefaultConfig())
 	src := rng.New(cfg.Seed)
+	accels := cfg.AccelTiles()
 	r := &Runner{
-		cfg:     cfg,
-		kernel:  k,
-		net:     net,
-		src:     src,
-		rec:     trace.NewRecorder(),
-		tiles:   make([]*accelTile, cfg.Mesh.N()),
-		byAccel: make(map[string][]int),
+		cfg:       cfg,
+		kernel:    k,
+		net:       net,
+		src:       src,
+		tiles:     make([]*accelTile, cfg.Mesh.N()),
+		tileOrder: accels,
 	}
-	r.rec.Attach(cfg.Stream)
 	r.opSettle = k.RegisterOp(func(tile int32, x uint64) { r.settleDone(int(tile), int(x)) })
 	r.opComplete = k.RegisterOp(func(tile int32, x uint64) { r.completionDue(int(tile), int(x)) })
 	r.opLand = k.RegisterOp(func(_ int32, x uint64) { r.trainLanded(int32(x>>1), x&1 == 1) })
+	r.opNoDMA = k.RegisterOp(func(_ int32, x uint64) { r.burstDone(int32(x)) })
 	r.opCut = k.RegisterOp(func(int32, uint64) {})
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		r.injector = fault.NewInjector(*cfg.Faults)
 		net.AttachFaults(r.injector)
 	}
 
-	catalog := power.Catalog()
-	accels := cfg.AccelTiles()
-	specs := make([]controller.TileSpec, 0, len(accels))
-	for _, idx := range accels {
-		c := catalog[cfg.Tiles[idx].Accel]
-		specs = append(specs, controller.TileSpec{
-			Tile:   idx,
-			PMaxMW: c.PMax(),
-			PMinMW: c.PMin(),
-		})
-	}
-
 	// Memory tiles serve DMA; each accelerator pairs with its nearest one.
-	var memTiles []int
-	for i, tc := range cfg.Tiles {
-		if tc.Kind == TileMem {
-			memTiles = append(memTiles, i)
-		}
-	}
 	nearestMem := func(idx int) int {
 		best, bestD := -1, 1<<30
-		for _, m := range memTiles {
+		for m, tc := range cfg.Tiles {
+			if tc.Kind != TileMem {
+				continue
+			}
 			if d := cfg.Mesh.HopDistance(idx, m); d < bestD {
 				best, bestD = m, d
 			}
@@ -157,28 +160,37 @@ func New(cfg Config) *Runner {
 		return best
 	}
 
-	r.tileOrder = make([]int, 0, len(accels))
-	for _, idx := range accels {
-		c := catalog[cfg.Tiles[idx].Accel]
-		t := &accelTile{
-			idx:     idx,
-			accel:   cfg.Tiles[idx].Accel,
-			series:  r.rec.Series(fmt.Sprintf("t%02d-%s", idx, cfg.Tiles[idx].Accel)),
-			curve:   c,
-			reg:     uvfr.NewRegulator(uvfr.ConfigForCurve(c)),
-			taskID:  -1,
-			memTile: nearestMem(idx),
-		}
+	// A tile records a point per task start, end and actuation: 15-19 in
+	// a C-RR 4x4 frame, so each series starts with room for 16.
+	const firstPoints = 16
+	n := len(accels)
+	slab := make([]accelTile, n)
+	series := make([]trace.Series, n)
+	seriesRefs := make([]*trace.Series, n)
+	points := make([]trace.Point, n*firstPoints)
+	specs := make([]controller.TileSpec, n)
+	nameSeries(series, cfg.Tiles, accels)
+	for i, idx := range accels {
+		c := power.Lookup(cfg.Tiles[idx].Accel)
+		specs[i] = controller.TileSpec{Tile: idx, PMaxMW: c.PMax(), PMinMW: c.PMin()}
+		s := &series[i]
+		s.Points = points[i*firstPoints : i*firstPoints : (i+1)*firstPoints]
+		seriesRefs[i] = s
+		t := &slab[i]
+		t.idx = idx
+		t.accel = cfg.Tiles[idx].Accel
+		t.series = s
+		t.curve = c
+		t.reg.Init(uvfr.ConfigForCurve(c))
+		t.taskID = -1
+		t.memTile = nearestMem(idx)
 		t.freqMHz = t.reg.FreqMHz() // regulator reset state: minimum V point
-		// A tile records a point per task start, end and actuation: 15-19
-		// in a C-RR 4x4 frame, so the first doublings are skipped.
-		t.series.Points = make([]trace.Point, 0, 16)
 		r.tiles[idx] = t
-		r.tileOrder = append(r.tileOrder, idx)
-		r.byAccel[t.accel] = append(r.byAccel[t.accel], idx)
 	}
+	r.rec = trace.NewRecorder(seriesRefs...)
+	r.rec.Attach(cfg.Stream)
 	if cfg.Strategy == AbsoluteProportional {
-		r.apShareMW = cfg.CombinedPMaxMW() / float64(len(r.tileOrder))
+		r.apShareMW = cfg.CombinedPMaxMW() / float64(n)
 	}
 
 	switch cfg.Scheme {
@@ -207,6 +219,36 @@ func New(cfg Config) *Runner {
 		r.injector.OnTileKill(r.killTile)
 	}
 	return r
+}
+
+// nameSeries names each managed tile's power trace "tNN-accel", the mesh
+// index zero-padded to two digits as %02d prints it; the names are
+// substrings of one string.
+func nameSeries(series []trace.Series, tiles []TileConfig, accels []int) {
+	var buf [32]byte
+	name := func(idx int) []byte {
+		b := append(buf[:0], 't')
+		if idx < 10 {
+			b = append(b, '0')
+		}
+		b = strconv.AppendInt(b, int64(idx), 10)
+		return append(append(b, '-'), tiles[idx].Accel...)
+	}
+	size := 0
+	for _, idx := range accels {
+		size += len(name(idx))
+	}
+	var all strings.Builder
+	all.Grow(size)
+	for _, idx := range accels {
+		all.Write(name(idx))
+	}
+	names, off := all.String(), 0
+	for i, idx := range accels {
+		end := off + len(name(idx))
+		series[i].Name = names[off:end]
+		off = end
+	}
 }
 
 // killTile fail-stops a managed accelerator tile mid-run: its power drops
@@ -273,24 +315,25 @@ func (r *Runner) progressTo(t *accelTile, now sim.Cycles) {
 }
 
 // startDMA launches a burst of flits between a tile and its memory tile,
-// invoking done when the last flit lands. The flits alternate between the
-// two DMA planes, as ESP splits accelerator DMA across planes: the odd
-// count's extra flit rides DMA0. Each plane's share is routed as one
-// train and lands as one kernel event, however many flits it carries.
+// continuing with next when the last flit lands. The flits alternate
+// between the two DMA planes, as ESP splits accelerator DMA across planes:
+// the odd count's extra flit rides DMA0. Each plane's share is routed as
+// one train and lands as one kernel event, however many flits it carries.
 // Both trains share a destination and a route, and random faults never
 // strike the DMA planes, so a burst lands whole or is lost whole; a lost
-// burst never runs done.
-func (r *Runner) startDMA(t *accelTile, toMem bool, flits int, done func()) {
+// burst never continues. A task with no memory tile or no flits continues
+// a cycle later.
+func (r *Runner) startDMA(t *accelTile, flits int, next dmaNext) {
+	s, b := r.bursts.Take()
+	*b = dmaBurst{injected: r.kernel.Now(), next: next}
 	if t.memTile < 0 || flits <= 0 {
-		r.kernel.Schedule(1, done)
+		r.kernel.ScheduleOp(1, r.opNoDMA, 0, uint64(s))
 		return
 	}
 	src, dst := t.memTile, t.idx
-	if toMem {
+	if next.toMem {
 		src, dst = t.idx, t.memTile
 	}
-	s, b := r.bursts.Take()
-	*b = dmaBurst{injected: r.kernel.Now(), done: done}
 	// Run stops after its first event at or after MaxCycles. A train is
 	// one event, its last flit's landing (flit i lands at first+i). Where
 	// an earlier flit would have been that first event, a no-op at its
@@ -325,8 +368,7 @@ func (r *Runner) startDMA(t *accelTile, toMem bool, flits int, done func()) {
 }
 
 // trainLanded lands one train of the burst in record s, crediting a lone
-// flit's delivery, and runs the burst's done once its last train has
-// landed.
+// flit's delivery, and finishes the burst once its last train has landed.
 func (r *Runner) trainLanded(s int32, lone bool) {
 	b := r.bursts.At(s)
 	if lone {
@@ -335,10 +377,46 @@ func (r *Runner) trainLanded(s int32, lone bool) {
 	if b.trains--; b.trains > 0 {
 		return
 	}
-	done := b.done
-	b.done = nil
+	r.burstDone(s)
+}
+
+// burstDone frees the burst record s and runs its continuation.
+func (r *Runner) burstDone(s int32) {
+	next := r.bursts.At(s).next
 	r.bursts.Free(s)
-	done()
+	r.dmaDone(next)
+}
+
+// dmaDone continues a task once its DMA burst is in, unless the tile was
+// killed or took another task since the burst started: an input fetch
+// starts the compute phase; a write-back finishes the task, releases the
+// tile's power target and dispatches unblocked work.
+func (r *Runner) dmaDone(next dmaNext) {
+	t := r.tiles[next.tile]
+	taskID := int(next.task)
+	if t.taskID != taskID || t.compEpoch != next.epoch {
+		return
+	}
+	if !next.toMem {
+		t.computing = true
+		t.lastProgress = r.kernel.Now()
+		r.scheduleCompletion(t)
+		return
+	}
+	r.done[taskID] = true
+	r.running[taskID] = false
+	t.active = false
+	t.taskID = -1
+	t.remaining = 0
+	r.finished++
+	r.activityChanges++
+	r.recordPower(t)
+	r.ctrl.SetTarget(t.idx, 0)
+	if r.finished == len(r.graph.Tasks) {
+		r.execEnd = r.kernel.Now()
+		return
+	}
+	r.dispatch()
 }
 
 // noCut is cutIn's answer for a train with no undelivered flit at or
@@ -440,7 +518,7 @@ func (r *Runner) completionDue(idx, epoch int) {
 // startTask dispatches a ready task onto an idle tile: request power, fetch
 // inputs over DMA, then compute.
 func (r *Runner) startTask(taskID int, t *accelTile) {
-	task := r.graph.Tasks[taskID]
+	task := &r.graph.Tasks[taskID]
 	t.active = true
 	t.computing = false
 	t.taskID = taskID
@@ -451,43 +529,17 @@ func (r *Runner) startTask(taskID int, t *accelTile) {
 	r.ctrl.SetTarget(t.idx, r.targetMW(t))
 	// Input DMA overlaps the power-allocation ramp; compute starts when
 	// the data is in.
-	epoch := t.compEpoch
-	r.startDMA(t, false, int(task.WorkCycles/dmaWorkPerFlit), func() {
-		if t.taskID != taskID || t.compEpoch != epoch {
-			return
-		}
-		t.computing = true
-		t.lastProgress = r.kernel.Now()
-		r.scheduleCompletion(t)
-	})
+	r.startDMA(t, int(task.WorkCycles/dmaWorkPerFlit),
+		dmaNext{tile: int32(t.idx), task: int32(taskID), epoch: t.compEpoch})
 }
 
 // completeTask finishes the compute phase: write results back over DMA,
 // then release the tile's power target and dispatch unblocked work.
 func (r *Runner) completeTask(t *accelTile) {
-	taskID := t.taskID
-	task := r.graph.Tasks[taskID]
+	task := &r.graph.Tasks[t.taskID]
 	t.computing = false
-	epoch := t.compEpoch
-	r.startDMA(t, true, int(task.WorkCycles/dmaWorkPerFlit), func() {
-		if t.taskID != taskID || t.compEpoch != epoch {
-			return
-		}
-		r.done[taskID] = true
-		r.running[taskID] = false
-		t.active = false
-		t.taskID = -1
-		t.remaining = 0
-		r.finished++
-		r.activityChanges++
-		r.recordPower(t)
-		r.ctrl.SetTarget(t.idx, 0)
-		if r.finished == len(r.graph.Tasks) {
-			r.execEnd = r.kernel.Now()
-			return
-		}
-		r.dispatch()
-	})
+	r.startDMA(t, int(task.WorkCycles/dmaWorkPerFlit),
+		dmaNext{tile: int32(t.idx), task: int32(t.taskID), epoch: t.compEpoch, toMem: true})
 }
 
 // dispatch assigns every ready task that is not already running to an
@@ -508,13 +560,25 @@ func (r *Runner) dispatch() {
 	}
 }
 
+// idleTileFor returns the lowest-indexed live idle tile of the accelerator
+// type, or nil.
 func (r *Runner) idleTileFor(accel string) *accelTile {
-	for _, idx := range r.byAccel[accel] {
-		if t := r.tiles[idx]; !t.active && !t.dead {
+	for _, idx := range r.tileOrder {
+		if t := r.tiles[idx]; t.accel == accel && !t.active && !t.dead {
 			return t
 		}
 	}
 	return nil
+}
+
+// hasAccel reports whether the SoC has a managed tile of the type.
+func (r *Runner) hasAccel(accel string) bool {
+	for _, idx := range r.tileOrder {
+		if r.tiles[idx].accel == accel {
+			return true
+		}
+	}
+	return false
 }
 
 // Run executes the workload to completion (or the MaxCycles bound) and
@@ -545,16 +609,19 @@ func (r *Runner) begin(g *workload.Graph) {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
-	for _, task := range g.Tasks {
-		if len(r.byAccel[task.Accel]) == 0 {
+	for i := range g.Tasks {
+		if a := g.Tasks[i].Accel; !r.hasAccel(a) {
 			panic(fmt.Sprintf("soc: workload %s needs accelerator %q, absent from %s",
-				g.Name, task.Accel, r.cfg.Name))
+				g.Name, a, r.cfg.Name))
 		}
 	}
+	// The run keeps its own task state; it never writes the graph, which
+	// may be a shared base graph.
 	r.graph = g
-	r.done = make([]bool, len(g.Tasks))
-	r.running = make([]bool, len(g.Tasks))
-	r.ready = make([]int, 0, len(g.Tasks))
+	n := len(g.Tasks)
+	state := make([]bool, 2*n)
+	r.done, r.running = state[:n:n], state[n:]
+	r.ready = make([]int, 0, n)
 
 	r.ctrl.Start()
 	if r.injector != nil {

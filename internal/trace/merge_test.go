@@ -17,8 +17,8 @@ import (
 // cycle, looked up with At and added in creation order.
 func sumAt(r *Recorder, cycle uint64) float64 {
 	var sum float64
-	for _, name := range r.order {
-		sum += r.byName[name].At(cycle)
+	for _, name := range r.Names() {
+		sum += r.Series(name).At(cycle)
 	}
 	return sum
 }
@@ -27,8 +27,8 @@ func sumAt(r *Recorder, cycle uint64) float64 {
 // set of cycles at which any series changes.
 func changeCycles(r *Recorder) []uint64 {
 	set := map[uint64]struct{}{}
-	for _, name := range r.order {
-		for _, p := range r.byName[name].Points {
+	for _, name := range r.Names() {
+		for _, p := range r.Series(name).Points {
 			set[p.Cycle] = struct{}{}
 		}
 	}
@@ -58,8 +58,8 @@ func refWriteCSV(r *Recorder, w io.Writer) error {
 	}
 	for _, c := range changeCycles(r) {
 		row := []string{strconv.FormatUint(c, 10)}
-		for _, name := range r.order {
-			row = append(row, strconv.FormatFloat(r.byName[name].At(c), 'g', -1, 64))
+		for _, name := range r.Names() {
+			row = append(row, strconv.FormatFloat(r.Series(name).At(c), 'g', -1, 64))
 		}
 		if err := cw.Write(row); err != nil {
 			return err

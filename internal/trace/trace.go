@@ -106,16 +106,18 @@ func (s *Series) Max(a, b uint64) float64 {
 	return m
 }
 
-// Recorder groups the named series of one simulation run.
+// Recorder groups the named series of one simulation run. A run records
+// one series per tile, so a name is found by scanning them.
 type Recorder struct {
-	byName map[string]*Series
-	order  []string
+	series []*Series // in creation order
 	stream Stream
 }
 
-// NewRecorder returns an empty Recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{byName: make(map[string]*Series)}
+// NewRecorder returns a Recorder holding the given series, in order, as
+// its first ones; it keeps the slice. A caller that builds its series in
+// one slab, as the SoC runner does, passes pointers into it.
+func NewRecorder(series ...*Series) *Recorder {
+	return &Recorder{series: series}
 }
 
 // Attach mirrors every point recorded from now on — in existing and
@@ -124,26 +126,29 @@ func NewRecorder() *Recorder {
 // with no bus subscribers a mirrored publish is one atomic load.
 func (r *Recorder) Attach(s Stream) {
 	r.stream = s
-	for _, name := range r.order {
-		r.byName[name].stream = s
+	for _, x := range r.series {
+		x.stream = s
 	}
 }
 
 // Series returns the series with the given name, creating it on first use.
 func (r *Recorder) Series(name string) *Series {
-	if s, ok := r.byName[name]; ok {
-		return s
+	for _, s := range r.series {
+		if s.Name == name {
+			return s
+		}
 	}
 	s := &Series{Name: name, stream: r.stream}
-	r.byName[name] = s
-	r.order = append(r.order, name)
+	r.series = append(r.series, s)
 	return s
 }
 
 // Names returns the series names in creation order.
 func (r *Recorder) Names() []string {
-	out := make([]string, len(r.order))
-	copy(out, r.order)
+	out := make([]string, len(r.series))
+	for i, s := range r.series {
+		out[i] = s.Name
+	}
 	return out
 }
 
@@ -152,10 +157,7 @@ func (r *Recorder) Names() []string {
 // before a series' first point). It visits each point once; fn must not
 // keep cur.
 func (r *Recorder) walk(fn func(cycle uint64, cur []float64)) {
-	series := make([]*Series, len(r.order))
-	for i, name := range r.order {
-		series[i] = r.byName[name]
-	}
+	series := r.series
 	cur := make([]float64, len(series))
 	next := make([]int, len(series)) // each series' first unconsumed point
 	c, more := uint64(0), false
@@ -187,8 +189,8 @@ func (r *Recorder) walk(fn func(cycle uint64, cur []float64)) {
 // Each point adds the series' values in creation order, starting from 0.
 func (r *Recorder) TotalSeries(name string) *Series {
 	n := 0 // the total has at most as many points as the series together
-	for _, name := range r.order {
-		n += len(r.byName[name].Points)
+	for _, s := range r.series {
+		n += len(s.Points)
 	}
 	total := &Series{Name: name, Points: make([]Point, 0, n)}
 	r.walk(func(c uint64, cur []float64) {

@@ -100,6 +100,32 @@ func TestRecorderSumAndTotal(t *testing.T) {
 	}
 }
 
+// A recorder built over caller-owned series keeps them, in order, as its
+// first series: names, lookups, totals and Attach all reach them.
+func TestNewRecorderAdoptsSeries(t *testing.T) {
+	slab := make([]Series, 2)
+	slab[0].Name, slab[1].Name = "t01-FFT", "t02-GEMM"
+	r := NewRecorder(&slab[0], &slab[1])
+	if got := r.Series("t02-GEMM"); got != &slab[1] {
+		t.Fatal("Series did not return the adopted series")
+	}
+	r.Series("extra").Record(4, 1)
+	b := NewBus()
+	sub := b.Subscribe("run", 4)
+	defer sub.Close()
+	r.Attach(NewStream(b, "run"))
+	slab[0].Record(2, 5)
+	if ev := <-sub.Events(); ev.Series != "t01-FFT" || ev.Value != 5 {
+		t.Fatalf("adopted series published %+v", ev)
+	}
+	if names := r.Names(); strings.Join(names, ",") != "t01-FFT,t02-GEMM,extra" {
+		t.Fatalf("names = %v", names)
+	}
+	if total := r.TotalSeries("total"); total.At(4) != 6 {
+		t.Fatalf("total = %+v", total.Points)
+	}
+}
+
 func TestWriteCSV(t *testing.T) {
 	r := NewRecorder()
 	r.Series("p0").Record(0, 1.5)

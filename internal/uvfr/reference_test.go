@@ -10,8 +10,10 @@ import (
 	"blitzcoin/internal/sim"
 )
 
-// naiveRegulator is the regulator without its frequency table: every
-// frequency read evaluates the RO's alpha-power law at the supply.
+// naiveRegulator is the regulator without its code tables: every
+// frequency read evaluates the RO's alpha-power law at the supply with
+// math.Pow, and every control step counts both the target and the clock
+// from such a frequency.
 type naiveRegulator struct {
 	cfg       Config
 	targetMHz float64
@@ -22,11 +24,23 @@ type naiveRegulator struct {
 func (r *naiveRegulator) SetTargetMHz(f float64) { r.targetMHz, r.settled = f, 0 }
 func (r *naiveRegulator) InjectDroop(dv float64) { r.droopV += dv }
 func (r *naiveRegulator) FreqMHz() float64 {
-	return r.cfg.RO.FreqMHz(r.cfg.LDO.Vout() - r.droopV)
+	ro, v := r.cfg.RO, r.cfg.LDO.Vout()-r.droopV
+	if v <= ro.Vt {
+		return 0
+	}
+	return ro.FNomMHz * math.Pow((v-ro.Vt)/(ro.VNom-ro.Vt), ro.Alpha)
 }
 
+// count is the TDC readout of fMHz: the tile-clock edges in a window of
+// NoC cycles.
+func (r *naiveRegulator) count(fMHz float64) int {
+	return int(fMHz * float64(r.cfg.TDC.WindowCycles) / (sim.NoCFrequencyHz / 1e6))
+}
+
+func (r *naiveRegulator) Readout() int { return r.count(r.FreqMHz()) }
+
 func (r *naiveRegulator) Step() {
-	errCounts := float64(r.cfg.TDC.CountsFor(r.targetMHz) - r.cfg.TDC.Count(r.FreqMHz()))
+	errCounts := float64(r.count(r.targetMHz) - r.Readout())
 	delta := r.cfg.PID.Step(errCounts)
 	r.cfg.LDO.SetCode(r.cfg.LDO.Code() + int(math.Round(delta)))
 	r.droopV *= 0.5
@@ -40,15 +54,7 @@ func (r *naiveRegulator) Step() {
 	}
 }
 
-func (r *naiveRegulator) SettleCycles(maxSteps int) (sim.Cycles, bool) {
-	for i := 0; i < maxSteps; i++ {
-		r.Step()
-		if r.settled >= r.cfg.SettleSteps {
-			return sim.Cycles(i+1) * r.cfg.PeriodCycles, true
-		}
-	}
-	return sim.Cycles(maxSteps) * r.cfg.PeriodCycles, false
-}
+func (r *naiveRegulator) Settled() bool { return r.settled >= r.cfg.SettleSteps }
 
 // referenceConfigs are the regulator configs the engine builds: one per
 // catalog curve (the SoC runner's) and the droop figure's.
@@ -86,13 +92,19 @@ func TestFreqTableMatchesRO(t *testing.T) {
 
 // TestRegulatorMatchesNaiveReference runs the regulator beside the naive
 // one from random start codes through random retargets, with random
-// droops on the droop figure's config, and compares every actuation.
+// droops on the droop figure's config, and compares the TDC readout, the
+// code and the frequency after every control step of every settle, and
+// what SettleCycles reports for the settle. The regulators of one config
+// share one count table, as they share the frequency table.
 func TestRegulatorMatchesNaiveReference(t *testing.T) {
 	names, cfgs := referenceConfigs()
 	src := rng.New(4)
 	for i, cfg := range cfgs {
 		droops := names[i] == "droop-figure"
 		fmax := cfg.RO.FNomMHz
+		if &NewRegulator(cfg).count[0] != &NewRegulator(cfg).count[0] {
+			t.Fatalf("%s: a second regulator built its own count table", names[i])
+		}
 		for trial := 0; trial < 40; trial++ {
 			got := NewRegulator(cfg)
 			want := &naiveRegulator{cfg: cfg}
@@ -110,13 +122,25 @@ func TestRegulatorMatchesNaiveReference(t *testing.T) {
 						t.Fatalf("%s trial %d step %d: drooped %v MHz, want %v", names[i], trial, k, g, w)
 					}
 				}
-				gc, gok := got.SettleCycles(512)
-				wc, wok := want.SettleCycles(512)
-				if gc != wc || gok != wok || got.cfg.LDO.Code() != want.cfg.LDO.Code() ||
-					math.Float64bits(got.FreqMHz()) != math.Float64bits(want.FreqMHz()) {
-					t.Fatalf("%s trial %d step %d (target %v MHz): (%d, %v, code %d, %v MHz), want (%d, %v, code %d, %v MHz)",
-						names[i], trial, k, f, gc, gok, got.cfg.LDO.Code(), got.FreqMHz(),
-						wc, wok, want.cfg.LDO.Code(), want.FreqMHz())
+				settle := *got
+				cycles, ok := settle.SettleCycles(512)
+				for s := 0; ; s++ {
+					got.Step()
+					want.Step()
+					if got.Readout() != want.Readout() || got.cfg.LDO.Code() != want.cfg.LDO.Code() ||
+						math.Float64bits(got.FreqMHz()) != math.Float64bits(want.FreqMHz()) ||
+						got.Settled() != want.Settled() {
+						t.Fatalf("%s trial %d retarget %d step %d (target %v MHz): (count %d, code %d, %v MHz, settled %v), want (count %d, code %d, %v MHz, settled %v)",
+							names[i], trial, k, s, f, got.Readout(), got.cfg.LDO.Code(), got.FreqMHz(), got.Settled(),
+							want.Readout(), want.cfg.LDO.Code(), want.FreqMHz(), want.Settled())
+					}
+					if want.Settled() || s == 511 {
+						if w := sim.Cycles(s+1) * cfg.PeriodCycles; cycles != w || ok != want.Settled() {
+							t.Fatalf("%s trial %d retarget %d: SettleCycles (%d, %v), want (%d, %v)",
+								names[i], trial, k, cycles, ok, w, want.Settled())
+						}
+						break
+					}
 				}
 			}
 		}

@@ -195,66 +195,88 @@ func ConfigForCurve(c *power.Curve) Config {
 // Regulator is one tile's UVFR instance.
 type Regulator struct {
 	cfg Config
-	// freq holds the RO frequency at every LDO code, read while the supply
-	// carries no droop.
-	freq []float64
+	// freq and count hold the RO frequency and its TDC readout at every
+	// LDO code, read while the supply carries no droop.
+	freq  []float64
+	count []int
 
-	targetMHz float64
-	droopV    float64 // transient rail droop, decays each step
-	settled   int     // consecutive in-tolerance steps
+	targetCount int     // the TDC readout of the frequency target
+	droopV      float64 // transient rail droop, decays each step
+	settled     int     // consecutive in-tolerance steps
 }
 
 // NewRegulator builds a regulator. It panics on degenerate configuration.
 func NewRegulator(cfg Config) *Regulator {
+	r := new(Regulator)
+	r.Init(cfg)
+	return r
+}
+
+// Init makes r a fresh regulator for cfg, as NewRegulator builds one, in
+// storage the caller owns, such as a per-run slab of tiles. It panics on
+// degenerate configuration.
+func (r *Regulator) Init(cfg Config) {
 	if cfg.PeriodCycles == 0 || cfg.TDC.WindowCycles == 0 || cfg.LDO.Bits == 0 {
 		panic(fmt.Sprintf("uvfr: incomplete config %+v", cfg))
 	}
-	return &Regulator{cfg: cfg, freq: freqTable(cfg.RO, cfg.LDO)}
+	t := codeTables(cfg.RO, cfg.LDO, cfg.TDC)
+	*r = Regulator{cfg: cfg, freq: t.freq, count: t.count}
 }
 
-// tableKey is what a frequency table depends on: the RO and the LDO's
-// code-to-voltage map.
+// tableKey is what a regulator's code tables depend on: the RO, the LDO's
+// code-to-voltage map and the TDC window.
 type tableKey struct {
 	ro              RingOscillator
 	vin, vmin, vmax float64
 	bits            int
+	window          int
 }
 
-// freqTables holds one frequency table per distinct key for the life of
-// the process. Regulators are built from the accelerator catalog's curves,
-// so it holds a handful of entries, and no run or tile builds its own.
-var freqTables struct {
+// codeTable is the droop-free tile clock at every LDO code: the RO
+// frequency and the TDC readout of it.
+type codeTable struct {
+	freq  []float64
+	count []int
+}
+
+// tables holds one code table per distinct key for the life of the
+// process. Regulators are built from the accelerator catalog's curves, so
+// it holds a handful of entries, and no run or tile builds its own.
+var tables struct {
 	sync.Mutex
-	m map[tableKey][]float64
+	m map[tableKey]codeTable
 }
 
-// freqTable returns RingOscillator.FreqMHz(LDO.Vout()) at every code of
-// the LDO, 256 for the paper's 8-bit code (Sec. IV-A): without droop the
-// tile clock can take no other value, so a regulator reads it instead of
-// evaluating the alpha-power law on every control step. The table is
-// built on first use and shared; callers must not modify it.
-func freqTable(ro RingOscillator, ldo LDO) []float64 {
-	k := tableKey{ro, ldo.VinV, ldo.VMin, ldo.VMax, ldo.Bits}
-	freqTables.Lock()
-	defer freqTables.Unlock()
-	if t, ok := freqTables.m[k]; ok {
+// codeTables returns RingOscillator.FreqMHz(LDO.Vout()) and its TDC count
+// at every code of the LDO, 256 for the paper's 8-bit code (Sec. IV-A):
+// without droop the tile clock can take no other value, so a regulator
+// reads both instead of evaluating the alpha-power law on every control
+// step. The tables are built on first use and shared; callers must not
+// modify them.
+func codeTables(ro RingOscillator, ldo LDO, tdc TDC) codeTable {
+	k := tableKey{ro, ldo.VinV, ldo.VMin, ldo.VMax, ldo.Bits, tdc.WindowCycles}
+	tables.Lock()
+	defer tables.Unlock()
+	if t, ok := tables.m[k]; ok {
 		return t
 	}
-	t := make([]float64, ldo.MaxCode()+1)
-	for c := range t {
-		t[c] = ro.FreqMHz(ldo.voutAt(c))
+	n := ldo.MaxCode() + 1
+	t := codeTable{freq: make([]float64, n), count: make([]int, n)}
+	for c := range t.freq {
+		t.freq[c] = ro.FreqMHz(ldo.voutAt(c))
+		t.count[c] = tdc.Count(t.freq[c])
 	}
-	if freqTables.m == nil {
-		freqTables.m = make(map[tableKey][]float64)
+	if tables.m == nil {
+		tables.m = make(map[tableKey]codeTable)
 	}
-	freqTables.m[k] = t
+	tables.m[k] = t
 	return t
 }
 
 // SetTargetMHz changes the frequency target (from the coin LUT). The loop
 // starts slewing at the next Step.
 func (r *Regulator) SetTargetMHz(f float64) {
-	r.targetMHz = f
+	r.targetCount = r.cfg.TDC.CountsFor(f)
 	r.settled = 0
 }
 
@@ -273,8 +295,14 @@ func (r *Regulator) FreqMHz() float64 {
 	return r.cfg.RO.FreqMHz(r.Vout())
 }
 
-// Readout returns the TDC count for the current frequency.
-func (r *Regulator) Readout() int { return r.cfg.TDC.Count(r.FreqMHz()) }
+// Readout returns the TDC count for the current frequency: the table's
+// entry for the code without droop, as for FreqMHz.
+func (r *Regulator) Readout() int {
+	if r.droopV == 0 {
+		return r.count[r.cfg.LDO.code]
+	}
+	return r.cfg.TDC.Count(r.FreqMHz())
+}
 
 // Settled reports whether the loop has been within tolerance for the
 // required number of consecutive steps.
@@ -293,7 +321,7 @@ func (r *Regulator) InjectDroop(dv float64) {
 // Step runs one control period: read the TDC, run the PID, move the LDO
 // code, and decay any transient droop. It returns the new tile frequency.
 func (r *Regulator) Step() float64 {
-	errCounts := float64(r.cfg.TDC.CountsFor(r.targetMHz) - r.Readout())
+	errCounts := float64(r.targetCount - r.Readout())
 	delta := r.cfg.PID.Step(errCounts)
 	code := r.cfg.LDO.Code() + int(math.Round(delta))
 	r.cfg.LDO.SetCode(code)

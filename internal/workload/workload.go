@@ -21,6 +21,8 @@ package workload
 import (
 	"fmt"
 	"strconv"
+	"strings"
+	"sync"
 
 	"blitzcoin/internal/rng"
 )
@@ -41,6 +43,10 @@ type Task struct {
 // Validate; task IDs equal slice indices. The constructors' graphs and
 // Repeat's chains of valid graphs are valid by construction, so neither
 // checks them: the SoC runner validates the graph it runs, once.
+//
+// The six application graphs are built once per process and shared, so
+// they and every slice in them are read-only: Repeat copies what it
+// chains, and a run never writes the graph it runs.
 type Graph struct {
 	Name  string
 	Tasks []Task
@@ -209,7 +215,11 @@ const (
 
 // AutonomousVehicleParallel returns the WL-Par scenario of the 3x3 SoC: all
 // six accelerators (3 FFT, 2 Viterbi, 1 NVDLA) run concurrently.
-func AutonomousVehicleParallel() *Graph {
+func AutonomousVehicleParallel() *Graph { return avParallel() }
+
+var avParallel = sync.OnceValue(buildAVParallel)
+
+func buildAVParallel() *Graph {
 	return build("av-parallel", []spec{
 		{"fft-radar-0", "FFT", fftWork, nil},
 		{"fft-radar-1", "FFT", fftWork, nil},
@@ -223,7 +233,11 @@ func AutonomousVehicleParallel() *Graph {
 // AutonomousVehicleDependent returns the WL-Dep scenario of the 3x3 SoC
 // (Fig. 14 right): radar FFTs feed object detection, whose output gates the
 // outgoing V2V messages, across two consecutive frames.
-func AutonomousVehicleDependent() *Graph {
+func AutonomousVehicleDependent() *Graph { return avDependent() }
+
+var avDependent = sync.OnceValue(buildAVDependent)
+
+func buildAVDependent() *Graph {
 	return build("av-dependent", []spec{
 		// Frame 0.
 		{"f0-fft-0", "FFT", fftWork, nil},
@@ -242,7 +256,11 @@ func AutonomousVehicleDependent() *Graph {
 
 // ComputerVisionParallel returns the WL-Par scenario of the 4x4 SoC: 13
 // concurrent tasks, one per accelerator tile (4 Vision, 5 GEMM, 4 Conv2D).
-func ComputerVisionParallel() *Graph {
+func ComputerVisionParallel() *Graph { return cvParallel() }
+
+var cvParallel = sync.OnceValue(buildCVParallel)
+
+func buildCVParallel() *Graph {
 	var specs []spec
 	for i := 0; i < 4; i++ {
 		specs = append(specs, spec{fmt.Sprintf("vision-%d", i), "Vision", visionWork, nil})
@@ -260,7 +278,11 @@ func ComputerVisionParallel() *Graph {
 // night-vision/denoise/classify pipeline where each frame's Vision
 // preprocessing feeds Conv2D feature extraction and then GEMM
 // classification.
-func ComputerVisionDependent() *Graph {
+func ComputerVisionDependent() *Graph { return cvDependent() }
+
+var cvDependent = sync.OnceValue(buildCVDependent)
+
+func buildCVDependent() *Graph {
 	var specs []spec
 	// Four camera streams preprocess in parallel.
 	for i := 0; i < 4; i++ {
@@ -282,7 +304,11 @@ func ComputerVisionDependent() *Graph {
 // workload: all seven accelerators of the PM cluster active at once, the
 // phase over which the paper measures the 97% budget utilization (Fig. 19
 // top shows the seven tiles running simultaneously with staggered ends).
-func SevenAcceleratorParallel() *Graph {
+func SevenAcceleratorParallel() *Graph { return silicon7Par() }
+
+var silicon7Par = sync.OnceValue(buildSilicon7Par)
+
+func buildSilicon7Par() *Graph {
 	return build("silicon-7acc-par", []spec{
 		{"fft-0", "FFT", fftWork, nil},
 		{"fft-1", "FFT", fftWork, nil},
@@ -298,7 +324,11 @@ func SevenAcceleratorParallel() *Graph {
 // 12 nm SoC (Sec. V-D): one NVDLA, two FFT, and four Viterbi accelerators in
 // the PM cluster, invoked by one CVA6 core. Dependencies follow the
 // autonomous-vehicle structure.
-func SevenAcceleratorSilicon() *Graph {
+func SevenAcceleratorSilicon() *Graph { return silicon7() }
+
+var silicon7 = sync.OnceValue(buildSilicon7)
+
+func buildSilicon7() *Graph {
 	return build("silicon-7acc", []spec{
 		{"fft-0", "FFT", fftWork, nil},
 		{"fft-1", "FFT", fftWork, nil},
@@ -379,19 +409,28 @@ func RandomDAG(src *rng.Source, n int, accels []string, minWork, maxWork float64
 // Repeat chains k copies of g sequentially: every task of copy i+1 that has
 // no dependencies acquires a dependency on every sink of copy i, modeling
 // back-to-back frames. The chain of a valid graph is valid; Repeat does
-// not validate either.
+// not validate either. It only reads g. The chain takes a fixed number of
+// allocations, whatever k and the size of g: its tasks, one array every
+// task's Deps is a window of, and one string every task's Name is a
+// substring of (copy c of a task is named "i<c>-" plus its name).
 func Repeat(g *Graph, k int) *Graph {
 	if k <= 0 {
 		panic("workload: Repeat needs k >= 1")
 	}
 	n := len(g.Tasks)
-	out := &Graph{Name: fmt.Sprintf("%s-x%d", g.Name, k), Tasks: make([]Task, 0, k*n)}
-	// Sinks of one copy: tasks no other task depends on.
+	// Sinks of one copy: tasks no other task depends on. Roots, the tasks
+	// with no dependencies, wait on every sink of the copy before.
 	isDep := make([]bool, n)
+	deps, roots, nameBytes := 0, 0, 0
 	for _, t := range g.Tasks {
 		for _, d := range t.Deps {
 			isDep[d] = true
 		}
+		deps += len(t.Deps)
+		if len(t.Deps) == 0 {
+			roots++
+		}
+		nameBytes += len(t.Name)
 	}
 	var sinks []int
 	for i := range g.Tasks {
@@ -399,26 +438,53 @@ func Repeat(g *Graph, k int) *Graph {
 			sinks = append(sinks, i)
 		}
 	}
+
+	var prefix [24]byte // "i<c>-" for copy c
+	copyPrefix := func(c int) []byte {
+		return append(strconv.AppendInt(append(prefix[:0], 'i'), int64(c), 10), '-')
+	}
+	var names strings.Builder
+	size := k * nameBytes
+	for c := 0; c < k; c++ {
+		size += n * len(copyPrefix(c))
+	}
+	names.Grow(size)
+	for c := 0; c < k; c++ {
+		p := copyPrefix(c)
+		for _, t := range g.Tasks {
+			names.Write(p)
+			names.WriteString(t.Name)
+		}
+	}
+	all := names.String()
+
+	out := &Graph{Name: g.Name + "-x" + strconv.Itoa(k), Tasks: make([]Task, k*n)}
+	depSlab := make([]int, 0, k*deps+(k-1)*roots*len(sinks))
+	off := 0
 	for c := 0; c < k; c++ {
 		base := c * n
-		prefix := "i" + strconv.Itoa(c) + "-"
-		for _, t := range g.Tasks {
-			nt := Task{
+		p := len(copyPrefix(c))
+		for i, t := range g.Tasks {
+			from := len(depSlab)
+			for _, d := range t.Deps {
+				depSlab = append(depSlab, base+d)
+			}
+			if c > 0 && len(t.Deps) == 0 {
+				for _, s := range sinks {
+					depSlab = append(depSlab, base-n+s)
+				}
+			}
+			nt := &out.Tasks[base+i]
+			*nt = Task{
 				ID:         base + t.ID,
-				Name:       prefix + t.Name,
+				Name:       all[off : off+p+len(t.Name)],
 				Accel:      t.Accel,
 				WorkCycles: t.WorkCycles,
 			}
-			for _, d := range t.Deps {
-				nt.Deps = append(nt.Deps, base+d)
+			if to := len(depSlab); to > from {
+				nt.Deps = depSlab[from:to:to]
 			}
-			if c > 0 && len(t.Deps) == 0 {
-				prev := (c - 1) * n
-				for _, s := range sinks {
-					nt.Deps = append(nt.Deps, prev+s)
-				}
-			}
-			out.Tasks = append(out.Tasks, nt)
+			off += p + len(t.Name)
 		}
 	}
 	return out

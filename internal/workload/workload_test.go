@@ -1,7 +1,11 @@
 package workload
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
+
+	"blitzcoin/internal/rng"
 )
 
 func allGraphs() []*Graph {
@@ -202,4 +206,67 @@ func TestSiliconSubsetPanicsOnUnknown(t *testing.T) {
 		}
 	}()
 	SiliconSubset(9)
+}
+
+// refRepeat is Repeat by definition: each task's name and dependency list
+// built on its own.
+func refRepeat(g *Graph, k int) *Graph {
+	n := len(g.Tasks)
+	out := &Graph{Name: fmt.Sprintf("%s-x%d", g.Name, k)}
+	isDep := make([]bool, n)
+	for _, t := range g.Tasks {
+		for _, d := range t.Deps {
+			isDep[d] = true
+		}
+	}
+	for c := 0; c < k; c++ {
+		for _, t := range g.Tasks {
+			nt := Task{ID: c*n + t.ID, Name: fmt.Sprintf("i%d-%s", c, t.Name), Accel: t.Accel, WorkCycles: t.WorkCycles}
+			for _, d := range t.Deps {
+				nt.Deps = append(nt.Deps, c*n+d)
+			}
+			if c > 0 && len(t.Deps) == 0 {
+				for s := range g.Tasks {
+					if !isDep[s] {
+						nt.Deps = append(nt.Deps, (c-1)*n+s)
+					}
+				}
+			}
+			out.Tasks = append(out.Tasks, nt)
+		}
+	}
+	return out
+}
+
+// TestRepeatMatchesDefinition compares Repeat with refRepeat on every
+// built-in and on random DAGs, at counts up to 12 (two-digit copy
+// prefixes), and checks that Repeat leaves its input as it was.
+func TestRepeatMatchesDefinition(t *testing.T) {
+	graphs := allGraphs()
+	src := rng.New(29)
+	for i := 0; i < 40; i++ {
+		graphs = append(graphs, RandomDAG(src, 1+src.Intn(20), []string{"FFT", "GEMM"}, 1, 9, 3))
+	}
+	for _, g := range graphs {
+		before := refRepeat(g, 1) // a deep copy, tasks renamed
+		for _, k := range []int{1, 2, 3, 5, 12} {
+			if got, want := Repeat(g, k), refRepeat(g, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s x%d:\n got %+v\nwant %+v", g.Name, k, got, want)
+			}
+		}
+		if !reflect.DeepEqual(refRepeat(g, 1), before) {
+			t.Fatalf("Repeat modified %s", g.Name)
+		}
+	}
+}
+
+// Repeat lays a chain out in a fixed number of allocations, however many
+// copies it chains.
+func TestRepeatAllocationsFixed(t *testing.T) {
+	g := ComputerVisionDependent()
+	three := testing.AllocsPerRun(10, func() { Repeat(g, 3) })
+	thirty := testing.AllocsPerRun(10, func() { Repeat(g, 30) })
+	if thirty != three {
+		t.Fatalf("Repeat x3 made %.0f allocations, x30 %.0f", three, thirty)
+	}
 }

@@ -127,9 +127,16 @@ func (r Request) Normalized() Request {
 // a supported version, exactly one payload matching the kind, and valid
 // payload options.
 func (r Request) Validate() error {
-	n := r.Normalized()
+	_, err := r.Normalized().validate()
+	return err
+}
+
+// validate is Validate on a normalized request. A custom SoC is checked by
+// assembling it, so validate returns what it assembled, and Execute runs
+// that rather than assembling the request again.
+func (n Request) validate() (builtSoC, error) {
 	if n.Version != APIVersion {
-		return fmt.Errorf("blitzcoin: unsupported API version %q (want %q)", n.Version, APIVersion)
+		return builtSoC{}, fmt.Errorf("blitzcoin: unsupported API version %q (want %q)", n.Version, APIVersion)
 	}
 	set := 0
 	for _, ok := range []bool{n.Exchange != nil, n.SoC != nil, n.CustomSoC != nil, n.Figure != nil} {
@@ -138,34 +145,34 @@ func (r Request) Validate() error {
 		}
 	}
 	if set != 1 {
-		return fmt.Errorf("blitzcoin: request must carry exactly one payload, has %d", set)
+		return builtSoC{}, fmt.Errorf("blitzcoin: request must carry exactly one payload, has %d", set)
 	}
 	if n.Trials < 0 {
-		return fmt.Errorf("blitzcoin: negative trial count %d", r.Trials)
+		return builtSoC{}, fmt.Errorf("blitzcoin: negative trial count %d", n.Trials)
 	}
 	switch n.Kind {
 	case KindExchange:
 		if n.Exchange == nil {
-			return fmt.Errorf("blitzcoin: kind %q without exchange options", n.Kind)
+			return builtSoC{}, fmt.Errorf("blitzcoin: kind %q without exchange options", n.Kind)
 		}
-		return n.Exchange.Validate()
+		return builtSoC{}, n.Exchange.Validate()
 	case KindSoC:
 		if n.SoC == nil {
-			return fmt.Errorf("blitzcoin: kind %q without soc options", n.Kind)
+			return builtSoC{}, fmt.Errorf("blitzcoin: kind %q without soc options", n.Kind)
 		}
-		return n.SoC.Validate()
+		return builtSoC{}, n.SoC.Validate()
 	case KindCustomSoC:
 		if n.CustomSoC == nil {
-			return fmt.Errorf("blitzcoin: kind %q without custom_soc options", n.Kind)
+			return builtSoC{}, fmt.Errorf("blitzcoin: kind %q without custom_soc options", n.Kind)
 		}
-		return n.CustomSoC.Validate()
+		return n.CustomSoC.build()
 	case KindFigure:
 		if n.Figure == nil {
-			return fmt.Errorf("blitzcoin: kind %q without figure options", n.Kind)
+			return builtSoC{}, fmt.Errorf("blitzcoin: kind %q without figure options", n.Kind)
 		}
-		return n.Figure.Validate()
+		return builtSoC{}, n.Figure.Validate()
 	}
-	return fmt.Errorf("blitzcoin: unknown request kind %q", n.Kind)
+	return builtSoC{}, fmt.Errorf("blitzcoin: unknown request kind %q", n.Kind)
 }
 
 // Seed returns the seed that drives the request's randomness (the
@@ -565,7 +572,7 @@ func (o CustomSoCOptions) Normalized() CustomSoCOptions {
 // accelerators known, the DAG acyclic, and every task's accelerator
 // present in the layout.
 func (o CustomSoCOptions) Validate() error {
-	_, _, err := o.build()
+	_, err := o.build()
 	return err
 }
 

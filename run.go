@@ -3,6 +3,7 @@ package blitzcoin
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"blitzcoin/internal/coin"
 	"blitzcoin/internal/fault"
@@ -31,13 +32,12 @@ import (
 // are single atomic loads — results are byte-identical either way.
 func Execute(ctx context.Context, req Request) (res *Result, err error) {
 	n := req.Normalized()
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	hash, err := n.CanonicalHash()
+	custom, err := n.validate()
 	if err != nil {
 		return nil, err
 	}
+	// CanonicalHash of a valid request, without validating it again.
+	hash := canonicalHash(string(n.Kind), n)
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -76,10 +76,7 @@ func Execute(ctx context.Context, req Request) (res *Result, err error) {
 		r := runSoC(*n.SoC, trace.FromContext(ctx), hash)
 		return &Result{Kind: KindSoC, SoC: &r}, nil
 	case KindCustomSoC:
-		r, err := runCustomSoC(*n.CustomSoC, trace.FromContext(ctx), hash)
-		if err != nil {
-			return nil, err
-		}
+		r := runCustomSoC(custom, trace.FromContext(ctx), hash)
 		return &Result{Kind: KindCustomSoC, SoC: &r}, nil
 	case KindFigure:
 		f, err := RunFigure(ctx, *n.Figure, nil)
@@ -328,6 +325,7 @@ func runSoC(o SoCOptions, st trace.Stream, hash string) SoCResult {
 
 // newSoCResult flattens the internal result into the public shape.
 func newSoCResult(res soc.Result) SoCResult {
+	mean, median := res.ResponseMicros()
 	return SoCResult{
 		SoC:                  res.SoC,
 		Scheme:               res.Scheme,
@@ -335,8 +333,8 @@ func newSoCResult(res soc.Result) SoCResult {
 		Workload:             res.Workload,
 		Completed:            res.Completed,
 		ExecMicros:           res.ExecMicros(),
-		MeanResponseMicros:   res.MeanResponseMicros(),
-		MedianResponseMicros: res.MedianResponseMicros(),
+		MeanResponseMicros:   mean,
+		MedianResponseMicros: median,
 		MaxResponseMicros:    res.MaxResponseMicros(),
 		ResponsesRecorded:    len(res.Responses),
 		AvgPowerMW:           res.AvgPowerMW,
@@ -350,18 +348,26 @@ func newSoCResult(res soc.Result) SoCResult {
 	}
 }
 
+// builtSoC is a custom SoC request assembled into what a run takes: the
+// platform and the task graph.
+type builtSoC struct {
+	cfg soc.Config
+	g   *workload.Graph
+}
+
 // build assembles the custom platform and workload, reporting the first
-// inconsistency. It backs both Validate and runCustomSoC.
-func (o CustomSoCOptions) build() (soc.Config, *workload.Graph, error) {
+// inconsistency. It backs both Validate and Execute, which runs what the
+// validation built.
+func (o CustomSoCOptions) build() (builtSoC, error) {
 	o = o.Normalized()
 	if o.W <= 0 || o.H <= 0 {
-		return soc.Config{}, nil, fmt.Errorf("blitzcoin: invalid grid %dx%d", o.W, o.H)
+		return builtSoC{}, fmt.Errorf("blitzcoin: invalid grid %dx%d", o.W, o.H)
 	}
 	if len(o.Tiles) != o.W*o.H {
-		return soc.Config{}, nil, fmt.Errorf("blitzcoin: %d tiles for a %dx%d grid", len(o.Tiles), o.W, o.H)
+		return builtSoC{}, fmt.Errorf("blitzcoin: %d tiles for a %dx%d grid", len(o.Tiles), o.W, o.H)
 	}
 	if !knownScheme(o.Scheme) {
-		return soc.Config{}, nil, fmt.Errorf("blitzcoin: unknown scheme %q", o.Scheme)
+		return builtSoC{}, fmt.Errorf("blitzcoin: unknown scheme %q", o.Scheme)
 	}
 
 	tiles := make([]soc.TileConfig, len(o.Tiles))
@@ -382,7 +388,7 @@ func (o CustomSoCOptions) build() (soc.Config, *workload.Graph, error) {
 		case "", "empty":
 			tiles[i] = soc.TileConfig{Kind: soc.TileEmpty}
 		default:
-			return soc.Config{}, nil, fmt.Errorf("blitzcoin: tile %d has unknown kind %q", i, ts.Kind)
+			return builtSoC{}, fmt.Errorf("blitzcoin: tile %d has unknown kind %q", i, ts.Kind)
 		}
 	}
 
@@ -399,29 +405,37 @@ func (o CustomSoCOptions) build() (soc.Config, *workload.Graph, error) {
 		cfg.Strategy = soc.AbsoluteProportional
 	}
 	if err := cfg.Validate(); err != nil {
-		return soc.Config{}, nil, err
+		return builtSoC{}, err
 	}
 
 	if len(o.Tasks) == 0 {
-		return soc.Config{}, nil, fmt.Errorf("blitzcoin: custom SoC needs at least one task")
+		return builtSoC{}, fmt.Errorf("blitzcoin: custom SoC needs at least one task")
 	}
-	g := &workload.Graph{Name: o.Name + "-workload"}
+	// The graph's dependency lists are windows of one copy of the
+	// request's, so the run shares nothing with the caller.
+	deps := 0
+	for _, t := range o.Tasks {
+		deps += len(t.Deps)
+	}
+	depSlab := make([]int, 0, deps)
+	g := &workload.Graph{Name: o.Name + "-workload", Tasks: make([]workload.Task, len(o.Tasks))}
 	for i, t := range o.Tasks {
 		name := t.Name
 		if name == "" {
-			name = fmt.Sprintf("task-%d", i)
+			name = "task-" + strconv.Itoa(i)
 		}
-		g.Tasks = append(g.Tasks, workload.Task{
-			ID: i, Name: name, Accel: t.Accel, WorkCycles: t.WorkCycles,
-			Deps: append([]int(nil), t.Deps...),
-		})
+		g.Tasks[i] = workload.Task{ID: i, Name: name, Accel: t.Accel, WorkCycles: t.WorkCycles}
+		if len(t.Deps) > 0 {
+			from := len(depSlab)
+			depSlab = append(depSlab, t.Deps...)
+			g.Tasks[i].Deps = depSlab[from:len(depSlab):len(depSlab)]
+		}
 	}
 	if err := g.Validate(); err != nil {
-		return soc.Config{}, nil, err
+		return builtSoC{}, err
 	}
-	if o.Repeat > 1 {
-		g = workload.Repeat(g, o.Repeat)
-	}
+	// Repeat copies the tasks, so the first copy's accelerators are all
+	// the chain's.
 	for _, task := range g.Tasks {
 		found := false
 		for _, tc := range tiles {
@@ -431,26 +445,24 @@ func (o CustomSoCOptions) build() (soc.Config, *workload.Graph, error) {
 			}
 		}
 		if !found {
-			return soc.Config{}, nil, fmt.Errorf("blitzcoin: workload needs accelerator %q, absent from the layout", task.Accel)
+			return builtSoC{}, fmt.Errorf("blitzcoin: workload needs accelerator %q, absent from the layout", task.Accel)
 		}
 	}
-	return cfg, g, nil
+	if o.Repeat > 1 {
+		g = workload.Repeat(g, o.Repeat)
+	}
+	return builtSoC{cfg: cfg, g: g}, nil
 }
 
-// runCustomSoC assembles and runs the described platform, with a live
-// stream and options hash as in runSoC. Errors report invalid layouts or
-// workloads; simulation itself is deterministic for the given seed.
-func runCustomSoC(o CustomSoCOptions, st trace.Stream, hash string) (SoCResult, error) {
-	o = o.Normalized()
-	cfg, g, err := o.build()
-	if err != nil {
-		return SoCResult{}, err
-	}
+// runCustomSoC runs a custom platform that build assembled, with a live
+// stream and options hash as in runSoC; simulation is deterministic for
+// the platform's seed.
+func runCustomSoC(b builtSoC, st trace.Stream, hash string) SoCResult {
+	cfg := b.cfg
 	cfg.Stream = st
-	res := soc.New(cfg).Run(g)
-	out := newSoCResult(res)
-	out.Meta = newMeta(o.Seed, hash)
-	return out, nil
+	out := newSoCResult(soc.New(cfg).Run(b.g))
+	out.Meta = newMeta(cfg.Seed, hash)
+	return out
 }
 
 // RandomWorkload generates a seeded random DAG over the given accelerator
