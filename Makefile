@@ -6,7 +6,7 @@ SHORTSHA := $(shell git rev-parse --short HEAD)
 # the same machine. A change cannot name its own commit, so the change
 # after one that intentionally shifts performance re-pins to it (see
 # BENCHMARKING.md).
-BENCH_BASE_REF ?= eee500ac378931205aae5b8180449d8204d488b6
+BENCH_BASE_REF ?= 871f5c6cf5f2ec82fbd39c696500b1573d980318
 
 .PHONY: build test vet race verify bench bench-base benchcheck bench-report figures \
 	server-smoke cluster-smoke chaos-smoke stream-smoke tenant-smoke \

@@ -9,6 +9,7 @@ package blitzcoin
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -100,20 +101,26 @@ func BenchmarkFig06_DynamicTiming(b *testing.B) {
 }
 
 // BenchmarkFig07_RandomPairingError regenerates the residual-error
-// histograms with and without random pairing for N = 100 and 400.
+// histograms with and without random pairing for N = 100 and 400 through
+// the registry, reading the mean worst error back from the row lines.
 func BenchmarkFig07_RandomPairingError(b *testing.B) {
-	var rows []experiments.Fig07Row
+	var fig FigureResult
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig07(bctx, []int{100, 400}, 10, 1)
+		fig, _ = RunFigure(bctx, FigureOptions{Name: "7", Ns: []int{100, 400}, Trials: 10}, nil)
 	}
-	for _, r := range rows {
+	for _, line := range fig.Lines {
+		var n, trials int
+		var pairing bool
+		var meanWorst float64
+		if _, err := fmt.Sscanf(line, "N=%d pairing=%t trials=%d worstErr(mean)=%f",
+			&n, &pairing, &trials, &meanWorst); err != nil || n != 400 {
+			continue
+		}
 		label := "nopair"
-		if r.RandomPairing {
+		if pairing {
 			label = "pair"
 		}
-		if r.N == 400 {
-			b.ReportMetric(r.MeanWorst, metric(label, "worstErr@N400"))
-		}
+		b.ReportMetric(meanWorst, metric(label, "worstErr@N400"))
 	}
 }
 

@@ -53,18 +53,21 @@ func TestRunUnknownFigure(t *testing.T) {
 }
 
 // TestRunInterrupted: a cancelled run still prints the figure with the
-// rows finished so far, then the partial-results warning, and exits 130.
+// rows finished so far, then the partial-results warning, and exits 130;
+// Fig. 7 covers the figures that run as a merge of trial units.
 func TestRunInterrupted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	code, stdout, _ := run(t, ctx, "-fig", "3", "-trials", "2")
-	if code != 130 {
-		t.Fatalf("exit %d, want 130", code)
-	}
-	title, _ := blitzcoin.FigureTitle("3")
-	if !strings.HasPrefix(stdout, "# "+title+"\n") ||
-		!strings.HasSuffix(stdout, "\n\nblitzctl: interrupted — partial results above (undispatched trials omitted)\n") {
-		t.Fatalf("stdout:\n%s", stdout)
+	for _, fig := range []string{"3", "7"} {
+		code, stdout, _ := run(t, ctx, "-fig", fig, "-trials", "2")
+		if code != 130 {
+			t.Fatalf("-fig %s: exit %d, want 130", fig, code)
+		}
+		title, _ := blitzcoin.FigureTitle(fig)
+		head, tail := "# "+title+"\n", "\n\nblitzctl: interrupted — partial results above (undispatched trials omitted)\n"
+		if !strings.HasPrefix(stdout, head) || !strings.HasSuffix(stdout, tail) || len(stdout) <= len(head)+len(tail) {
+			t.Fatalf("-fig %s stdout:\n%s", fig, stdout)
+		}
 	}
 }
 

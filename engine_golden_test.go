@@ -121,7 +121,17 @@ func engineCases() []engineCase {
 		cs = append(cs, engineCase{"custom-soc/5x2-torus-" + string(s), Request{CustomSoC: &o}})
 	}
 
-	for _, f := range []FigureOptions{
+	for _, f := range smallFigures() {
+		f := f
+		cs = append(cs, engineCase{"figure/" + f.Name, Request{Figure: &f}})
+	}
+	return cs
+}
+
+// smallFigures is one request per registry figure, the sweeping ones at
+// small sizes.
+func smallFigures() []FigureOptions {
+	return []FigureOptions{
 		{Name: "3", Dims: []int{4, 8}, Trials: 3},
 		{Name: "7", Ns: []int{16, 64}, Trials: 4},
 		{Name: "16"},
@@ -144,11 +154,7 @@ func engineCases() []engineCase {
 		{Name: "cpu-proxy"},
 		{Name: "thermal-cap"},
 		{Name: "uvfr-droop"},
-	} {
-		f := f
-		cs = append(cs, engineCase{"figure/" + f.Name, Request{Figure: &f}})
 	}
-	return cs
 }
 
 // engineDigest is the SHA-256 of a result's JSON with every "meta" object

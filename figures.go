@@ -1,6 +1,7 @@
 package blitzcoin
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,24 +10,31 @@ import (
 	"strings"
 
 	"blitzcoin/internal/experiments"
+	"blitzcoin/internal/sweep"
+	"blitzcoin/internal/trace"
 )
 
 // FigureOptions selects one of the paper's figures or tables by registry
 // name and overrides its sweep parameters. Every field except Name is
 // optional; zero values take the figure's own defaults, so a bare
-// {"name": "7"} reproduces the published plot.
+// {"name": "7"} reproduces the published plot. Each figure reads only the
+// fields named for it below: Normalized zeroes the others, so a value in
+// one of them changes neither the rows nor the canonical hash, and
+// Validate does not check it.
 type FigureOptions struct {
 	// Name is the registry key: "1", "3", "4", "6", "7", "8", "13", "16",
 	// "17", "18", "19", "20", "21", "ap-rp", "contention", "cpu-proxy",
 	// "degraded", "faults", "nopm", "table1", "thermal-cap", "uvfr-droop".
 	// FigureNames lists them.
 	Name string `json:"name"`
-	// Trials overrides the Monte Carlo trials per point where the figure
-	// sweeps (default: figure-specific).
+	// Trials overrides the Monte Carlo trials per point of the sweeping
+	// figures (3, 4, 6, 7, 8, contention, faults; default figure-specific).
 	Trials int `json:"trials,omitempty"`
-	// Seed is the base random seed. Default 1.
+	// Seed is the base random seed. Default 1. Figs. 1 and 13, cpu-proxy
+	// and uvfr-droop draw no random numbers; their seed is always 1.
 	Seed uint64 `json:"seed,omitempty"`
-	// Dims overrides the mesh-dimension sweep of the exchange figures.
+	// Dims overrides the mesh-dimension sweep of the exchange figures (3,
+	// 4, 6, 8) and of the fault study.
 	Dims []int `json:"dims,omitempty"`
 	// Ns overrides the tile counts of Fig. 7 / SoC sizes of Fig. 1.
 	Ns []int `json:"ns,omitempty"`
@@ -47,29 +55,70 @@ type FigureOptions struct {
 	TwsMs []float64 `json:"tws_ms,omitempty"`
 }
 
-// figureSpec is one registry entry: the heading, the per-figure defaults,
-// and the runner that renders the deterministic report lines and hands
-// the same rows to out as CSV tables.
+// figureSpec is one registry entry: the heading, the figure's descriptor
+// and the runner that renders the deterministic report lines and hands the
+// same rows to out as CSV tables.
 type figureSpec struct {
-	title    string
-	defaults func(*FigureOptions)
+	title string
+	// defaults is the descriptor: it sets every field the figure reads, at
+	// its default value, and no other. Seed is 1 on the seeded figures.
+	defaults FigureOptions
 	run      func(ctx context.Context, o FigureOptions, out *figureCSV) []string
-	// shard, when non-nil, decomposes the figure's Monte-Carlo work into
-	// independent trial units for distributed execution; figures without it
-	// run as one indivisible shard.
+	// shard, when non-nil, is the figure: its Monte-Carlo work decomposed
+	// into independent trial units, which RunFigure runs locally and a
+	// cluster spreads over workers. Such a figure has no run.
 	shard *figureShard
 }
 
+// lines runs the figure on o as given: a shardable figure as the merge of
+// all its trial units.
+func (s figureSpec) lines(ctx context.Context, o FigureOptions, out *figureCSV) ([]string, error) {
+	if s.shard != nil {
+		return s.shard.merge(o, s.shard.trials(ctx, o, 0, s.shard.units(o)), out)
+	}
+	return s.run(ctx, o, out), nil
+}
+
 // figureShard splits a figure along its flattened trial axis (point-major,
-// trial order within a point — the same order the local runner reduces in).
-// trial computes one global trial unit and encodes its raw value; merge
-// decodes the complete unit sequence and renders the report lines. Both
-// sides derive per-trial randomness from the unit index alone, so the
-// merged lines are byte-identical to run's at any shard count.
+// trial order within a point). trial computes one global trial unit, may
+// publish the unit's series points on st, and encodes its raw value; merge
+// decodes the complete unit sequence, renders the report lines and writes
+// the CSV tables. Both sides derive per-trial randomness from the unit
+// index alone, so the lines are the same at any shard count.
 type figureShard struct {
 	units func(o FigureOptions) int
-	trial func(o FigureOptions, g int) json.RawMessage
-	merge func(o FigureOptions, trials []json.RawMessage) ([]string, error)
+	trial func(st trace.Stream, o FigureOptions, g int) json.RawMessage
+	merge func(o FigureOptions, trials []json.RawMessage, out *figureCSV) ([]string, error)
+}
+
+// trials computes the units [lo, hi) and publishes each unit's trial-start
+// and trial-done on the context's stream: a worker's shard is a sub-range,
+// the local run the whole axis.
+func (s *figureShard) trials(ctx context.Context, o FigureOptions, lo, hi int) []json.RawMessage {
+	st := trace.FromContext(ctx)
+	units := s.units(o)
+	return sweep.MapRange(ctx, lo, hi, 0, func(g int) json.RawMessage {
+		st.TrialStart(g, units)
+		raw := s.trial(st, o, g)
+		st.TrialDone(g, units, true, 0)
+		return raw
+	})
+}
+
+// decodeTrials decodes the trial payloads of a shardable figure; what
+// names it in the error. An empty payload is a unit that a cancelled local
+// run never dispatched: it stays the zero value, as sweep.Map leaves it.
+func decodeTrials[T any](what string, trials []json.RawMessage) ([]T, error) {
+	vals := make([]T, len(trials))
+	for i, b := range trials {
+		if len(b) == 0 {
+			continue
+		}
+		if err := json.Unmarshal(b, &vals[i]); err != nil {
+			return nil, fmt.Errorf("blitzcoin: %s trial %d payload: %w", what, i, err)
+		}
+	}
+	return vals, nil
 }
 
 // figureCSV is a runner's CSV output. sink opens one writer per file name;
@@ -118,14 +167,8 @@ var paperDims = []int{4, 8, 12, 16, 20}
 var figureRegistry = map[string]figureSpec{
 	"1": {
 		title: "Fig. 1 — response time vs activity-change interval Tw/N",
-		defaults: func(o *FigureOptions) {
-			if len(o.Ns) == 0 {
-				o.Ns = []int{5, 10, 20, 50, 100, 200, 500, 1000}
-			}
-			if len(o.TwsMs) == 0 {
-				o.TwsMs = []float64{1, 5, 20}
-			}
-		},
+		defaults: FigureOptions{Ns: []int{5, 10, 20, 50, 100, 200, 500, 1000},
+			TwsMs: []float64{1, 5, 20}},
 		run: func(_ context.Context, o FigureOptions, out *figureCSV) []string {
 			ns := make([]float64, len(o.Ns))
 			for i, n := range o.Ns {
@@ -143,7 +186,7 @@ var figureRegistry = map[string]figureSpec{
 	},
 	"3": {
 		title:    "Fig. 3 — 1-way vs 4-way: packets and cycles to convergence (Err < 1.5)",
-		defaults: func(o *FigureOptions) { figDimsTrials(o, 100) },
+		defaults: FigureOptions{Trials: 100, Seed: 1, Dims: paperDims},
 		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
 			rows := experiments.Fig03(ctx, o.Dims, o.Trials, o.Seed)
 			out.write("fig03_exchange_modes.csv",
@@ -153,7 +196,7 @@ var figureRegistry = map[string]figureSpec{
 	},
 	"4": {
 		title:    "Fig. 4 — BlitzCoin vs TokenSmart convergence time",
-		defaults: func(o *FigureOptions) { figDimsTrials(o, 100) },
+		defaults: FigureOptions{Trials: 100, Seed: 1, Dims: paperDims},
 		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
 			rows := experiments.Fig04(ctx, o.Dims, o.Trials, o.Seed)
 			out.write("fig04_bc_vs_tokensmart.csv", experiments.Fig04CSV(rows).Write)
@@ -162,7 +205,7 @@ var figureRegistry = map[string]figureSpec{
 	},
 	"6": {
 		title:    "Fig. 6 — conventional vs dynamic-timing 1-way exchange (Err < 1.0)",
-		defaults: func(o *FigureOptions) { figDimsTrials(o, 100) },
+		defaults: FigureOptions{Trials: 100, Seed: 1, Dims: paperDims},
 		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
 			rows := experiments.Fig06(ctx, o.Dims, o.Trials, o.Seed)
 			out.write("fig06_dynamic_timing.csv",
@@ -171,48 +214,37 @@ var figureRegistry = map[string]figureSpec{
 		},
 	},
 	"7": {
-		title: "Fig. 7 — worst-case residual error with/without random pairing",
-		defaults: func(o *FigureOptions) {
-			if len(o.Ns) == 0 {
-				o.Ns = []int{100, 400}
-			}
-			if o.Trials == 0 {
-				o.Trials = 1000
-			}
-		},
-		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
-			rows := experiments.Fig07(ctx, o.Ns, o.Trials, o.Seed)
-			out.write("fig07_residual_error.csv", experiments.Fig07CSV(rows).Write)
-			return fig07Lines(rows)
-		},
+		title:    "Fig. 7 — worst-case residual error with/without random pairing",
+		defaults: FigureOptions{Trials: 1000, Seed: 1, Ns: []int{100, 400}},
 		shard: &figureShard{
 			units: func(o FigureOptions) int {
 				return len(experiments.Fig07Points(o.Ns)) * o.Trials
 			},
-			trial: func(o FigureOptions, g int) json.RawMessage {
+			trial: func(st trace.Stream, o FigureOptions, g int) json.RawMessage {
 				p := experiments.Fig07Points(o.Ns)[g/o.Trials]
-				return mustJSON(experiments.Fig07Trial(p, g%o.Trials, o.Seed))
+				w := experiments.Fig07Trial(p, g%o.Trials, o.Seed)
+				st.Point("worst_tile_err", uint64(g), w)
+				return mustJSON(w)
 			},
-			merge: func(o FigureOptions, trials []json.RawMessage) ([]string, error) {
-				vals := make([]float64, len(trials))
-				for i, b := range trials {
-					if err := json.Unmarshal(b, &vals[i]); err != nil {
-						return nil, fmt.Errorf("blitzcoin: figure 7 trial %d payload: %w", i, err)
-					}
+			merge: func(o FigureOptions, trials []json.RawMessage, out *figureCSV) ([]string, error) {
+				vals, err := decodeTrials[float64]("figure 7", trials)
+				if err != nil {
+					return nil, err
 				}
-				points := experiments.Fig07Points(o.Ns)
-				return fig07Lines(experiments.Fig07Assemble(points, o.Trials, vals)), nil
+				rows := experiments.Fig07Assemble(experiments.Fig07Points(o.Ns), o.Trials, vals)
+				out.write("fig07_residual_error.csv", experiments.Fig07CSV(rows).Write)
+				var lines []string
+				for _, r := range rows {
+					lines = append(lines, r.String())
+					lines = append(lines, strings.Split(strings.TrimRight(r.Hist.String(), "\n"), "\n")...)
+				}
+				return lines, nil
 			},
 		},
 	},
 	"8": {
-		title: "Fig. 8 — convergence time vs heterogeneity (accType) and size",
-		defaults: func(o *FigureOptions) {
-			figDimsTrials(o, 50)
-			if len(o.AccelTypes) == 0 {
-				o.AccelTypes = []int{1, 2, 4, 8}
-			}
-		},
+		title:    "Fig. 8 — convergence time vs heterogeneity (accType) and size",
+		defaults: FigureOptions{Trials: 50, Seed: 1, Dims: paperDims, AccelTypes: []int{1, 2, 4, 8}},
 		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
 			rows := experiments.Fig08(ctx, o.Dims, o.AccelTypes, o.Trials, o.Seed)
 			out.write("fig08_heterogeneity.csv",
@@ -221,9 +253,8 @@ var figureRegistry = map[string]figureSpec{
 		},
 	},
 	"13": {
-		title:    "Fig. 13 — accelerator power/frequency characterization",
-		defaults: func(o *FigureOptions) {},
-		run: func(_ context.Context, o FigureOptions, out *figureCSV) []string {
+		title: "Fig. 13 — accelerator power/frequency characterization",
+		run: func(_ context.Context, _ FigureOptions, out *figureCSV) []string {
 			points := experiments.Fig13()
 			out.write("fig13_power_curves.csv", experiments.Fig13CSV(points).Write)
 			lines := []string{"accel   V      F(MHz)   P(mW)"}
@@ -235,7 +266,7 @@ var figureRegistry = map[string]figureSpec{
 	},
 	"16": {
 		title:    "Fig. 16 — 3x3 power traces (WL-Par @120mW, WL-Dep @60mW)",
-		defaults: func(o *FigureOptions) {},
+		defaults: FigureOptions{Seed: 1},
 		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
 			rows := experiments.Fig16(ctx, o.Seed)
 			out.write("fig16_soc3x3.csv", experiments.SoCCSV(rows).Write)
@@ -248,7 +279,7 @@ var figureRegistry = map[string]figureSpec{
 	},
 	"17": {
 		title:    "Fig. 17 — 3x3 SoC: execution and response time, BC vs BC-C vs C-RR",
-		defaults: func(o *FigureOptions) {},
+		defaults: FigureOptions{Seed: 1},
 		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
 			rows := experiments.Fig17(ctx, o.Seed)
 			out.write("fig17_soc3x3.csv", experiments.SoCCSV(rows).Write)
@@ -257,7 +288,7 @@ var figureRegistry = map[string]figureSpec{
 	},
 	"18": {
 		title:    "Fig. 18 — 4x4 SoC: execution and response time, BC vs BC-C vs C-RR",
-		defaults: func(o *FigureOptions) {},
+		defaults: FigureOptions{Seed: 1},
 		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
 			rows := experiments.Fig18(ctx, o.Seed)
 			out.write("fig18_soc4x4.csv", experiments.SoCCSV(rows).Write)
@@ -266,7 +297,7 @@ var figureRegistry = map[string]figureSpec{
 	},
 	"19": {
 		title:    "Fig. 19 — silicon proxy: utilization and throughput vs static allocation",
-		defaults: func(o *FigureOptions) { figBudget(o) },
+		defaults: FigureOptions{Seed: 1, BudgetMW: 200},
 		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
 			rows := experiments.Fig19(ctx, o.BudgetMW, o.Seed)
 			coins := experiments.Fig19Coins(o.BudgetMW, o.Seed)
@@ -278,7 +309,7 @@ var figureRegistry = map[string]figureSpec{
 	},
 	"20": {
 		title:    "Fig. 20 — response to activity transitions, 7-accelerator workload",
-		defaults: func(o *FigureOptions) { figBudget(o) },
+		defaults: FigureOptions{Seed: 1, BudgetMW: 200},
 		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
 			rows := experiments.Fig20(ctx, o.BudgetMW, o.Seed)
 			rec, resp := experiments.Fig20Trace(o.BudgetMW, o.Seed)
@@ -294,12 +325,8 @@ var figureRegistry = map[string]figureSpec{
 		},
 	},
 	"21": {
-		title: "Fig. 21 — Nmax and PM-overhead projections from refitted models",
-		defaults: func(o *FigureOptions) {
-			if len(o.TwsMs) == 0 {
-				o.TwsMs = []float64{0.2, 1, 7, 10}
-			}
-		},
+		title:    "Fig. 21 — Nmax and PM-overhead projections from refitted models",
+		defaults: FigureOptions{Seed: 1, TwsMs: []float64{0.2, 1, 7, 10}},
 		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
 			models := experiments.FitScalingModels(ctx, o.Seed)
 			rows := experiments.Fig21(models, o.TwsMs)
@@ -322,12 +349,8 @@ var figureRegistry = map[string]figureSpec{
 		},
 	},
 	"ap-rp": {
-		title: "Sec. VI-A — Absolute vs Relative Proportional allocation (3x3, BC)",
-		defaults: func(o *FigureOptions) {
-			if len(o.BudgetsMW) == 0 {
-				o.BudgetsMW = []float64{60, 80, 100, 120}
-			}
-		},
+		title:    "Sec. VI-A — Absolute vs Relative Proportional allocation (3x3, BC)",
+		defaults: FigureOptions{Seed: 1, BudgetsMW: []float64{60, 80, 100, 120}},
 		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
 			rows := experiments.APvsRP(ctx, o.BudgetsMW, o.Seed)
 			out.write("ap_vs_rp.csv", experiments.APvsRPCSV(rows).Write)
@@ -335,18 +358,8 @@ var figureRegistry = map[string]figureSpec{
 		},
 	},
 	"contention": {
-		title: "Extension — convergence under background plane-5 traffic",
-		defaults: func(o *FigureOptions) {
-			if o.Dim == 0 {
-				o.Dim = 12
-			}
-			if len(o.BgRates) == 0 {
-				o.BgRates = []int{0, 20, 50, 100, 200}
-			}
-			if o.Trials == 0 {
-				o.Trials = 10
-			}
-		},
+		title:    "Extension — convergence under background plane-5 traffic",
+		defaults: FigureOptions{Trials: 10, Seed: 1, BgRates: []int{0, 20, 50, 100, 200}, Dim: 12},
 		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
 			rows := experiments.ContentionStudy(ctx, o.Dim, o.BgRates, o.Trials, o.Seed)
 			out.write("contention.csv", experiments.ContentionCSV(rows).Write)
@@ -354,8 +367,7 @@ var figureRegistry = map[string]figureSpec{
 		},
 	},
 	"cpu-proxy": {
-		title:    "Sec. IV-C — CPU power proxy: activity counters set a CVA6 tile's coin target",
-		defaults: func(o *FigureOptions) {},
+		title: "Sec. IV-C — CPU power proxy: activity counters set a CVA6 tile's coin target",
 		run: func(_ context.Context, _ FigureOptions, out *figureCSV) []string {
 			rows := experiments.CPUProxy()
 			out.write("cpu_proxy.csv", experiments.CPUProxyCSV(rows).Write)
@@ -364,7 +376,7 @@ var figureRegistry = map[string]figureSpec{
 	},
 	"degraded": {
 		title:    "Extension — degraded mode: 3x3 BC with 0..3 tiles killed mid-workload",
-		defaults: func(o *FigureOptions) {},
+		defaults: FigureOptions{Seed: 1},
 		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
 			rows := experiments.DegradedSoC(ctx, o.Seed)
 			out.write("degraded_soc.csv", experiments.DegradedCSV(rows).Write)
@@ -373,45 +385,30 @@ var figureRegistry = map[string]figureSpec{
 	},
 	"faults": {
 		title: "Extension — hardened exchange under PM-plane packet loss",
-		defaults: func(o *FigureOptions) {
-			if len(o.Dims) == 0 {
-				o.Dims = []int{6, 10, 14}
-			}
-			if len(o.DropRates) == 0 {
-				o.DropRates = []float64{0, 0.005, 0.01, 0.02, 0.05}
-			}
-			if o.Trials == 0 {
-				o.Trials = 10
-			}
-		},
-		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
-			rows := experiments.FaultStudy(ctx, o.Dims, o.DropRates, o.Trials, o.Seed)
-			out.write("fault_study.csv", experiments.FaultCSV(rows).Write)
-			return stringRows(rows)
-		},
+		defaults: FigureOptions{Trials: 10, Seed: 1, Dims: []int{6, 10, 14},
+			DropRates: []float64{0, 0.005, 0.01, 0.02, 0.05}},
 		shard: &figureShard{
 			units: func(o FigureOptions) int {
 				return len(experiments.FaultPoints(o.Dims, o.DropRates)) * o.Trials
 			},
-			trial: func(o FigureOptions, g int) json.RawMessage {
+			trial: func(_ trace.Stream, o FigureOptions, g int) json.RawMessage {
 				p := experiments.FaultPoints(o.Dims, o.DropRates)[g/o.Trials]
 				return mustJSON(experiments.FaultStudyTrial(p, g%o.Trials, o.Seed))
 			},
-			merge: func(o FigureOptions, trials []json.RawMessage) ([]string, error) {
-				vals := make([]experiments.FaultTrial, len(trials))
-				for i, b := range trials {
-					if err := json.Unmarshal(b, &vals[i]); err != nil {
-						return nil, fmt.Errorf("blitzcoin: fault-study trial %d payload: %w", i, err)
-					}
+			merge: func(o FigureOptions, trials []json.RawMessage, out *figureCSV) ([]string, error) {
+				vals, err := decodeTrials[experiments.FaultTrial]("fault-study", trials)
+				if err != nil {
+					return nil, err
 				}
-				points := experiments.FaultPoints(o.Dims, o.DropRates)
-				return stringRows(experiments.FaultAssemble(points, o.Trials, vals)), nil
+				rows := experiments.FaultAssemble(experiments.FaultPoints(o.Dims, o.DropRates), o.Trials, vals)
+				out.write("fault_study.csv", experiments.FaultCSV(rows).Write)
+				return stringRows(rows), nil
 			},
 		},
 	},
 	"nopm": {
 		title:    "Sec. VI-C — PM overhead: BlitzCoin vs the No-PM baseline tile",
-		defaults: func(o *FigureOptions) {},
+		defaults: FigureOptions{Seed: 1},
 		run: func(_ context.Context, o FigureOptions, out *figureCSV) []string {
 			row := experiments.NoPMOverhead(o.Seed)
 			out.write("nopm_overhead.csv", experiments.NoPMCSV(row).Write)
@@ -420,7 +417,7 @@ var figureRegistry = map[string]figureSpec{
 	},
 	"table1": {
 		title:    "Table I — implemented state-of-the-art designs (response measured at N=13)",
-		defaults: func(o *FigureOptions) {},
+		defaults: FigureOptions{Seed: 1},
 		run: func(ctx context.Context, o FigureOptions, out *figureCSV) []string {
 			rows := experiments.Table1(ctx, o.Seed)
 			out.write("table1_comparison.csv", experiments.Table1CSV(rows).Write)
@@ -429,7 +426,7 @@ var figureRegistry = map[string]figureSpec{
 	},
 	"thermal-cap": {
 		title:    "Sec. III-B — thermal hotspot guard: 8x8 hotspot exchange, uncapped vs a neighborhood coin cap",
-		defaults: func(o *FigureOptions) {},
+		defaults: FigureOptions{Seed: 1},
 		run: func(_ context.Context, o FigureOptions, out *figureCSV) []string {
 			var rows []experiments.ThermalCapRow
 			for _, c := range []int64{0, 60} {
@@ -443,42 +440,13 @@ var figureRegistry = map[string]figureSpec{
 		},
 	},
 	"uvfr-droop": {
-		title:    "Fig. 9 — UVFR vs conventional dual-loop actuation under supply droop (700 MHz target)",
-		defaults: func(o *FigureOptions) {},
+		title: "Fig. 9 — UVFR vs conventional dual-loop actuation under supply droop (700 MHz target)",
 		run: func(_ context.Context, _ FigureOptions, out *figureCSV) []string {
 			rows := experiments.UVFRDroop(700, []float64{0.03, 0.08})
 			out.write("uvfr_droop.csv", experiments.DroopCSV(rows).Write)
 			return stringRows(rows)
 		},
 	},
-}
-
-// fig07Lines renders Fig. 7 rows with their histograms — shared by the
-// local runner and the shard merge so both produce identical bytes.
-func fig07Lines(rows []experiments.Fig07Row) []string {
-	var lines []string
-	for _, r := range rows {
-		lines = append(lines, r.String())
-		lines = append(lines, strings.Split(strings.TrimRight(r.Hist.String(), "\n"), "\n")...)
-	}
-	return lines
-}
-
-// figDimsTrials applies the shared exchange-figure defaults.
-func figDimsTrials(o *FigureOptions, trials int) {
-	if len(o.Dims) == 0 {
-		o.Dims = append([]int(nil), paperDims...)
-	}
-	if o.Trials == 0 {
-		o.Trials = trials
-	}
-}
-
-// figBudget applies the silicon-figure budget default.
-func figBudget(o *FigureOptions) {
-	if o.BudgetMW == 0 {
-		o.BudgetMW = 200
-	}
 }
 
 // FigureNames lists the registry, sorted.
@@ -500,28 +468,67 @@ func FigureTitle(name string) (string, bool) {
 	return s.title, true
 }
 
-// Normalized returns a copy with the seed and the figure's own sweep
-// defaults filled in. Unknown names pass through for Validate to report.
+// Normalized returns the options the figure runs on: each field its
+// descriptor sets keeps its value, or takes the default when unset, and
+// every other field is zeroed, because the figure does not read it. An
+// unseeded figure's seed is pinned to 1. Slices are fresh copies, never the
+// caller's or the registry's. Unknown names pass through for Validate to
+// report.
 func (o FigureOptions) Normalized() FigureOptions {
-	if o.Seed == 0 {
-		o.Seed = 1
+	s, ok := figureRegistry[o.Name]
+	if !ok {
+		return o
 	}
-	if s, ok := figureRegistry[o.Name]; ok {
-		o.Dims = append([]int(nil), o.Dims...)
-		o.Ns = append([]int(nil), o.Ns...)
-		o.AccelTypes = append([]int(nil), o.AccelTypes...)
-		o.BudgetsMW = append([]float64(nil), o.BudgetsMW...)
-		o.DropRates = append([]float64(nil), o.DropRates...)
-		o.BgRates = append([]int(nil), o.BgRates...)
-		o.TwsMs = append([]float64(nil), o.TwsMs...)
-		s.defaults(&o)
+	d := s.defaults
+	n := FigureOptions{
+		Name:       o.Name,
+		Trials:     orDefault(o.Trials, d.Trials),
+		Seed:       1,
+		Dims:       orDefaultSlice(o.Dims, d.Dims),
+		Ns:         orDefaultSlice(o.Ns, d.Ns),
+		AccelTypes: orDefaultSlice(o.AccelTypes, d.AccelTypes),
+		BudgetMW:   orDefault(o.BudgetMW, d.BudgetMW),
+		BudgetsMW:  orDefaultSlice(o.BudgetsMW, d.BudgetsMW),
+		DropRates:  orDefaultSlice(o.DropRates, d.DropRates),
+		BgRates:    orDefaultSlice(o.BgRates, d.BgRates),
+		Dim:        orDefault(o.Dim, d.Dim),
+		TwsMs:      orDefaultSlice(o.TwsMs, d.TwsMs),
 	}
-	return o
+	if d.Seed != 0 {
+		n.Seed = cmp.Or(o.Seed, d.Seed)
+	}
+	return n
 }
 
-// Validate reports whether the figure request is runnable.
+// orDefault returns v, or def when v is unset; a zero def marks a field
+// the figure does not read, which is zeroed.
+func orDefault[T int | uint64 | float64](v, def T) T {
+	if def == 0 {
+		return 0
+	}
+	return cmp.Or(v, def)
+}
+
+// orDefaultSlice is orDefault for a sweep axis, returning a copy.
+func orDefaultSlice[T int | float64](v, def []T) []T {
+	if len(def) == 0 {
+		return nil
+	}
+	if len(v) == 0 {
+		v = def
+	}
+	return append([]T(nil), v...)
+}
+
+// Validate reports whether the figure request is runnable. It checks the
+// normalized options, so an out-of-range value in a field the figure does
+// not read is dropped with the field, not rejected.
 func (o FigureOptions) Validate() error {
-	o = o.Normalized()
+	return o.Normalized().validate()
+}
+
+// validate is Validate on normalized options.
+func (o FigureOptions) validate() error {
 	if _, ok := figureRegistry[o.Name]; !ok {
 		return fmt.Errorf("blitzcoin: unknown figure %q (want one of %s)",
 			o.Name, strings.Join(FigureNames(), ", "))
@@ -574,7 +581,9 @@ func (o FigureOptions) Validate() error {
 // byte-identical at any parallelism. The context cancels the figure's
 // sweeps between runs; RunFigure itself does not fail on cancellation —
 // callers that must not serve partial figures (Execute, the daemon) check
-// ctx.Err() afterwards.
+// ctx.Err() afterwards. A shardable figure (Fig. 7, the fault study) runs
+// as the merge of all its trial units, publishing each unit's trial events
+// on the context's stream.
 //
 // With a non-nil csv, RunFigure also writes the figure's data as CSV
 // tables rendered from the same rows as the report lines: for each file it
@@ -584,12 +593,15 @@ func (o FigureOptions) Validate() error {
 // the file, together with the complete result.
 func RunFigure(ctx context.Context, o FigureOptions, csv func(name string) io.Writer) (FigureResult, error) {
 	o = o.Normalized()
-	if err := o.Validate(); err != nil {
+	if err := o.validate(); err != nil {
 		return FigureResult{}, err
 	}
 	spec := figureRegistry[o.Name]
 	out := &figureCSV{sink: csv}
-	lines := spec.run(ctx, o, out)
+	lines, err := spec.lines(ctx, o, out)
+	if err != nil {
+		return FigureResult{}, err
+	}
 	return FigureResult{
 		Meta:  newMeta(o.Seed, canonicalHash(string(KindFigure), o)),
 		Name:  o.Name,

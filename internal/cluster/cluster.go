@@ -319,9 +319,6 @@ func (c *Coordinator) plan(units int) []shardRange {
 // plugs directly into a blitzd Server.
 func (c *Coordinator) Run(ctx context.Context, req blitzcoin.Request) (*blitzcoin.Result, error) {
 	norm := req.Normalized()
-	if err := norm.Validate(); err != nil {
-		return nil, err
-	}
 	hash, err := norm.CanonicalHash()
 	if err != nil {
 		return nil, err

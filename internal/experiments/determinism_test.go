@@ -20,6 +20,31 @@ func renderRows[T fmt.Stringer](rows []T) string {
 	return b.String()
 }
 
+// unitTrials runs trial over a point-major unit axis, trials units per
+// point, in one sweep.Map: the way the registry runs Fig. 7 and the fault
+// study, locally and shard by shard.
+func unitTrials[P, T any](points []P, trials int, trial func(p P, t int) T) []T {
+	return sweep.Map(context.Background(), len(points)*trials, 0, func(g int) T {
+		return trial(points[g/trials], g%trials)
+	})
+}
+
+// fig07Rows computes the Fig. 7 rows from the figure's trial units.
+func fig07Rows(ns []int, trials int, seed uint64) []Fig07Row {
+	points := Fig07Points(ns)
+	return Fig07Assemble(points, trials, unitTrials(points, trials, func(p Fig07Point, t int) float64 {
+		return Fig07Trial(p, t, seed)
+	}))
+}
+
+// faultRows computes the fault-study rows from the study's trial units.
+func faultRows(ds []int, dropRates []float64, trials int, seed uint64) []FaultRow {
+	points := FaultPoints(ds, dropRates)
+	return FaultAssemble(points, trials, unitTrials(points, trials, func(p FaultPoint, t int) FaultTrial {
+		return FaultStudyTrial(p, t, seed)
+	}))
+}
+
 // withParallelism runs f under a temporary sweep default.
 func withParallelism(p int, f func() string) string {
 	sweep.SetDefaultParallelism(p)
@@ -41,7 +66,7 @@ func TestSweepParallelismDoesNotChangeRows(t *testing.T) {
 			return renderRows(Fig03(context.Background(), []int{4, 8}, 6, 1))
 		}},
 		{"Fig07", func() string {
-			rows := Fig07(context.Background(), []int{100}, 6, 1)
+			rows := fig07Rows([]int{100}, 6, 1)
 			var b strings.Builder
 			for _, r := range rows {
 				b.WriteString(r.String())
@@ -51,7 +76,7 @@ func TestSweepParallelismDoesNotChangeRows(t *testing.T) {
 			return b.String()
 		}},
 		{"FaultStudy", func() string {
-			return renderRows(FaultStudy(context.Background(), []int{6}, []float64{0, 0.01}, 4, 1))
+			return renderRows(faultRows([]int{6}, []float64{0, 0.01}, 4, 1))
 		}},
 	}
 	for _, tc := range cases {

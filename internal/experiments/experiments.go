@@ -175,7 +175,11 @@ func Fig08(ctx context.Context, ds []int, accTypes []int, trials int, seed uint6
 	return rows
 }
 
-// Fig07Row is one histogram of worst-case residual error (Fig. 7).
+// Fig07Row is one histogram of worst-case residual error (Fig. 7): the
+// residual (post-quiescence) worst per-tile error with or without random
+// pairing. Without pairing, deadlocked local minima leave tiles off target;
+// with pairing everything converges to the 1-coin quantization limit. The
+// registry runs the figure from Fig07Points, Fig07Trial and Fig07Assemble.
 type Fig07Row struct {
 	N             int
 	RandomPairing bool
@@ -270,28 +274,6 @@ func Fig07Assemble(points []Fig07Point, trials int, worstErrs []float64) []Fig07
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// Fig07 measures the residual (post-quiescence) worst-case per-tile error
-// with and without random pairing, for N = 100 and 400: without pairing,
-// deadlocked local minima leave tiles off target; with pairing everything
-// converges to the 1-coin quantization limit.
-func Fig07(ctx context.Context, ns []int, trials int, seed uint64) []Fig07Row {
-	points := Fig07Points(ns)
-	st := trace.FromContext(ctx)
-	total := len(points) * trials
-	worstErrs := make([]float64, 0, total)
-	for pi, p := range points {
-		base := pi * trials
-		worstErrs = append(worstErrs, sweep.Map(ctx, trials, 0, func(t int) float64 {
-			st.TrialStart(base+t, total)
-			w := Fig07Trial(p, t, seed)
-			st.TrialDone(base+t, total, true, 0)
-			st.Point("worst_tile_err", uint64(base+t), w)
-			return w
-		})...)
-	}
-	return Fig07Assemble(points, trials, worstErrs)
 }
 
 // Fig04Row compares BlitzCoin and TokenSmart convergence (Fig. 4).

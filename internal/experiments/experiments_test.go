@@ -90,7 +90,7 @@ func TestFig06DynamicTimingWins(t *testing.T) {
 }
 
 func TestFig07RandomPairingEliminatesDeadlock(t *testing.T) {
-	rows := Fig07(tctx, []int{100}, 10, 1)
+	rows := fig07Rows([]int{100}, 10, 1)
 	var with, without Fig07Row
 	for _, r := range rows {
 		if r.RandomPairing {

@@ -16,7 +16,13 @@ import (
 )
 
 // FaultRow is one point of the fault-resilience sweep: a (mesh size,
-// drop rate) cell of the hardened coin exchange run to quiescence.
+// drop rate) cell of the hardened coin exchange run to quiescence. The
+// hardened 1-way exchange must keep converging (Err < 1.5) and keep the
+// coin pool conserved as the PM plane gets lossier; the acceptance point
+// of the robustness extension is the d=10, 1% cell. Runs go to quiescence
+// (not first crossing) so the conservation audit's end-of-run verdict is
+// part of every trial. The registry runs the study from FaultPoints,
+// FaultStudyTrial and FaultAssemble.
 type FaultRow struct {
 	D, N     int
 	DropRate float64
@@ -39,23 +45,6 @@ func (r FaultRow) String() string {
 		r.D, r.N, 100*r.DropRate, r.Trials, r.Converged, r.Trials,
 		r.Conserved, r.Trials, r.MeanCycles, r.P95Cycles,
 		r.MeanFinalErr, r.MeanDropped, r.MeanRetries, r.MeanRepairs)
-}
-
-// FaultStudy sweeps PM-plane packet-drop rate against mesh size: the
-// hardened 1-way exchange must keep converging (Err < 1.5) and keep the
-// coin pool conserved as the plane gets lossier. The acceptance point of
-// the robustness extension is the d=10, 1% cell. Runs go to quiescence
-// (not first crossing) so the conservation audit's end-of-run verdict is
-// part of every trial.
-func FaultStudy(ctx context.Context, ds []int, dropRates []float64, trials int, seed uint64) []FaultRow {
-	points := FaultPoints(ds, dropRates)
-	results := make([]FaultTrial, 0, len(points)*trials)
-	for _, p := range points {
-		results = append(results, sweep.Map(ctx, trials, 0, func(t int) FaultTrial {
-			return FaultStudyTrial(p, t, seed)
-		})...)
-	}
-	return FaultAssemble(points, trials, results)
 }
 
 // FaultPoint is one (mesh size, drop rate) cell of the fault study.

@@ -9,7 +9,7 @@ import (
 // PM-plane drops, every trial converges (Err < 1.5) with the pool conserved,
 // and the recovery counters show the machinery actually worked for it.
 func TestFaultStudyAcceptanceCell(t *testing.T) {
-	rows := FaultStudy(context.Background(), []int{10}, []float64{0, 0.01}, 3, 1)
+	rows := faultRows([]int{10}, []float64{0, 0.01}, 3, 1)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -146,6 +146,39 @@ func TestMemoConcurrentResend(t *testing.T) {
 	}
 }
 
+// TestIgnoredFigureOptionsShareOneEntry: options a figure does not read
+// leave its canonical hash, so a request that sets them is a memory hit on
+// the plain request's entry, computed and ledgered once.
+func TestIgnoredFigureOptionsShareOneEntry(t *testing.T) {
+	led, err := ledger.Open("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs atomic.Int64
+	srv := New(Config{Logger: quiet, Run: countingRun(&runs), Ledger: led})
+	h := srv.Handler()
+	envelope := func(body string) Response {
+		var env Response
+		rec := serve(t, h, http.MethodPost, "/v1/sweep", body, "", http.StatusOK)
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	plain := envelope(`{"figure":{"name":"13"}}`)
+	ignored := envelope(`{"figure":{"name":"13","trials":5,"dims":[4]}}`)
+	if plain.Cached || !ignored.Cached || ignored.Tier != "memory" || ignored.RequestHash != plain.RequestHash {
+		t.Errorf("plain request cached=%v hash %s; with ignored options cached=%v tier %q hash %s",
+			plain.Cached, short(plain.RequestHash), ignored.Cached, ignored.Tier, short(ignored.RequestHash))
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("%d computations, want 1", n)
+	}
+	if n := srv.metrics.ledgerAppend.Count(); n != 1 {
+		t.Errorf("%d ledger appends, want 1", n)
+	}
+}
+
 // concurrentResend is one pass of TestMemoConcurrentResend on a fresh
 // server, ledgered when led is non-nil.
 func concurrentResend(t *testing.T, led *ledger.Ledger) {

@@ -478,9 +478,6 @@ func decodeRequest(body io.Reader, what string, v any, req *blitzcoin.Request) (
 		return blitzcoin.Request{}, "", fmt.Errorf("decoding %s: %w", what, err)
 	}
 	norm := req.Normalized()
-	if err := norm.Validate(); err != nil {
-		return norm, "", err
-	}
 	hash, err := norm.CanonicalHash()
 	return norm, hash, err
 }

@@ -170,15 +170,14 @@ func (n Request) validate() (builtSoC, error) {
 		if n.Figure == nil {
 			return builtSoC{}, fmt.Errorf("blitzcoin: kind %q without figure options", n.Kind)
 		}
-		return builtSoC{}, n.Figure.Validate()
+		return builtSoC{}, n.Figure.validate()
 	}
 	return builtSoC{}, fmt.Errorf("blitzcoin: unknown request kind %q", n.Kind)
 }
 
-// Seed returns the seed that drives the request's randomness (the
-// payload's seed), for result metadata.
-func (r Request) seed() uint64 {
-	n := r.Normalized()
+// seed returns the seed that drives a normalized request's randomness
+// (the payload's seed), for result metadata.
+func (n Request) seed() uint64 {
 	switch {
 	case n.Exchange != nil:
 		return n.Exchange.Seed

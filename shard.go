@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 
-	"blitzcoin/internal/sweep"
 	"blitzcoin/internal/trace"
 )
 
@@ -59,18 +58,33 @@ type ShardResult struct {
 // everything else is one indivisible unit. Invalid requests error.
 func (r Request) ShardUnits() (int, error) {
 	n := r.Normalized()
-	if err := n.Validate(); err != nil {
+	if _, err := n.validate(); err != nil {
 		return 0, err
 	}
+	return n.units(), nil
+}
+
+// units is ShardUnits on a valid, normalized request.
+func (n Request) units() int {
 	switch n.Kind {
 	case KindExchange:
-		return n.Trials, nil
+		return n.Trials
 	case KindFigure:
 		if s := figureRegistry[n.Figure.Name].shard; s != nil {
-			return s.units(*n.Figure), nil
+			return s.units(*n.Figure)
 		}
 	}
-	return 1, nil
+	return 1
+}
+
+// planShards validates a request once and returns its normalized form, its
+// canonical hash and its unit count.
+func planShards(req Request) (n Request, hash string, units int, err error) {
+	n = req.Normalized()
+	if _, err := n.validate(); err != nil {
+		return Request{}, "", 0, err
+	}
+	return n, canonicalHash(string(n.Kind), n), n.units(), nil
 }
 
 // ExecuteShard computes the trial units [lo, hi) of a request — the worker
@@ -80,15 +94,7 @@ func (r Request) ShardUnits() (int, error) {
 // panics into errors, and returns ctx.Err() rather than a partial shard
 // when cancelled.
 func ExecuteShard(ctx context.Context, req Request, lo, hi int) (res *ShardResult, err error) {
-	n := req.Normalized()
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	hash, err := n.CanonicalHash()
-	if err != nil {
-		return nil, err
-	}
-	units, err := n.ShardUnits()
+	n, hash, units, err := planShards(req)
 	if err != nil {
 		return nil, err
 	}
@@ -109,10 +115,8 @@ func ExecuteShard(ctx context.Context, req Request, lo, hi int) (res *ShardResul
 	// Publish worker-side trial progress keyed by the request hash, but no
 	// sweep lifecycle — the coordinator that planned the shards owns those
 	// events. An inherited stream (in-process merges) is reused as is.
-	st := trace.FromContext(ctx)
-	if !st.Active() {
-		st = trace.NewStream(trace.Default(), hash)
-		ctx = trace.NewContext(ctx, st)
+	if st := trace.FromContext(ctx); !st.Active() {
+		ctx = trace.NewContext(ctx, trace.NewStream(trace.Default(), hash))
 	}
 
 	out := &ShardResult{Meta: newMeta(n.seed(), hash), Lo: lo, Hi: hi}
@@ -120,14 +124,7 @@ func ExecuteShard(ctx context.Context, req Request, lo, hi int) (res *ShardResul
 	case n.Kind == KindExchange:
 		out.Exchange = exchangeShardRows(ctx, n, lo, hi)
 	case n.Kind == KindFigure && figureRegistry[n.Figure.Name].shard != nil:
-		s := figureRegistry[n.Figure.Name].shard
-		o := *n.Figure
-		out.FigureTrials = sweep.MapRange(ctx, lo, hi, 0, func(g int) json.RawMessage {
-			st.TrialStart(g, units)
-			raw := s.trial(o, g)
-			st.TrialDone(g, units, true, 0)
-			return raw
-		})
+		out.FigureTrials = figureRegistry[n.Figure.Name].shard.trials(ctx, *n.Figure, lo, hi)
 	default:
 		// One indivisible unit: the shard is the whole computation.
 		whole, err := Execute(ctx, n)
@@ -153,15 +150,7 @@ func ExecuteShard(ctx context.Context, req Request, lo, hi int) (res *ShardResul
 // duplication pattern. The merged ResultMeta records the distinct shard
 // count as provenance.
 func MergeShards(req Request, shards []*ShardResult) (*Result, error) {
-	n := req.Normalized()
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	hash, err := n.CanonicalHash()
-	if err != nil {
-		return nil, err
-	}
-	units, err := n.ShardUnits()
+	n, hash, units, err := planShards(req)
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +215,7 @@ func MergeShards(req Request, shards []*ShardResult) (*Result, error) {
 			}
 			trials = append(trials, s.FigureTrials...)
 		}
-		lines, err := figureRegistry[o.Name].shard.merge(o, trials)
+		lines, err := figureRegistry[o.Name].shard.merge(o, trials, &figureCSV{})
 		if err != nil {
 			return nil, err
 		}
